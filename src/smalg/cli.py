@@ -38,6 +38,7 @@ from .jordan import (
 from .preservers import (
     GALLERY_KINDS,
     MapUnderTest,
+    _check_sampling,
     counterexample,
     identity_map,
     remark_gallery,
@@ -54,7 +55,6 @@ EXIT_FAIL = 2
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        self.print_usage(sys.stderr)
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
@@ -67,6 +67,16 @@ def _load_quasiorder(path):
         return jsonio.load_quasiorder(path)
     except (OSError, ValueError, KeyError, TypeError) as exc:
         print(f"error: cannot load quasi-order from {path}: {exc}", file=sys.stderr)
+        raise SystemExit(EXIT_USAGE)
+
+
+def _load_spec(path):
+    """The spec in `path` and its embedding; exits 1 on a bad or missing spec."""
+    try:
+        spec = jsonio.load_jordan_spec(path)
+        return spec, build_embedding(spec)
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        print(f"error: cannot load spec from {path}: {exc}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
 
 
@@ -98,8 +108,7 @@ def cmd_analyze(args):
 
 
 def cmd_embed(args):
-    spec = jsonio.load_jordan_spec(args.spec)
-    phi = build_embedding(spec)
+    spec, phi = _load_spec(args.spec)
     table = []
     for i, j in sorted(spec.rho.pairs):
         table.append({
@@ -112,19 +121,19 @@ def cmd_embed(args):
 
 def _build_map(args):
     if args.spec:
-        spec = jsonio.load_jordan_spec(args.spec)
-        return MapUnderTest(spec.rho, build_embedding(spec), "embedding"), None
+        spec, phi = _load_spec(args.spec)
+        return MapUnderTest(spec.rho, phi, "embedding")
     rho, _ = _load_quasiorder(args.quasiorder)
     kind = args.kind
     if kind == "identity":
-        return identity_map(rho), None
+        return identity_map(rho)
     if kind == "transpose":
-        return transpose_map(rho), None
+        return transpose_map(rho)
     if kind == "counterexample":
-        return counterexample(rho), None
+        return counterexample(rho)
     if kind in GALLERY_KINDS:
-        return remark_gallery(rho, kind), None
-    return None, f"unknown map kind {kind!r}"
+        return remark_gallery(rho, kind)
+    raise ValueError(f"unknown map kind {kind!r}")
 
 
 def cmd_verify(args):
@@ -132,12 +141,9 @@ def cmd_verify(args):
         print("error: provide --spec FILE or --kind NAME --quasiorder FILE", file=sys.stderr)
         return EXIT_USAGE
     try:
-        mut, err = _build_map(args)
-    except (ValueError, OSError, KeyError) as exc:
+        mut = _build_map(args)
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    if err:
-        print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
     report = verify_preserver(mut, n_samples=args.samples, tol=args.tol, seed=args.seed)
     _emit(report.to_dict(), args.pretty)
@@ -164,8 +170,7 @@ def cmd_counterexample(args):
 
 
 def cmd_recover(args):
-    spec = jsonio.load_jordan_spec(args.spec)
-    phi = build_embedding(spec)
+    spec, phi = _load_spec(args.spec)
     try:
         rec = recover_form(phi, spec.rho, tol=args.tol, n_samples=args.samples, seed=args.seed)
     except (RecoveryError, ValueError) as exc:
@@ -254,13 +259,13 @@ def _selftest_checks():
         spec = JordanSpec(rho, np.eye(6, dtype=complex), TransitiveMap.constant_one(rho), P)
         phi = build_embedding(spec)
         ver = verify_jordan(phi, rho, n_samples=1000, tol=1e-8, seed=0)
-        if not ver.passed:
-            return f"block embedding failed the Jordan battery: {ver}"
-        mul_ok, mul_wit = verify_multiplicative(phi, rho, n_samples=200, seed=0)
-        anti_ok, anti_wit = verify_antimultiplicative(phi, rho, n_samples=200, seed=0)
-        if mul_ok or anti_ok:
-            return f"expected both product rules to fail (mult={mul_ok}, anti={anti_ok})"
-        if mul_wit is None or anti_wit is None:
+        if not ver.all_pass:
+            return f"block embedding failed the Jordan battery: {ver.to_dict()['properties']}"
+        mul = verify_multiplicative(phi, rho, n_samples=200, seed=0).multiplicative
+        anti = verify_antimultiplicative(phi, rho, n_samples=200, seed=0).antimultiplicative
+        if mul.ok or anti.ok:
+            return f"expected both product rules to fail (mult={mul.ok}, anti={anti.ok})"
+        if not mul.witnesses or not anti.witnesses:
             return "missing product-rule witnesses"
         return None
 
@@ -322,10 +327,24 @@ def cmd_selftest(args):
     return EXIT_OK if not failures else EXIT_FAIL
 
 
+def _checked(convert, check):
+    """An argparse type: `convert`, then `check`; a ValueError is a usage error."""
+    def parse(text):
+        try:
+            value = convert(text)
+            check(value)
+            return value
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from exc
+    return parse
+
+
 def _add_common(p, samples_default=1000):
     p.add_argument("--seed", type=int, default=0, help="root seed for all sampling")
-    p.add_argument("--tol", type=float, default=1e-8, help="comparison tolerance")
-    p.add_argument("--samples", type=int, default=samples_default, help="sample count")
+    p.add_argument("--tol", type=_checked(float, lambda v: _check_sampling(1, tol=v)),
+                   default=1e-8, help="comparison tolerance (finite, > 0)")
+    p.add_argument("--samples", type=_checked(int, _check_sampling), default=samples_default,
+                   help="sample count (>= 1)")
     p.add_argument("--pretty", action="store_true", help="indented human-oriented output")
 
 

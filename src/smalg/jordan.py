@@ -6,20 +6,23 @@ the part cut out by the complement of a central idempotent P:
 
     phi(X) = S (P g*(X) + (I - P) g*(X)^t) S^{-1}.
 
-This module constructs such maps from their (S, g, P) data, verifies the
-Jordan/multiplicativity properties of arbitrary black-box maps by seeded
-sampling, and recovers the (S, g, P) data from a black-box preserver.
+This module constructs such maps from their (S, g, P) data and recovers the
+(S, g, P) data from a black-box preserver.  `verify_jordan` and the two
+product-rule checks are selections of properties graded by the one sampling
+harness in `smalg.preservers`; recovery reads the matrix units through that
+module's unit classifier.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .quasiorder import QuasiOrder, components, condition_i
-from .matalg import in_sma, lambda_matrix, matrix_unit, random_in_sma
+from .matalg import lambda_matrix, matrix_unit, random_in_sma
 from .cocycle import TransitiveMap, induced_auto, validate as validate_transitive
+from .preservers import MapUnderTest, PreserverReport, _check_sampling, _grade, _unit_action
 
 __all__ = [
     "CentralIdempotent",
@@ -29,7 +32,6 @@ __all__ = [
     "is_central",
     "validate_spec",
     "build_embedding",
-    "JordanVerification",
     "verify_jordan",
     "verify_multiplicative",
     "verify_antimultiplicative",
@@ -141,83 +143,24 @@ def build_embedding(spec: JordanSpec):
     return phi
 
 
-@dataclass
-class JordanVerification:
-    """Sampled verdicts for a black-box map on the algebra of rho."""
-
-    additivity_ok: bool
-    homogeneity_ok: bool
-    jordan_ok: bool
-    injectivity_ok: bool
-    samples: int
-    witnesses: list = field(default_factory=list)
-
-    @property
-    def passed(self) -> bool:
-        return (self.additivity_ok and self.homogeneity_ok
-                and self.jordan_ok and self.injectivity_ok)
-
-
 def verify_jordan(phi, rho: QuasiOrder, n_samples: int = 1000,
-                  tol: float = 1e-8, seed: int = 0) -> JordanVerification:
+                  tol: float = 1e-8, seed: int = 0) -> PreserverReport:
     """Sample additivity, homogeneity, the square identity phi(X^2) = phi(X)^2,
     and pairwise output separation of distinct inputs."""
-    rng = np.random.default_rng(seed)
-    add_ok = hom_ok = jor_ok = inj_ok = True
-    witnesses = []
-
-    def record(kind, *payload):
-        if len(witnesses) < 8:
-            witnesses.append((kind,) + payload)
-
-    for _ in range(n_samples):
-        X = random_in_sma(rho, rng)
-        Y = random_in_sma(rho, rng)
-        alpha = complex(rng.standard_normal(), rng.standard_normal())
-        fX, fY = phi(X), phi(Y)
-        scale = max(1.0, float(np.linalg.norm(fX)), float(np.linalg.norm(fY)))
-        if np.linalg.norm(phi(X + Y) - fX - fY) > tol * scale:
-            if add_ok:
-                record("additivity", X, Y)
-            add_ok = False
-        if np.linalg.norm(phi(alpha * X) - alpha * fX) > tol * scale * max(1.0, abs(alpha)):
-            if hom_ok:
-                record("homogeneity", X, alpha)
-            hom_ok = False
-        if np.linalg.norm(phi(X @ X) - fX @ fX) > tol * max(1.0, float(np.linalg.norm(fX)) ** 2):
-            if jor_ok:
-                record("jordan", X)
-            jor_ok = False
-        if np.linalg.norm(X - Y) > 1e-6 and np.linalg.norm(fX - fY) <= tol * scale:
-            if inj_ok:
-                record("injectivity", X, Y)
-            inj_ok = False
-    return JordanVerification(add_ok, hom_ok, jor_ok, inj_ok, n_samples, witnesses)
-
-
-def _verify_product_rule(phi, rho, reverse, n_samples, tol, seed):
-    rng = np.random.default_rng(seed)
-    for _ in range(n_samples):
-        X = random_in_sma(rho, rng)
-        Y = random_in_sma(rho, rng)
-        fX, fY = phi(X), phi(Y)
-        want = fY @ fX if reverse else fX @ fY
-        got = phi(X @ Y)
-        if np.linalg.norm(got - want) > tol * max(1.0, float(np.linalg.norm(want))):
-            return False, (X, Y)
-    return True, None
+    return _grade(MapUnderTest(rho, phi, "phi"),
+                  ("injectivity", "additivity", "homogeneity", "jordan"), n_samples, tol, seed)
 
 
 def verify_multiplicative(phi, rho: QuasiOrder, n_samples: int = 200,
-                          tol: float = 1e-8, seed: int = 0):
-    """Sampled check of phi(XY) = phi(X)phi(Y); returns (ok, witness_pair)."""
-    return _verify_product_rule(phi, rho, False, n_samples, tol, seed)
+                          tol: float = 1e-8, seed: int = 0) -> PreserverReport:
+    """Sampled check of phi(XY) = phi(X)phi(Y)."""
+    return _grade(MapUnderTest(rho, phi, "phi"), ("multiplicative",), n_samples, tol, seed)
 
 
 def verify_antimultiplicative(phi, rho: QuasiOrder, n_samples: int = 200,
-                              tol: float = 1e-8, seed: int = 0):
-    """Sampled check of phi(XY) = phi(Y)phi(X); returns (ok, witness_pair)."""
-    return _verify_product_rule(phi, rho, True, n_samples, tol, seed)
+                              tol: float = 1e-8, seed: int = 0) -> PreserverReport:
+    """Sampled check of phi(XY) = phi(Y)phi(X)."""
+    return _grade(MapUnderTest(rho, phi, "phi"), ("antimultiplicative",), n_samples, tol, seed)
 
 
 @dataclass
@@ -251,6 +194,7 @@ def recover_form(phi, rho: QuasiOrder, tol: float = 1e-8,
     identity-like part.  The rebuilt map is compared against phi on all matrix
     units and on random samples, and the recovery fails loudly on mismatch.
     """
+    _check_sampling(n_samples, tol=tol)
     ok, witness = condition_i(rho)
     if not ok:
         raise ValueError(f"quasi-order fails the neighborhood criterion at {witness}")
@@ -259,14 +203,11 @@ def recover_form(phi, rho: QuasiOrder, tol: float = 1e-8,
     M = phi(lambda_matrix(n))
     w, V = np.linalg.eig(M)
     cols = []
-    used = set()
     for k in range(1, n + 1):
-        cand = [(abs(w[a] - k), a) for a in range(n) if a not in used]
-        err, a = min(cand)
+        err, a = min((abs(w[a] - k), a) for a in range(n) if a not in cols)
         if err > 1e-6:
             raise RecoveryError(
                 f"phi(diag(1..n)) has no eigenvalue near {k} (spectrum not preserved?)")
-        used.add(a)
         cols.append(a)
     S = _gauge_columns(V[:, cols])
     Sinv = np.linalg.inv(S)
@@ -274,45 +215,17 @@ def recover_form(phi, rho: QuasiOrder, tol: float = 1e-8,
     def psi(X):
         return Sinv @ phi(X) @ S
 
-    rel_tol = 1e-7
-    m_pairs, a_pairs = set(), set()
-    gvals = {}
-    for i, j in sorted(rho.off_diagonal):
-        A = psi(matrix_unit(n, i, j))
-        p, q = np.unravel_index(np.argmax(np.abs(A)), A.shape)
-        val = A[p, q]
-        if abs(val) <= rel_tol:
-            raise RecoveryError(f"psi(E_{i}{j}) is numerically zero")
-        residual = A.copy()
-        residual[p, q] = 0.0
-        if np.max(np.abs(residual)) > rel_tol * abs(val):
-            raise RecoveryError(
-                f"psi(E_{i}{j}) is parallel to no matrix unit (dominant at {(p + 1, q + 1)})")
-        if (p + 1, q + 1) == (i, j):
-            m_pairs.add((i, j))
-        elif (p + 1, q + 1) == (j, i):
-            a_pairs.add((i, j))
-        else:
-            raise RecoveryError(
-                f"psi(E_{i}{j}) concentrates at {(p + 1, q + 1)}, not at ({i},{j}) or ({j},{i})")
-        gvals[(i, j)] = val
-
-    diag = frozenset((i, i) for i in range(1, n + 1))
     try:
-        rho_m = QuasiOrder(n, diag | frozenset(m_pairs))
-        rho_a = QuasiOrder(n, diag | frozenset(a_pairs))
+        rho_m, rho_a, gvals = _unit_action(psi, rho)
     except ValueError as exc:
-        raise RecoveryError(f"unit classification is not a quasi-order: {exc}") from exc
+        raise RecoveryError(str(exc)) from exc
     g = TransitiveMap(rho, gvals)
     ok, violation = validate_transitive(g, tol=1e-6)
     if not ok:
         raise RecoveryError(f"recovered scalars violate the cocycle law at {violation}")
 
-    bits = [0] * n
-    for i, j in m_pairs:
-        bits[i - 1] = 1
-        bits[j - 1] = 1
-    P = CentralIdempotent(tuple(bits))
+    touched = {k for pair in rho_m.off_diagonal for k in pair}
+    P = CentralIdempotent(tuple(int(k in touched) for k in range(1, n + 1)))
     spec = JordanSpec(rho, S, g, P)
     try:
         rebuilt = build_embedding(spec)

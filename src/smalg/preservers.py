@@ -12,15 +12,15 @@ harness that grades any black-box map on the algebra.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 from typing import Callable
 
 import numpy as np
 
-from .quasiorder import QuasiOrder, condition_i, image, preimage
+from .quasiorder import QuasiOrder, condition_i, image, is_symmetric, preimage
 from .matalg import (
     char_poly,
     flat,
-    in_sma,
     lambda_matrix,
     matrix_unit,
     nearby_diagonalizable,
@@ -74,17 +74,11 @@ def transpose_map(rho: QuasiOrder) -> MapUnderTest:
     return MapUnderTest(rho, lambda X: np.array(X, dtype=complex).T, "transpose")
 
 
-def _as_rng(seed):
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
-
-
 def gen_commuting_pair(rho: QuasiOrder, seed=0):
     """A commuting pair X = S D1 S^{-1}, Y = S D2 S^{-1} with S = I plus a small
     strictly-off-diagonal element of the algebra; both outputs are projected to
     the algebra exactly, leaving a commutator at roundoff level."""
-    rng = _as_rng(seed)
+    rng = np.random.default_rng(seed)  # a Generator is passed through as is
     n = rho.n
     N = random_in_sma(rho, rng)
     np.fill_diagonal(N, 0.0)
@@ -180,31 +174,39 @@ def commutes_criterion(X, Y, rho: QuasiOrder, r: int, s: int, tol: float = 1e-9)
     return bool(base and abs(lhs - rhs) <= tol * scale)
 
 
+def _unit_action(phi, rho: QuasiOrder, rel_tol: float = 1e-7):
+    """classify_unit_action, plus the dominant scalar of each unit's image."""
+    n = rho.n
+    parts = (set(), set())  # pairs mapped parallel to the unit, to its flip
+    scalars = {}
+    for i, j in sorted(rho.off_diagonal):
+        A = np.asarray(phi(matrix_unit(n, i, j)), dtype=complex)
+        p, q = np.unravel_index(np.argmax(np.abs(A)), A.shape)
+        at, val = (int(p) + 1, int(q) + 1), A[p, q]
+        if abs(val) <= rel_tol:
+            raise ValueError(f"phi(E_{i}{j}) is numerically zero")
+        if np.partition(np.abs(A), -2, axis=None)[-2] > rel_tol * abs(val):
+            raise ValueError(f"phi(E_{i}{j}) is parallel to no matrix unit (dominant at {at})")
+        if at not in ((i, j), (j, i)):
+            raise ValueError(f"phi(E_{i}{j}) concentrates at {at}, not at ({i},{j}) or ({j},{i})")
+        parts[at != (i, j)].add((i, j))
+        scalars[i, j] = val
+    diag = frozenset((i, i) for i in range(1, n + 1))
+    try:
+        rho_m, rho_a = (QuasiOrder(n, diag | frozenset(part)) for part in parts)
+    except ValueError as exc:
+        raise ValueError(f"unit classification is not a quasi-order: {exc}") from exc
+    return rho_m, rho_a, scalars
+
+
 def classify_unit_action(phi, rho: QuasiOrder, rel_tol: float = 1e-7):
     """Split rho into the pairs whose matrix unit maps parallel to itself versus
     to its transpose; both parts are returned as (verified) quasi-orders.
 
-    Raises ValueError with a witness when some image is parallel to neither.
+    Raises ValueError with a witness when some image is numerically zero or
+    parallel to neither the unit nor its flip.
     """
-    n = rho.n
-    m_pairs, a_pairs = set(), set()
-    for i, j in sorted(rho.off_diagonal):
-        A = np.asarray(phi(matrix_unit(n, i, j)), dtype=complex)
-        p, q = np.unravel_index(np.argmax(np.abs(A)), A.shape)
-        val = A[p, q]
-        residual = A.copy()
-        residual[p, q] = 0.0
-        if abs(val) == 0 or np.max(np.abs(residual)) > rel_tol * abs(val):
-            raise ValueError(f"phi(E_{i}{j}) is parallel to no matrix unit")
-        if (p + 1, q + 1) == (i, j):
-            m_pairs.add((i, j))
-        elif (p + 1, q + 1) == (j, i):
-            a_pairs.add((i, j))
-        else:
-            raise ValueError(
-                f"phi(E_{i}{j}) concentrates at {(p + 1, q + 1)}, not the pair or its flip")
-    diag = frozenset((i, i) for i in range(1, n + 1))
-    return QuasiOrder(n, diag | frozenset(m_pairs)), QuasiOrder(n, diag | frozenset(a_pairs))
+    return _unit_action(phi, rho, rel_tol)[:2]
 
 
 def remark_gallery(rho: QuasiOrder, kind: str) -> MapUnderTest:
@@ -245,14 +247,9 @@ def remark_gallery(rho: QuasiOrder, kind: str) -> MapUnderTest:
         return MapUnderTest(rho, eval_shift, "diag-shift")
 
     if kind == "noninjective_jordan":
-        from .quasiorder import is_symmetric
-
         if is_symmetric(rho):
             raise ValueError("truncation is injective on a symmetric rho")
-        mutual = np.zeros((n, n), dtype=bool)
-        for i, j in rho.pairs:
-            if (j, i) in rho.pairs:
-                mutual[i - 1, j - 1] = True
+        mutual = sma_mask(rho) & sma_mask(rho).T
 
         def eval_trunc(X):
             return np.where(mutual, np.asarray(X, dtype=complex), 0.0)
@@ -262,41 +259,46 @@ def remark_gallery(rho: QuasiOrder, kind: str) -> MapUnderTest:
     raise ValueError(f"unknown gallery kind {kind!r}; choose from {GALLERY_KINDS}")
 
 
+BATCH = 128  # samples per generator; generators are keyed by (seed, batch index)
+
+
 @dataclass
 class PropertyVerdict:
-    ok: bool = True
     checked: int = 0
     witnesses: list = field(default_factory=list)
 
-    def fail(self, witness, cap: int = 3):
-        self.ok = False
-        if len(self.witnesses) < cap:
+    @property
+    def ok(self) -> bool:
+        """Something was checked and nothing failed."""
+        return self.checked > 0 and not self.witnesses
+
+    def fail(self, witness):
+        if len(self.witnesses) < 3:  # the first failure is always kept
             self.witnesses.append(witness)
 
 
 @dataclass
 class PreserverReport:
+    """Sampled verdicts for one map; a property that was not graded is None."""
+
     label: str
     seed: int
     samples: int
-    spectrum: PropertyVerdict
-    commutativity: PropertyVerdict
-    injectivity: PropertyVerdict
-    additivity: PropertyVerdict
-    homogeneity: PropertyVerdict
+    spectrum: PropertyVerdict | None = None
+    commutativity: PropertyVerdict | None = None
+    injectivity: PropertyVerdict | None = None
+    additivity: PropertyVerdict | None = None
+    homogeneity: PropertyVerdict | None = None
+    jordan: PropertyVerdict | None = None
+    multiplicative: PropertyVerdict | None = None
+    antimultiplicative: PropertyVerdict | None = None
 
     @property
     def all_pass(self) -> bool:
         return all(v.ok for v in self._verdicts().values())
 
     def _verdicts(self):
-        return {
-            "spectrum": self.spectrum,
-            "commutativity": self.commutativity,
-            "injectivity": self.injectivity,
-            "additivity": self.additivity,
-            "homogeneity": self.homogeneity,
-        }
+        return {name: v for name in _PROPERTIES if (v := getattr(self, name)) is not None}
 
     def to_dict(self) -> dict:
         def enc(x):
@@ -315,29 +317,179 @@ class PreserverReport:
             "seed": self.seed,
             "samples": self.samples,
             "all_pass": self.all_pass,
-            "properties": {
-                name: {
-                    "ok": v.ok,
-                    "checked": v.checked,
-                    "witnesses": [enc(w) for w in v.witnesses],
-                }
-                for name, v in self._verdicts().items()
-            },
+            "properties": {name: {"ok": v.ok, "checked": v.checked,
+                                  "witnesses": [enc(w) for w in v.witnesses]}
+                           for name, v in self._verdicts().items()},
         }
 
 
-def _poly_pair(rho, rng):
-    X = random_in_sma(rho, rng)
-    c = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-    Y = c[0] * np.eye(rho.n) + c[1] * X + c[2] * X @ X
-    return X, project_sma(Y, rho)
+def _fails(err, limit):
+    return not np.isfinite(err) or err > limit
+
+
+# A property is (sampler, error function, tolerance name, probe).  A sampler
+# draws the cases of one sample from s.rng, in a fixed order; a probe lists
+# deterministic cases, graded before the seeded samples.  An error function
+# grades one case as (failed, witness), or returns None when the case does not
+# apply.
+
+def _spectrum_cases(s):
+    if s.t % 2 == 0:
+        return [(s.X,)]
+    nd = nearby_diagonalizable(s.X, s.rho, 1e-6)
+    return [(project_sma(nd.S @ np.diag(nd.eigenvalues) @ np.linalg.inv(nd.S), s.rho),)]
+
+
+def _spectrum_error(f, tol, X):
+    want = char_poly(X)
+    err = float(np.max(np.abs(char_poly(f(X)) - want)))
+    return _fails(err, tol * max(1.0, float(np.max(np.abs(want))))), (X, f(X), err)
+
+
+def _commuting_cases(s):
+    """Conjugated diagonal pairs and (X, p(X)) pairs, alternately."""
+    if s.t % 2 == 0:
+        return [gen_commuting_pair(s.rho, s.rng)]
+    X = random_in_sma(s.rho, s.rng)
+    c = s.rng.standard_normal(3) + 1j * s.rng.standard_normal(3)
+    return [(X, project_sma(c[0] * np.eye(s.rho.n) + c[1] * X + c[2] * X @ X, s.rho))]
+
+
+def _commutator_error(f, tol, X, Y):
+    fX, fY = f(X), f(Y)
+    err = float(np.linalg.norm(fX @ fY - fY @ fX))
+    scale = max(1.0, float(np.linalg.norm(fX)) * float(np.linalg.norm(fY)))
+    return _fails(err, tol * scale), (X, Y, err)
+
+
+def _injective_cases(s):
+    if not s.off:
+        return [(s.X, s.Y)]
+    i, j = s.off[s.t % len(s.off)]
+    c = complex(s.rng.standard_normal(), s.rng.standard_normal())
+    return [(s.X, s.Y), (s.X, s.X + c * matrix_unit(s.rho.n, i, j))]
+
+
+def _separation_error(f, tol, X, Y):
+    if np.linalg.norm(X - Y) <= 1e-6:
+        return None
+    fX, fY = f(X), f(Y)
+    sep = float(np.linalg.norm(fX - fY))
+    return sep <= tol * max(1.0, float(np.linalg.norm(fX)), float(np.linalg.norm(fY))), (X, Y, sep)
+
+
+def _additive_probe(s):
+    pairs = [pair for F, P, G in s.units for pair in [(P, F), (F, G)] if pair[1] is not None]
+    return [(X, Y, X + Y) for X, Y in pairs]
+
+
+def _additive_error(f, tol, X, Y, XY):
+    fX, fY = f(X), f(Y)
+    err = float(np.linalg.norm(f(XY) - fX - fY))
+    return _fails(err, tol * max(1.0, np.linalg.norm(fX) + np.linalg.norm(fY))), (X, Y, err)
+
+
+def _homogeneous_cases(s):
+    alpha = complex(s.rng.standard_normal(), s.rng.standard_normal())
+    return [(s.X, alpha, alpha * s.X)]
+
+
+def _homogeneous_error(f, tol, X, alpha, aX):
+    fX = f(X)
+    err = float(np.linalg.norm(f(aX) - alpha * fX))
+    return _fails(err, tol * max(1.0, abs(alpha) * float(np.linalg.norm(fX)))), (X, alpha, err)
+
+
+def _square_error(f, tol, X, XX):
+    fX = f(X)
+    err = float(np.linalg.norm(f(XX) - fX @ fX))
+    return _fails(err, tol * max(1.0, float(np.linalg.norm(fX)) ** 2)), (X, err)
+
+
+def _product_error(reverse):
+    def error(f, tol, X, Y, XY):
+        want = f(Y) @ f(X) if reverse else f(X) @ f(Y)
+        err = float(np.linalg.norm(f(XY) - want))
+        return _fails(err, tol * max(1.0, float(np.linalg.norm(want)))), (X, Y, err)
+    return error
+
+
+# samplers run in table order, which fixes the order of the random draws
+_PROPERTIES = {
+    "spectrum": (_spectrum_cases, _spectrum_error, "spectrum_tol", lambda s: s.diagonals),
+    "commutativity": (_commuting_cases, _commutator_error, "commutator_tol", None),
+    "injectivity": (_injective_cases, _separation_error, "tol",
+                    lambda s: [(P, F) for F, P, _ in s.units]),
+    "additivity": (lambda s: [(s.X, s.Y, s.X + s.Y)], _additive_error, "tol", _additive_probe),
+    "homogeneity": (_homogeneous_cases, _homogeneous_error, "tol", None),
+    "jordan": (lambda s: [(s.X, s.X @ s.X)], _square_error, "tol", None),
+    "multiplicative": (lambda s: [(s.X, s.Y, s.X @ s.Y)], _product_error(False), "tol", None),
+    "antimultiplicative": (lambda s: [(s.X, s.Y, s.X @ s.Y)], _product_error(True), "tol", None),
+}
+
+
+def _check_sampling(n_samples, **tols):
+    """Reject inputs that would make a sampled verdict pass vacuously."""
+    if n_samples < 1:
+        raise ValueError(f"n_samples must be >= 1, got {n_samples}")
+    for name, value in tols.items():
+        if not (np.isfinite(value) and value > 0):
+            raise ValueError(f"{name} must be finite and > 0, got {value}")
+
+
+def _grade(mut: MapUnderTest, names, n_samples: int, tol: float, seed: int,
+           sample_scale: float = 1.0, spectrum_tol: float | None = None,
+           commutator_tol: float | None = None) -> PreserverReport:
+    """The sampling harness: grade the named properties of the table on the
+    probes, then on `n_samples` seeded samples."""
+    tols = {"tol": tol, "spectrum_tol": tol if spectrum_tol is None else spectrum_tol,
+            "commutator_tol": tol if commutator_tol is None else commutator_tol}
+    _check_sampling(n_samples, **tols)
+    rho, phi, n = mut.domain, mut.eval, mut.domain.n
+    off = sorted(rho.off_diagonal)[:64]
+    graded = {name: (prop, PropertyVerdict()) for name, prop in _PROPERTIES.items()
+              if name in names}
+    rep = PreserverReport(mut.label, seed if isinstance(seed, int) else -1, n_samples,
+                          **{name: verdict for name, (_, verdict) in graded.items()})
+
+    def grade(s, probe):
+        images = {}  # id -> (input, phi(input)); holding the input keeps its id unique
+
+        def f(A):
+            hit = images.get(id(A))
+            if hit is None:
+                hit = images[id(A)] = (A, phi(A))
+            return hit[1]
+
+        for (sample, error, tol_name, probe_cases), verdict in graded.values():
+            cases = probe_cases if probe else sample
+            for case in cases(s) if cases else ():
+                result = error(f, tols[tol_name], *case)
+                if result is not None:
+                    verdict.checked += 1
+                    if result[0]:
+                        verdict.fail(result[1])
+
+    diagonals = [(np.eye(n, dtype=complex),), (lambda_matrix(n),)]
+    grade(SimpleNamespace(diagonals=diagonals, units=[]), probe=True)
+    for i, j in off:  # one pair per probe, so few probe images are alive at once
+        unit = (matrix_unit(n, i, j), 2.0 * matrix_unit(n, i, i) + matrix_unit(n, i, j),
+                matrix_unit(n, j, i) if (j, i) in rho.pairs else None)
+        grade(SimpleNamespace(diagonals=[], units=[unit]), probe=True)
+    for k in range(n_samples):
+        b, t = divmod(k, BATCH)
+        if t == 0:
+            rng = np.random.default_rng((seed, b))
+        X = random_in_sma(rho, rng, sample_scale)
+        Y = random_in_sma(rho, rng, sample_scale)
+        grade(SimpleNamespace(rho=rho, off=off, rng=rng, t=t, X=X, Y=Y), probe=False)
+    return rep
 
 
 def verify_preserver(mut: MapUnderTest, n_samples: int = 1000, tol: float = 1e-8,
                      seed: int = 0, sample_scale: float = 1.0,
                      spectrum_tol: float | None = None,
-                     commutator_tol: float | None = None,
-                     batch: int = 128) -> PreserverReport:
+                     commutator_tol: float | None = None) -> PreserverReport:
     """Grade a map on sampled spectrum/commutativity/injectivity/additivity/
     homogeneity preservation.
 
@@ -349,92 +501,5 @@ def verify_preserver(mut: MapUnderTest, n_samples: int = 1000, tol: float = 1e-8
     use independent generators keyed by (seed, batch index) and are merged in
     batch order; they carry no shared state and may run in parallel.
     """
-    rho = mut.domain
-    phi = mut.eval
-    n = rho.n
-    spectrum_tol = tol if spectrum_tol is None else spectrum_tol
-    commutator_tol = tol if commutator_tol is None else commutator_tol
-    rep = PreserverReport(mut.label, seed if isinstance(seed, int) else -1, n_samples,
-                          PropertyVerdict(), PropertyVerdict(), PropertyVerdict(),
-                          PropertyVerdict(), PropertyVerdict())
-
-    def check_spectrum(X):
-        rep.spectrum.checked += 1
-        want = char_poly(X)
-        got = char_poly(phi(X))
-        scale = max(1.0, float(np.max(np.abs(want))))
-        err = float(np.max(np.abs(got - want)))
-        if not np.isfinite(err) or err > spectrum_tol * scale:
-            rep.spectrum.fail((X, phi(X), err))
-
-    def check_commuting(X, Y):
-        rep.commutativity.checked += 1
-        fX, fY = phi(X), phi(Y)
-        scale = max(1.0, float(np.linalg.norm(fX)) * float(np.linalg.norm(fY)))
-        err = float(np.linalg.norm(fX @ fY - fY @ fX))
-        if not np.isfinite(err) or err > commutator_tol * scale:
-            rep.commutativity.fail((X, Y, err))
-
-    def check_injective(X, Y):
-        if np.linalg.norm(X - Y) <= 1e-6:
-            return
-        rep.injectivity.checked += 1
-        fX, fY = phi(X), phi(Y)
-        sep = float(np.linalg.norm(fX - fY))
-        if sep <= tol * max(1.0, float(np.linalg.norm(fX)), float(np.linalg.norm(fY))):
-            rep.injectivity.fail((X, Y, sep))
-
-    def check_additive(X, Y):
-        rep.additivity.checked += 1
-        fX, fY = phi(X), phi(Y)
-        err = float(np.linalg.norm(phi(X + Y) - fX - fY))
-        if not np.isfinite(err) or err > tol * max(1.0, np.linalg.norm(fX) + np.linalg.norm(fY)):
-            rep.additivity.fail((X, Y, err))
-
-    def check_homogeneous(X, alpha):
-        rep.homogeneity.checked += 1
-        fX = phi(X)
-        err = float(np.linalg.norm(phi(alpha * X) - alpha * fX))
-        if not np.isfinite(err) or err > tol * max(1.0, abs(alpha) * float(np.linalg.norm(fX))):
-            rep.homogeneity.fail((X, alpha, err))
-
-    # deterministic structural probes
-    check_spectrum(np.eye(n, dtype=complex))
-    check_spectrum(lambda_matrix(n))
-    off = sorted(rho.off_diagonal)[:64]
-    for i, j in off:
-        E, F = matrix_unit(n, i, i), matrix_unit(n, i, j)
-        check_additive(2.0 * E + F, F)
-        check_injective(2.0 * E + F, F)
-        if (j, i) in rho.pairs:
-            check_additive(F, matrix_unit(n, j, i))
-
-    done = 0
-    b = 0
-    while done < n_samples:
-        take = min(batch, n_samples - done)
-        rng = np.random.default_rng((seed, b))
-        for t in range(take):
-            X = random_in_sma(rho, rng, sample_scale)
-            Y = random_in_sma(rho, rng, sample_scale)
-            if t % 2 == 0:
-                check_spectrum(X)
-            else:
-                nd = nearby_diagonalizable(X, rho, 1e-6)
-                Xd = project_sma(nd.S @ np.diag(nd.eigenvalues) @ np.linalg.inv(nd.S), rho)
-                check_spectrum(Xd)
-            if t % 2 == 0:
-                check_commuting(*gen_commuting_pair(rho, rng))
-            else:
-                check_commuting(*_poly_pair(rho, rng))
-            check_injective(X, Y)
-            if off:
-                i, j = off[t % len(off)]
-                c = complex(rng.standard_normal(), rng.standard_normal())
-                check_injective(X, X + c * matrix_unit(n, i, j))
-            check_additive(X, Y)
-            alpha = complex(rng.standard_normal(), rng.standard_normal())
-            check_homogeneous(X, alpha)
-        done += take
-        b += 1
-    return rep
+    return _grade(mut, ("spectrum", "commutativity", "injectivity", "additivity", "homogeneity"),
+                  n_samples, tol, seed, sample_scale, spectrum_tol, commutator_tol)

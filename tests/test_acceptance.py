@@ -106,12 +106,12 @@ def test_acceptance_two_block_embedding():
     phi = build_embedding(JordanSpec(rho, np.eye(6, dtype=complex),
                                      TransitiveMap.constant_one(rho), P))
     report = verify_jordan(phi, rho, n_samples=1000, tol=1e-8, seed=0)
-    assert report.passed
-    mul_ok, mul_witness = verify_multiplicative(phi, rho, n_samples=300, seed=1)
-    anti_ok, anti_witness = verify_antimultiplicative(phi, rho, n_samples=300, seed=2)
-    assert mul_ok is False and mul_witness is not None
-    assert anti_ok is False and anti_witness is not None
-    X, Y = mul_witness
+    assert report.all_pass
+    mul = verify_multiplicative(phi, rho, n_samples=300, seed=1).multiplicative
+    anti = verify_antimultiplicative(phi, rho, n_samples=300, seed=2).antimultiplicative
+    assert mul.ok is False and mul.witnesses[0] is not None
+    assert anti.ok is False and anti.witnesses[0] is not None
+    X, Y, _ = mul.witnesses[0]
     assert np.linalg.norm(phi(X @ Y) - phi(X) @ phi(Y)) > 1e-8
     announce("two-block Jordan embedding, no product rule", t0)
 

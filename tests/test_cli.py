@@ -165,3 +165,53 @@ class TestSelftest:
         code, out = run(capsys, "selftest")
         assert code == 2
         assert "[FAIL]" in out and "fan" in out
+
+
+def usage_error(capsys, *argv):
+    """Run a command that must fail with exit 1 and one `error:` line on stderr."""
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    err = capsys.readouterr().err
+    assert exc.value.code == 1
+    assert len(err.splitlines()) == 1 and "error:" in err and "Traceback" not in err
+    return err
+
+
+class TestBadInput:
+    @pytest.mark.parametrize("flags", [
+        ["--tol", "nan"], ["--tol", "inf"], ["--tol", "0"], ["--tol", "-1e-8"],
+        ["--samples", "0"], ["--samples", "-5"],
+    ])
+    def test_verify_rejects_vacuous_settings(self, capsys, flags):
+        usage_error(capsys, "verify", "--kind", "scaling",
+                    "--quasiorder", golden("fan_2x2.json"), *flags)
+
+    def test_unknown_kind(self, capsys):
+        assert main(["verify", "--kind", "bogus", "--quasiorder", golden("fan_2x2.json")]) == 1
+        assert capsys.readouterr().err == "error: unknown map kind 'bogus'\n"
+
+    def test_recover_rejects_negative_tol(self, capsys, spec_file):
+        usage_error(capsys, "recover", "--spec", spec_file, "--tol", "-1")
+
+    def test_counterexample_rejects_zero_samples(self, capsys):
+        usage_error(capsys, "counterexample", golden("fan_2x2.json"), "--samples", "0")
+
+    @pytest.fixture
+    def noncentral_spec(self, tmp_path, spec_file):
+        blob = json.loads(open(spec_file).read())
+        blob["idempotent_diag"] = [1, 0, 0, 0, 0, 0]
+        path = tmp_path / "noncentral.json"
+        path.write_text(json.dumps(blob))
+        return str(path)
+
+    @pytest.mark.parametrize("verb", [["embed"], ["recover", "--spec"], ["verify", "--spec"]])
+    def test_noncentral_spec(self, capsys, noncentral_spec, verb):
+        assert "central" in usage_error(capsys, *verb, noncentral_spec)
+
+    @pytest.mark.parametrize("content", [None, "{not json", '{"quasiorder": {"n": 2}}'])
+    def test_missing_or_malformed_spec(self, capsys, tmp_path, content):
+        path = tmp_path / "spec.json"
+        if content is not None:
+            path.write_text(content)
+        usage_error(capsys, "embed", str(path))
+        usage_error(capsys, "recover", "--spec", str(path))

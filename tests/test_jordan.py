@@ -132,35 +132,32 @@ class TestBuildEmbedding:
 class TestVerification:
     def test_identity_passes(self, fan4):
         rep = verify_jordan(lambda X: np.array(X), fan4, n_samples=200)
-        assert rep.passed and not rep.witnesses
+        assert rep.all_pass and not any(v.witnesses for v in rep._verdicts().values())
 
     def test_two_block_jordan_but_no_product_rule(self, two_blocks6):
         phi = build_embedding(block_spec(two_blocks6))
         rep = verify_jordan(phi, two_blocks6, n_samples=300, tol=1e-8, seed=0)
-        assert rep.passed
-        mul_ok, mul_wit = verify_multiplicative(phi, two_blocks6, seed=1)
-        anti_ok, anti_wit = verify_antimultiplicative(phi, two_blocks6, seed=2)
-        assert not mul_ok and mul_wit is not None
-        assert not anti_ok and anti_wit is not None
+        assert rep.all_pass
+        mul = verify_multiplicative(phi, two_blocks6, seed=1).multiplicative
+        anti = verify_antimultiplicative(phi, two_blocks6, seed=2).antimultiplicative
+        assert not mul.ok and mul.witnesses[0] is not None
+        assert not anti.ok and anti.witnesses[0] is not None
 
     def test_identity_is_multiplicative(self, fan4):
-        ok, _ = verify_multiplicative(lambda X: np.array(X), fan4)
-        assert ok
+        assert verify_multiplicative(lambda X: np.array(X), fan4).multiplicative.ok
 
     def test_transpose_is_antimultiplicative(self):
         full = QuasiOrder.full(4)
-        ok, _ = verify_antimultiplicative(lambda X: np.array(X).T, full)
-        assert ok
-        ok_mul, _ = verify_multiplicative(lambda X: np.array(X).T, full)
-        assert not ok_mul
+        assert verify_antimultiplicative(lambda X: np.array(X).T, full).antimultiplicative.ok
+        assert not verify_multiplicative(lambda X: np.array(X).T, full).multiplicative.ok
 
     def test_kink_map_fails_additivity_with_witness(self, fan4):
         from smalg.preservers import counterexample
 
         mut = counterexample(fan4)
         rep = verify_jordan(mut.eval, fan4, n_samples=300, seed=0)
-        assert not rep.additivity_ok
-        assert any(w[0] == "additivity" for w in rep.witnesses)
+        assert not rep.additivity.ok
+        assert rep.additivity.witnesses
         # the canonical broken sum
         E11, E13 = matrix_unit(4, 1, 1), matrix_unit(4, 1, 3)
         assert np.array_equal(mut.eval(2 * E11 + E13), 2 * E11 + 0.5 * E13)
@@ -206,3 +203,12 @@ class TestRecovery:
         # keeping only the diagonal kills every off-diagonal unit
         with pytest.raises(RecoveryError, match="zero"):
             recover_form(lambda X: np.diag(np.diag(X)), two_blocks6)
+
+
+class TestSamplingInput:
+    @pytest.mark.parametrize("kwargs", [
+        {"tol": float("nan")}, {"tol": -1.0}, {"tol": float("inf")}, {"n_samples": 0},
+    ])
+    def test_recovery_rejects_vacuous_settings(self, two_blocks6, kwargs):
+        with pytest.raises(ValueError, match="n_samples|tol"):
+            recover_form(lambda X: np.array(X), two_blocks6, **kwargs)

@@ -9,6 +9,7 @@ from smalg.cocycle import TransitiveMap
 from smalg.jordan import CentralIdempotent, JordanSpec, build_embedding
 from smalg.preservers import (
     GALLERY_KINDS,
+    MapUnderTest,
     case2_kink,
     classify_unit_action,
     commutes_criterion,
@@ -208,6 +209,15 @@ class TestClassifyUnits:
         with pytest.raises(ValueError, match="parallel"):
             classify_unit_action(phi, fan4)
 
+    def test_misplaced_image_names_plain_indices(self, fan4):
+        def phi(X):
+            out = np.diag(np.diag(X)).astype(complex)
+            out[1, 1] += X[0, 2] + X[0, 3]  # E_13 and E_14 land on E_22
+            return out
+
+        with pytest.raises(ValueError, match=r"concentrates at \(2, 2\), not at \(1,3\)"):
+            classify_unit_action(phi, fan4)
+
 
 class TestGallery:
     def test_scaling_breaks_spectrum_only(self, fan4):
@@ -245,7 +255,7 @@ class TestGallery:
         assert not rep.injectivity.ok and rep.injectivity.witnesses
         assert rep.additivity.ok
         from smalg.jordan import verify_jordan
-        assert verify_jordan(mut.eval, t2, n_samples=200).jordan_ok
+        assert verify_jordan(mut.eval, t2, n_samples=200).jordan.ok
 
     @pytest.mark.parametrize("kind,rho_builder", [
         ("det_twist", lambda: QuasiOrder.diagonal(4)),
@@ -283,3 +293,67 @@ class TestHarness:
         rep = verify_preserver(counterexample(fan4), n_samples=100, seed=0)
         blob = json.dumps(rep.to_dict(), sort_keys=True)
         assert "additivity" in blob and not rep.all_pass
+
+
+# sha256 of jsonio.dump_json(report.to_dict()), recorded before the harness
+# became table driven; any change to draws, checks or encoding shows here.
+PINNED_REPORTS = [
+    ("fan4", lambda rho: verify_preserver(counterexample(rho), n_samples=150, seed=3),
+     "ca6acba69a8fba040766e0e40ab70ea9400e5c4add48014145e444ded486fd1e"),
+    ("sympair3", lambda rho: verify_preserver(counterexample(rho)),
+     "25a14fe5ad6fa25a14ebe59f020a9b81acfe37a9643a5ca5c0878491f9187e8d"),
+    ("fan4", lambda rho: verify_preserver(remark_gallery(rho, "scaling")),
+     "db9ab49a99d313656ead7eea165549bc644f551684bd82d01a449eb5046c824d"),
+    ("cocycle7", lambda rho: verify_preserver(identity_map(rho)),
+     "7434cae9cf557960724991a838bf52aacc544cf4e45aee74cd44a5b0523db935"),
+]
+
+
+@pytest.mark.parametrize("fixture,grade,digest", PINNED_REPORTS,
+                         ids=["counterexample-fan4-seed3", "counterexample-sympair3",
+                              "scaling-fan4", "identity-cocycle7"])
+def test_report_bytes_pinned(request, fixture, grade, digest):
+    import hashlib
+
+    from smalg import jsonio
+
+    report = grade(request.getfixturevalue(fixture))
+    assert hashlib.sha256(jsonio.dump_json(report.to_dict()).encode()).hexdigest() == digest
+
+
+class TestSamplingInput:
+    @pytest.mark.parametrize("kwargs", [
+        {"n_samples": 0}, {"n_samples": -5},
+        {"tol": float("nan")}, {"tol": float("inf")}, {"tol": 0.0}, {"tol": -1e-8},
+        {"spectrum_tol": float("nan")}, {"commutator_tol": -1.0},
+    ])
+    def test_vacuous_settings_rejected(self, fan4, kwargs):
+        with pytest.raises(ValueError, match="n_samples|tol"):
+            verify_preserver(remark_gallery(fan4, "scaling"), **kwargs)
+
+    def test_jordan_selection_rejects_nan_tol(self, fan4):
+        from smalg.jordan import verify_jordan
+
+        with pytest.raises(ValueError, match="tol"):
+            verify_jordan(lambda X: np.array(X), fan4, n_samples=10, tol=float("nan"))
+
+    def test_unchecked_verdict_is_not_ok(self):
+        from smalg.preservers import PropertyVerdict
+
+        assert not PropertyVerdict().ok
+        assert PropertyVerdict(checked=1).ok
+
+    def test_phi_runs_once_per_input(self, fan4):
+        inputs = []
+
+        def phi(X):
+            inputs.append(X)  # keeps every input alive, so ids stay distinct
+            return np.array(X, dtype=complex)
+
+        n_samples = 10
+        rep = verify_preserver(MapUnderTest(fan4, phi, "counted"), n_samples=n_samples, seed=0)
+        assert rep.all_pass
+        assert len({id(X) for X in inputs}) == len(inputs)
+        # 2 spectrum probes and 3 unit probes per pair, then 7 inputs per
+        # sample plus the diagonalizable spectrum input on odd samples
+        assert len(inputs) == 2 + 3 * len(fan4.off_diagonal) + 7 * n_samples + n_samples // 2
