@@ -179,7 +179,8 @@ def _coboundary_matrix(rho: QuasiOrder):
 def _nullspace(M, rtol=1e-8):
     if M.shape[0] == 0:
         return np.eye(M.shape[1])
-    _, sv, Vh = np.linalg.svd(M)
+    # U is unused; a wide M needs the full Vh, whose extra rows span null vectors
+    _, sv, Vh = np.linalg.svd(M, full_matrices=M.shape[0] < M.shape[1])
     cut = rtol * (sv[0] if sv.size else 1.0)
     rank = int(np.sum(sv > cut))
     return Vh[rank:].T

@@ -38,6 +38,13 @@ def dump_json(obj, pretty: bool = False) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
+def _int(value, what):
+    """`value` if it is a JSON integer; floats, booleans and strings are rejected."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 def quasiorder_to_dict(rho: QuasiOrder) -> dict:
     return {"n": rho.n, "pairs": [list(p) for p in sorted(rho.pairs)]}
 
@@ -45,8 +52,8 @@ def quasiorder_to_dict(rho: QuasiOrder) -> dict:
 def quasiorder_from_dict(d: dict):
     """Build the quasi-order, closing the listed pairs; returns (rho, added)
     where `added` lists the pairs the closure had to add."""
-    n = int(d["n"])
-    raw = {(int(i), int(j)) for i, j in d["pairs"]}
+    n = _int(d["n"], "n")
+    raw = {(_int(i, "index"), _int(j, "index")) for i, j in d["pairs"]}
     closed = close_pairs(n, raw)
     added = sorted(closed - raw)
     return QuasiOrder(n, closed), added
@@ -73,7 +80,7 @@ def matrix_to_dict(A) -> dict:
 
 
 def matrix_from_dict(d: dict) -> np.ndarray:
-    n = int(d["n"])
+    n = _int(d["n"], "n")
     A = np.array([[complex(re, im) for re, im in row] for row in d["entries"]])
     if A.shape != (n, n):
         raise ValueError(f"entry grid is {A.shape}, expected ({n},{n})")
@@ -99,7 +106,7 @@ def transitive_map_to_dict(g: TransitiveMap) -> dict:
 def transitive_map_from_dict(d: dict, rho: QuasiOrder) -> TransitiveMap:
     values = {}
     for i, j, (re, im) in d["pairs"]:
-        values[(int(i), int(j))] = complex(re, im)
+        values[(_int(i, "index"), _int(j, "index"))] = complex(re, im)
     return TransitiveMap(rho, values)
 
 
@@ -118,7 +125,7 @@ def jordan_spec_from_dict(d: dict) -> JordanSpec:
         raise ValueError(f"spec quasi-order is not closed; missing pairs {added}")
     S = matrix_from_dict(d["s_matrix"])
     g = transitive_map_from_dict(d["transitive_map"], rho)
-    P = CentralIdempotent(tuple(int(b) for b in d["idempotent_diag"]))
+    P = CentralIdempotent(tuple(_int(b, "idempotent bit") for b in d["idempotent_diag"]))
     return JordanSpec(rho, S, g, P)
 
 

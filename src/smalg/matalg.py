@@ -23,7 +23,6 @@ __all__ = [
     "support",
     "in_sma",
     "project_sma",
-    "sma_mask",
     "sharp",
     "flat",
     "char_poly",
@@ -75,28 +74,19 @@ def support(A, tol: float | None = None) -> frozenset:
     return frozenset(zip((ii + 1).tolist(), (jj + 1).tolist()))
 
 
-def sma_mask(rho: QuasiOrder) -> np.ndarray:
-    """Boolean n x n mask of the pairs of rho."""
-    mask = np.zeros((rho.n, rho.n), dtype=bool)
-    for i, j in rho.pairs:
-        mask[i - 1, j - 1] = True
-    return mask
-
-
 def in_sma(A, rho: QuasiOrder, tol: float | None = None) -> bool:
     """Whether supp(A) lies inside rho."""
     A = _as_square(A)
     if A.shape[0] != rho.n:
         return False
     cut = _abs_tol(A, tol)
-    return not np.any(np.abs(A[~sma_mask(rho)]) > cut)
+    return not np.any(np.abs(A[~rho.mask]) > cut)
 
 
 def project_sma(A, rho: QuasiOrder) -> np.ndarray:
     """Zero out all entries outside rho (exact membership by construction)."""
     A = _as_square(A)
-    out = np.where(sma_mask(rho), A, 0.0)
-    return out
+    return np.where(rho.mask, A, 0.0)
 
 
 def sharp(A, positions) -> np.ndarray:
@@ -177,7 +167,7 @@ def random_in_sma(rho: QuasiOrder, rng, scale: float = 1.0) -> np.ndarray:
     """Random element of the algebra of rho with iid complex-normal entries on rho."""
     n = rho.n
     Z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    return np.where(sma_mask(rho), scale * Z, 0.0)
+    return np.where(rho.mask, scale * Z, 0.0)
 
 
 def random_invertible(n: int, rng, max_cond: float = 100.0, max_tries: int = 64) -> np.ndarray:
@@ -255,7 +245,8 @@ def nearby_diagonalizable(A, rho: QuasiOrder, eps: float) -> NearbyDiagonalizabl
     bt = block_triangular_permutation(rho)
     perm = bt.perm
     B = permute_conjugate(A, perm)
-    mask_perm = sma_mask(rho)[np.ix_(np.array(perm) - 1, np.array(perm) - 1)]
+    idx = np.array(perm) - 1
+    mask_perm = rho.mask[np.ix_(idx, idx)]
 
     # per-block Schur, assembled into a global upper-triangular form
     U = np.zeros((n, n), dtype=complex)
@@ -337,7 +328,6 @@ def diagonalize_in_sma(family, rho: QuasiOrder, tol: float = 1e-8,
     if not mats:
         return np.eye(n, dtype=complex)
 
-    mask = sma_mask(rho)
     rng = np.random.default_rng(seed)
     failure = "exhausted retries"
     for _ in range(max_tries):
@@ -351,7 +341,7 @@ def diagonalize_in_sma(family, rho: QuasiOrder, tol: float = 1e-8,
         ctol = 1e-6 * max(1.0, float(np.max(np.abs(w))))
         clusters = _eigen_clusters(w, ctol)
         projections = [
-            np.where(mask, V[:, cl] @ Vinv[cl, :], 0.0) for cl in clusters
+            np.where(rho.mask, V[:, cl] @ Vinv[cl, :], 0.0) for cl in clusters
         ]
 
         # positions vs cluster slots (clusters expanded by multiplicity)
@@ -408,11 +398,11 @@ def rank_one_closure_member(A, rho: QuasiOrder, tol: float | None = None):
     a = A[:, jstar]
     istar = int(np.argmax(np.abs(a)))
     b = np.conj(A[istar, :] / a[istar])
-    supp_a = [i + 1 for i in range(n) if abs(a[i]) > DEFAULT_REL_TOL * abs(a[istar])]
-    supp_b = [j + 1 for j in range(n) if abs(b[j]) > DEFAULT_REL_TOL * np.max(np.abs(b))]
-    for k in range(1, n + 1):
-        if all((i, k) in rho.pairs for i in supp_a) and all(
-            (k, j) in rho.pairs for j in supp_b
-        ):
-            return True, k
+    # supports of a and b as bitmasks: a e_k* needs supp(a) inside rho^{-1}(k),
+    # and e_k b* needs supp(b) inside rho(k)
+    supp_a = sum(1 << i for i in range(n) if abs(a[i]) > DEFAULT_REL_TOL * abs(a[istar]))
+    supp_b = sum(1 << j for j in range(n) if abs(b[j]) > DEFAULT_REL_TOL * np.max(np.abs(b)))
+    for k in range(n):
+        if not (supp_a & ~rho.cols[k] or supp_b & ~rho.rows[k]):
+            return True, k + 1
     return False, None

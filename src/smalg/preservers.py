@@ -17,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from .quasiorder import QuasiOrder, condition_i, image, is_symmetric, preimage
+from .quasiorder import QuasiOrder, condition_i, image, is_symmetric, neighborhood, preimage
 from .matalg import (
     char_poly,
     flat,
@@ -27,7 +27,6 @@ from .matalg import (
     project_sma,
     random_in_sma,
     sharp,
-    sma_mask,
 )
 
 __all__ = [
@@ -220,8 +219,7 @@ def remark_gallery(rho: QuasiOrder, kind: str) -> MapUnderTest:
         return MapUnderTest(rho, lambda X: 2.0 * np.asarray(X, dtype=complex), "scaling-2x")
 
     if kind == "det_twist":
-        anchors = [i for i in range(1, n + 1)
-                   if any(j != i for j in image(rho, i) | preimage(rho, i))]
+        anchors = [i for i in range(1, n + 1) if len(neighborhood(rho, i)) > 1]
         if not anchors:
             raise ValueError("det_twist needs an index with an off-diagonal neighbor")
         i0 = anchors[0] - 1
@@ -249,7 +247,7 @@ def remark_gallery(rho: QuasiOrder, kind: str) -> MapUnderTest:
     if kind == "noninjective_jordan":
         if is_symmetric(rho):
             raise ValueError("truncation is injective on a symmetric rho")
-        mutual = sma_mask(rho) & sma_mask(rho).T
+        mutual = rho.mask & rho.mask.T
 
         def eval_trunc(X):
             return np.where(mutual, np.asarray(X, dtype=complex), 0.0)

@@ -1,14 +1,22 @@
 """Quasi-orders on [1, n]: the combinatorial skeleton of a structural matrix algebra.
 
 A quasi-order is a reflexive transitive relation rho on [1, n], stored as a
-frozen set of 1-based index pairs.  Everything in this module is pure: values
-are immutable after construction and safe to share across threads.
+frozen set of 1-based index pairs.  `QuasiOrder` is the one home of the data
+derived from rho: the constructor keeps the rows and columns as integer
+bitmasks, and the boolean support mask and the block triangularization are
+computed on first use and kept.  Everything in this module is pure: values are
+immutable after construction and safe to share across threads, because the
+cached data is immutable too and a race between threads only computes it twice.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
+from operator import index
+
+import numpy as np
 
 __all__ = [
     "QuasiOrder",
@@ -27,28 +35,28 @@ __all__ = [
     "block_triangular_permutation",
     "delete_indices",
     "rank_one_density",
-    "rank_one_density_naive",
     "all_preorders",
     "random_preorder",
 ]
 
 
-def _row_masks(n, pairs):
-    """Adjacency rows as integer bitmasks; bit j-1 of rows[i-1] set iff (i,j) present."""
-    rows = [0] * n
-    for i, j in pairs:
-        rows[i - 1] |= 1 << (j - 1)
-    return rows
+def _bits(mask):
+    """Positions (0-based, ascending) of the set bits of `mask`."""
+    return [k for k in range(mask.bit_length()) if mask >> k & 1]
+
+
+def _members(mask) -> frozenset:
+    """The 1-based indices whose bits are set in `mask`."""
+    return frozenset(k + 1 for k in _bits(mask))
 
 
 def close_pairs(n: int, pairs) -> frozenset:
     """Smallest reflexive-transitive superset of `pairs`, via Warshall on bitmask rows."""
+    rows = [1 << i for i in range(n)]
     for i, j in pairs:
         if not (1 <= i <= n and 1 <= j <= n):
             raise ValueError(f"pair ({i},{j}) out of range for n={n}")
-    rows = _row_masks(n, pairs)
-    for i in range(n):
-        rows[i] |= 1 << i
+        rows[i - 1] |= 1 << (j - 1)
     for k in range(n):
         kbit = 1 << k
         krow = rows[k]
@@ -62,27 +70,39 @@ def close_pairs(n: int, pairs) -> frozenset:
 
 @dataclass(frozen=True)
 class QuasiOrder:
-    """A reflexive transitive relation on [1, n] (1-based pairs)."""
+    """A reflexive transitive relation on [1, n] (1-based pairs).
+
+    ``rows[i-1]`` and ``cols[i-1]`` hold rho(i) and rho^{-1}(i) as bitmasks (bit
+    j-1 set iff j is in the set); like `mask` they take no part in ==, hash or repr.
+    """
 
     n: int
     pairs: frozenset = field(default_factory=frozenset)
+    rows: tuple = field(init=False, repr=False, compare=False)
+    cols: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.n < 1:
+        n = self.n
+        if n < 1:
             raise ValueError("n must be a positive integer")
-        object.__setattr__(self, "pairs", frozenset(map(tuple, self.pairs)))
+        # plain ints, so that the bitmasks below are Python ints too
+        object.__setattr__(self, "pairs", frozenset((index(i), index(j)) for i, j in self.pairs))
+        rows, cols = [0] * n, [0] * n
         for i, j in self.pairs:
-            if not (1 <= i <= self.n and 1 <= j <= self.n):
-                raise ValueError(f"pair ({i},{j}) out of range for n={self.n}")
-        for i in range(1, self.n + 1):
-            if (i, i) not in self.pairs:
-                raise ValueError(f"not reflexive: missing ({i},{i})")
-        rows = _row_masks(self.n, self.pairs)
+            if not (1 <= i <= n and 1 <= j <= n):
+                raise ValueError(f"pair ({i},{j}) out of range for n={n}")
+            rows[i - 1] |= 1 << (j - 1)
+            cols[j - 1] |= 1 << (i - 1)
+        for i in range(n):
+            if not rows[i] >> i & 1:
+                raise ValueError(f"not reflexive: missing ({i + 1},{i + 1})")
         for i, j in self.pairs:
             # transitivity: row j must be contained in row i
-            if rows[j - 1] & ~rows[i - 1]:
-                k = (rows[j - 1] & ~rows[i - 1]).bit_length()
+            if gap := rows[j - 1] & ~rows[i - 1]:
+                k = gap.bit_length()
                 raise ValueError(f"not transitive: ({i},{j}),({j},{k}) but not ({i},{k})")
+        object.__setattr__(self, "rows", tuple(rows))
+        object.__setattr__(self, "cols", tuple(cols))
 
     def __contains__(self, pair):
         return tuple(pair) in self.pairs
@@ -95,8 +115,18 @@ class QuasiOrder:
         """rho^x = rho minus the diagonal."""
         return frozenset(p for p in self.pairs if p[0] != p[1])
 
-    def row_masks(self):
-        return _row_masks(self.n, self.pairs)
+    @cached_property
+    def mask(self) -> np.ndarray:
+        """Read-only boolean n x n support pattern: mask[i-1, j-1] iff (i,j) in rho."""
+        mask = np.zeros((self.n, self.n), dtype=bool)
+        i, j = np.array(list(self.pairs)).T - 1
+        mask[i, j] = True
+        mask.flags.writeable = False
+        return mask
+
+    @cached_property
+    def _block_form(self):
+        return _triangularize(self)
 
     @classmethod
     def diagonal(cls, n: int) -> "QuasiOrder":
@@ -151,42 +181,44 @@ def _check_index(rho, i):
 def image(rho: QuasiOrder, i: int) -> frozenset:
     """rho(i) = all j with (i,j) in rho."""
     _check_index(rho, i)
-    return frozenset(j for (a, j) in rho.pairs if a == i)
+    return _members(rho.rows[i - 1])
 
 
 def preimage(rho: QuasiOrder, i: int) -> frozenset:
     """rho^{-1}(i) = all j with (j,i) in rho."""
     _check_index(rho, i)
-    return frozenset(j for (j, b) in rho.pairs if b == i)
+    return _members(rho.cols[i - 1])
 
 
 def neighborhood(rho: QuasiOrder, i: int) -> frozenset:
     """rho(i) union rho^{-1}(i)."""
-    return image(rho, i) | preimage(rho, i)
-
-
-def _union_find_classes(n, edges):
-    parent = list(range(n + 1))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for i, j in edges:
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[max(ri, rj)] = min(ri, rj)
-    groups = {}
-    for i in range(1, n + 1):
-        groups.setdefault(find(i), set()).add(i)
-    return [frozenset(g) for g in sorted(groups.values(), key=min)]
+    _check_index(rho, i)
+    return _members(rho.rows[i - 1] | rho.cols[i - 1])
 
 
 def components(rho: QuasiOrder) -> Partition:
     """Classes of the symmetrized-and-transitively-closed relation on [1, n]."""
-    return Partition(rho.n, _union_find_classes(rho.n, rho.off_diagonal))
+    nb = [r | c for r, c in zip(rho.rows, rho.cols)]
+    blocks, seen = [], 0
+    for i in range(rho.n):
+        if seen >> i & 1:
+            continue
+        comp, grow = 0, 1 << i
+        while grow:
+            comp |= grow
+            for k in _bits(grow):
+                grow |= nb[k]
+            grow &= ~comp
+        seen |= comp
+        blocks.append(_members(comp))
+    return Partition(rho.n, blocks)
+
+
+def _mutual_masks(rho: QuasiOrder) -> list:
+    """Bitmask of each mutual class (rows[i] & cols[i] is the class of i + 1),
+    in order of smallest member."""
+    return [c for i, c in enumerate(r & c for r, c in zip(rho.rows, rho.cols))
+            if c & -c == 1 << i]
 
 
 def mutual_classes(rho: QuasiOrder) -> Partition:
@@ -195,8 +227,7 @@ def mutual_classes(rho: QuasiOrder) -> Partition:
     This is already an equivalence (transitivity of rho closes it), and it is
     finer than `components`.
     """
-    edges = [(i, j) for (i, j) in rho.off_diagonal if (j, i) in rho.pairs]
-    return Partition(rho.n, _union_find_classes(rho.n, edges))
+    return Partition(rho.n, [_members(c) for c in _mutual_masks(rho)])
 
 
 def is_two_free(rho: QuasiOrder) -> bool:
@@ -213,16 +244,17 @@ def condition_i(rho: QuasiOrder):
     rho(i) u rho^{-1}(i) and rho(j) u rho^{-1}(j) share at least 3 indices, else
     ``(False, (i,j))`` with the lexicographically first violating pair.
     """
-    nbhd = {i: neighborhood(rho, i) for i in range(1, rho.n + 1)}
-    for i, j in sorted(rho.off_diagonal):
-        if len(nbhd[i] & nbhd[j]) < 3:
-            return False, (i, j)
+    nb = [r | c for r, c in zip(rho.rows, rho.cols)]
+    for i, row in enumerate(rho.rows):
+        for j in _bits(row & ~(1 << i)):
+            if (nb[i] & nb[j]).bit_count() < 3:
+                return False, (i + 1, j + 1)
     return True, None
 
 
 def is_symmetric(rho: QuasiOrder) -> bool:
     """True iff (i,j) in rho implies (j,i) in rho; equivalently the algebra is semisimple."""
-    return all((j, i) in rho.pairs for (i, j) in rho.pairs)
+    return rho.rows == rho.cols
 
 
 @dataclass(frozen=True)
@@ -244,67 +276,37 @@ class BlockTriangularization:
 def block_triangular_permutation(rho: QuasiOrder) -> BlockTriangularization:
     """Group mutual classes contiguously along a linear extension of the class order.
 
-    Kahn's algorithm with smallest-original-index-first tie-break, so the output
-    is deterministic.  Both sandwich inclusions are re-verified on the permuted
-    relation; a failure there raises RuntimeError (a bug, not bad input).
+    Each step places the class with the smallest member among those whose
+    predecessors are all placed, so the output is deterministic.  Both
+    sandwich inclusions are re-verified on the way; a failure there raises
+    RuntimeError (a bug, not bad input).  Computed once per `QuasiOrder` object,
+    which keeps it.
     """
-    classes = list(mutual_classes(rho).blocks)
-    idx_of = {}
-    for c_idx, c in enumerate(classes):
-        for i in c:
-            idx_of[i] = c_idx
-    succ = [set() for _ in classes]
-    indeg = [0] * len(classes)
-    seen = set()
-    for i, j in rho.off_diagonal:
-        a, b = idx_of[i], idx_of[j]
-        if a != b and (a, b) not in seen:
-            seen.add((a, b))
-            succ[a].add(b)
-            indeg[b] += 1
-    ready = sorted((c_idx for c_idx in range(len(classes)) if indeg[c_idx] == 0),
-                   key=lambda c_idx: min(classes[c_idx]))
-    order = []
-    while ready:
-        c_idx = ready.pop(0)
-        order.append(c_idx)
-        for b in sorted(succ[c_idx], key=lambda x: min(classes[x])):
-            indeg[b] -= 1
-            if indeg[b] == 0:
-                ready.append(b)
-        ready.sort(key=lambda x: min(classes[x]))
-    if len(order) != len(classes):
-        raise RuntimeError("class order contains a cycle across distinct mutual classes")
+    return rho._block_form
 
-    perm = []
-    sizes = []
-    for c_idx in order:
-        members = sorted(classes[c_idx])
-        perm.extend(members)
-        sizes.append(len(members))
 
-    # verify: diag blocks inside the permuted relation, permuted relation inside
-    # the block upper-triangular pattern
-    pos = {orig: t for t, orig in enumerate(perm, start=1)}
-    starts = []
-    acc = 1
-    for k in sizes:
-        starts.append(acc)
-        acc += k
-    block_of_pos = {}
-    for b, (s, k) in enumerate(zip(starts, sizes)):
-        for t in range(s, s + k):
-            block_of_pos[t] = b
-    for s, k in zip(starts, sizes):
-        for t, u in itertools.product(range(s, s + k), repeat=2):
-            if (perm[t - 1], perm[u - 1]) not in rho.pairs:
-                raise RuntimeError("sandwich failure: diagonal block not inside relation")
-    count_upper = sum(
-        ka * kb for a, ka in enumerate(sizes) for b, kb in enumerate(sizes) if a <= b
-    )
-    for i, j in rho.pairs:
-        if block_of_pos[pos[i]] > block_of_pos[pos[j]]:
+def _triangularize(rho: QuasiOrder) -> BlockTriangularization:
+    rows, cols = rho.rows, rho.cols
+    classes = _mutual_masks(rho)
+    perm, sizes, placed = [], [], 0
+    while classes:
+        for t, c in enumerate(classes):
+            # every predecessor of the class is placed already or in the class
+            if cols[(c & -c).bit_length() - 1] & ~placed == c:
+                break
+        else:
+            raise RuntimeError("class order contains a cycle across distinct mutual classes")
+        del classes[t]
+        members = _bits(c)
+        if any(rows[i] & c != c for i in members):
+            raise RuntimeError("sandwich failure: diagonal block not inside relation")
+        if any(rows[i] & placed for i in members):
             raise RuntimeError("sandwich failure: relation escapes block upper-triangular pattern")
+        perm.extend(i + 1 for i in members)
+        sizes.append(len(members))
+        placed |= c
+    # pairs of the block upper-triangular pattern: sum of ka * kb over a <= b
+    count_upper = (rho.n ** 2 + sum(k * k for k in sizes)) // 2
     return BlockTriangularization(tuple(perm), tuple(sizes), len(rho.pairs) == count_upper)
 
 
@@ -331,13 +333,13 @@ def rank_one_density(rho: QuasiOrder) -> bool:
     The defining criterion quantifies over pairs of subsets S, T with
     S x T inside rho; it collapses to the maximal T for each S:  with
     T_max(S) = intersection of rho(i) over i in S, a witness k in T_max(S)
-    covering T_max(S) also covers every smaller T.  `rank_one_density_naive`
-    scans all (S, T) pairs and is used to cross-check this reduction.
+    covering T_max(S) also covers every smaller T.  The test suite checks this
+    reduction against a direct scan over all (S, T) pairs.
     """
     n = rho.n
     if n > 24:
         raise ValueError("exhaustive subset scan capped at n=24")
-    rows = rho.row_masks()
+    rows = rho.rows
     verdict_for_tmax = {}
 
     def tmax_ok(tmax):
@@ -361,27 +363,6 @@ def rank_one_density(rho: QuasiOrder) -> bool:
             m &= m - 1
         if not tmax_ok(tmax):
             return False
-    return True
-
-
-def rank_one_density_naive(rho: QuasiOrder) -> bool:
-    """Direct scan over all nonempty S, T with S x T inside rho (small n only)."""
-    n = rho.n
-    if n > 12:
-        raise ValueError("naive scan capped at n=12")
-    rows = rho.row_masks()
-    idx = range(n)
-    for s_mask in range(1, 1 << n):
-        for t_mask in range(1, 1 << n):
-            if any(s_mask >> i & 1 and t_mask & ~rows[i] for i in idx):
-                continue
-            ok = any(
-                all(rows[i] >> k & 1 for i in idx if s_mask >> i & 1)
-                and all(rows[k] >> j & 1 for j in idx if t_mask >> j & 1)
-                for k in idx
-            )
-            if not ok:
-                return False
     return True
 
 

@@ -208,6 +208,21 @@ class TestBadInput:
     def test_noncentral_spec(self, capsys, noncentral_spec, verb):
         assert "central" in usage_error(capsys, *verb, noncentral_spec)
 
+    @pytest.mark.parametrize("content", [
+        '{"n": 3, "pairs": [[1, 2.7]]}', '{"n": true, "pairs": []}', '{"n": 1e300, "pairs": []}',
+    ])
+    def test_analyze_rejects_non_integers(self, capsys, tmp_path, content):
+        path = tmp_path / "q.json"
+        path.write_text(content)
+        assert "must be an integer" in usage_error(capsys, "analyze", str(path))
+
+    def test_embed_rejects_fractional_idempotent_bit(self, capsys, tmp_path, spec_file):
+        blob = json.loads(open(spec_file).read())
+        blob["idempotent_diag"][3] = 0.6
+        path = tmp_path / "bit.json"
+        path.write_text(json.dumps(blob))
+        assert "must be an integer" in usage_error(capsys, "embed", str(path))
+
     @pytest.mark.parametrize("content", [None, "{not json", '{"quasiorder": {"n": 2}}'])
     def test_missing_or_malformed_spec(self, capsys, tmp_path, content):
         path = tmp_path / "spec.json"

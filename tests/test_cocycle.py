@@ -1,6 +1,10 @@
+import hashlib
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from smalg import cocycle
 from smalg.quasiorder import QuasiOrder, random_preorder
 from smalg.matalg import matrix_unit, random_in_sma
 from smalg.cocycle import (
@@ -137,6 +141,42 @@ class TestRandomTransitive:
         a = random_transitive(cocycle7, 7)
         b = random_transitive(cocycle7, 7)
         assert a.values == b.values
+
+    def test_full_m16_memory(self):
+        # the m x m U factor of the full SVD alone would take over 100 MB here
+        tracemalloc.start()
+        try:
+            g = random_transitive(QuasiOrder.full(16), 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert validate(g)[0]
+        assert peak < 20e6
+        # values to 10 significant digits, as the full SVD gave them
+        text = " ".join(f"{g.values[p].real:.9e}" for p in sorted(g.values))
+        assert hashlib.sha256(text.encode()).hexdigest() == \
+            "52c2e1d3d924904245815015d8cdc9be7637b3017f86388020e6b14f0a383692"
+
+    def test_values_match_full_svd_nullspace(self, cocycle7, monkeypatch):
+        rng = np.random.default_rng(3)
+        rhos = [QuasiOrder.full(8), QuasiOrder.upper_triangular(3), cocycle7]
+        rhos += [random_preorder(6, rng, p=0.3) for _ in range(6)]
+        args = [(0, False), (1, True)]
+        got = [random_transitive(rho, seed, nt) for rho in rhos for seed, nt in args]
+
+        def full_svd_nullspace(M, rtol=1e-8):
+            if M.shape[0] == 0:
+                return np.eye(M.shape[1])
+            _, sv, Vh = np.linalg.svd(M)
+            return Vh[int(np.sum(sv > rtol * (sv[0] if sv.size else 1.0))):].T
+
+        monkeypatch.setattr(cocycle, "_nullspace", full_svd_nullspace)
+        want = [random_transitive(rho, seed, nt) for rho in rhos for seed, nt in args]
+        for a, b in zip(got, want):
+            assert (a is None) == (b is None)
+            if a is not None:
+                assert a.values.keys() == b.values.keys()
+                assert all(abs(a.values[p] - b.values[p]) <= 1e-12 for p in a.values)
 
 
 class TestInducedAuto:

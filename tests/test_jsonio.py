@@ -28,6 +28,34 @@ def test_loader_rejects_out_of_range():
         jsonio.quasiorder_from_dict({"n": 2, "pairs": [[1, 5]]})
 
 
+@pytest.mark.parametrize("blob", [
+    {"n": 3, "pairs": [[1, 2.7]]},
+    {"n": 3, "pairs": [[1.0, 2]]},
+    {"n": True, "pairs": []},
+    {"n": 3.0, "pairs": []},
+    {"n": 1e300, "pairs": []},
+    {"n": "3", "pairs": []},
+])
+def test_loader_rejects_non_integers(blob):
+    with pytest.raises(ValueError, match="must be an integer"):
+        jsonio.quasiorder_from_dict(blob)
+
+
+def test_spec_loader_rejects_non_integers(cocycle7):
+    spec = JordanSpec(cocycle7, np.eye(7, dtype=complex), random_transitive(cocycle7, 1),
+                      CentralIdempotent((1,) * 7))
+    d = jsonio.jordan_spec_to_dict(spec)
+    d["idempotent_diag"][0] = 0.6
+    with pytest.raises(ValueError, match="idempotent bit must be an integer"):
+        jsonio.jordan_spec_from_dict(d)
+    d["idempotent_diag"][0] = 1
+    d["transitive_map"]["pairs"][0][1] = float(d["transitive_map"]["pairs"][0][1])
+    with pytest.raises(ValueError, match="index must be an integer"):
+        jsonio.jordan_spec_from_dict(d)
+    with pytest.raises(ValueError, match="n must be an integer"):
+        jsonio.matrix_from_dict({"n": 1.0, "entries": [[[1.0, 0.0]]]})
+
+
 def test_matrix_roundtrip(tmp_path, rng):
     A = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
     path = tmp_path / "m.json"

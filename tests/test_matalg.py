@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from smalg import quasiorder
 from smalg.quasiorder import QuasiOrder, closure, random_preorder
 from smalg.matalg import (
     NearbyDiagonalizable,
@@ -185,6 +186,16 @@ class TestNearbyDiagonalizable:
     def test_rejects_bad_eps(self, fan4):
         with pytest.raises(ValueError):
             nearby_diagonalizable(np.zeros((4, 4)), fan4, 0.0)
+
+    def test_block_form_computed_once_per_rho(self, cocycle7, rng, monkeypatch):
+        calls = []
+        real = quasiorder._triangularize
+        monkeypatch.setattr(quasiorder, "_triangularize",
+                            lambda rho: calls.append(rho) or real(rho))
+        rho = closure(7, cocycle7.pairs)
+        for _ in range(2):
+            nearby_diagonalizable(random_in_sma(rho, rng), rho, 1e-6)
+        assert calls == [rho]
 
     def test_rejects_nonmember(self, fan4):
         with pytest.raises(ValueError, match="not in the algebra"):

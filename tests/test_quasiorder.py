@@ -1,5 +1,8 @@
+import hashlib
 import itertools
+import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,7 +24,6 @@ from smalg.quasiorder import (
     neighborhood,
     preimage,
     rank_one_density,
-    rank_one_density_naive,
     random_preorder,
 )
 
@@ -36,6 +38,28 @@ def preorders(draw, max_n=5):
 
 def diag(n):
     return QuasiOrder.diagonal(n)
+
+
+def rank_one_density_naive(rho):
+    """Direct scan over all nonempty S, T with S x T inside rho (small n only):
+    the reference that `rank_one_density` is checked against."""
+    n = rho.n
+    if n > 12:
+        raise ValueError("naive scan capped at n=12")
+    rows = rho.rows
+    idx = range(n)
+    for s_mask in range(1, 1 << n):
+        for t_mask in range(1, 1 << n):
+            if any(s_mask >> i & 1 and t_mask & ~rows[i] for i in idx):
+                continue
+            ok = any(
+                all(rows[i] >> k & 1 for i in idx if s_mask >> i & 1)
+                and all(rows[k] >> j & 1 for j in idx if t_mask >> j & 1)
+                for k in idx
+            )
+            if not ok:
+                return False
+    return True
 
 
 class TestConstruction:
@@ -64,6 +88,71 @@ class TestConstruction:
     @given(preorders())
     def test_closure_idempotent(self, rho):
         assert closure(rho.n, rho.pairs) == rho
+
+
+class TestDerivedData:
+    def test_rows_and_cols_match_pairs(self, cocycle7):
+        for i in range(1, 8):
+            assert {j for j in range(1, 8) if cocycle7.rows[i - 1] >> (j - 1) & 1} \
+                == {j for (a, j) in cocycle7.pairs if a == i}
+            assert {j for j in range(1, 8) if cocycle7.cols[i - 1] >> (j - 1) & 1} \
+                == {j for (j, b) in cocycle7.pairs if b == i}
+
+    @given(preorders(max_n=8))
+    def test_bitmask_reads_match_pair_scans(self, rho):
+        n, pairs = rho.n, rho.pairs
+        for i in range(1, n + 1):
+            assert image(rho, i) == {j for (a, j) in pairs if a == i}
+            assert preimage(rho, i) == {j for (j, b) in pairs if b == i}
+        nb = {i: image(rho, i) | preimage(rho, i) for i in range(1, n + 1)}
+        bad = [(i, j) for (i, j) in sorted(rho.off_diagonal) if len(nb[i] & nb[j]) < 3]
+        assert condition_i(rho) == ((False, bad[0]) if bad else (True, None))
+        assert is_symmetric(rho) == all((j, i) in pairs for (i, j) in pairs)
+        mutual = {frozenset(j for j in range(1, n + 1) if {(i, j), (j, i)} <= pairs)
+                  for i in range(1, n + 1)}
+        assert set(mutual_classes(rho).blocks) == mutual
+        linked = closure(n, pairs | {(j, i) for (i, j) in pairs})
+        assert set(components(rho).blocks) == {image(linked, i) for i in range(1, n + 1)}
+
+    def test_numpy_integer_pairs(self, cocycle7):
+        rho = QuasiOrder(7, {(np.int64(i), np.int64(j)) for i, j in cocycle7.pairs})
+        assert rho == cocycle7 and rho.rows == cocycle7.rows
+        assert all(type(r) is int for r in rho.rows + rho.cols)
+        assert condition_i(rho) == condition_i(cocycle7)
+
+    def test_mask_is_cached_and_read_only(self, fan4):
+        mask = fan4.mask
+        assert mask is fan4.mask
+        assert mask.dtype == bool and mask.shape == (4, 4)
+        assert {(i + 1, j + 1) for i, j in zip(*mask.nonzero())} == fan4.pairs
+        with pytest.raises(ValueError):
+            mask[0, 1] = True
+        assert not fan4.mask[0, 1]
+
+    def test_cached_data_keeps_value_semantics(self, cocycle7):
+        used = closure(7, cocycle7.pairs)
+        used.mask
+        block_triangular_permutation(used)
+        fresh = closure(7, cocycle7.pairs)
+        assert used == fresh and hash(used) == hash(fresh) and repr(used) == repr(fresh)
+        assert len({used, fresh}) == 1
+
+    def test_analysis_of_all_four_point_preorders_pinned(self):
+        # sha256 captured before the derived data moved onto QuasiOrder
+        h = hashlib.sha256()
+        count = 0
+        for rho in all_preorders(4):
+            holds, witness = condition_i(rho)
+            bt = block_triangular_permutation(rho)
+            h.update(json.dumps([
+                sorted(rho.pairs), holds, witness,
+                [sorted(c) for c in components(rho).blocks],
+                [sorted(c) for c in mutual_classes(rho).blocks],
+                is_symmetric(rho), bt.perm, bt.sizes, bt.upper_exact,
+            ]).encode() + b"\n")
+            count += 1
+        assert count == 355
+        assert h.hexdigest() == "1ddf72aa41d392d9985df8ab53c8469aca22055c9c2f93136a1cfb5e0fc86639"
 
 
 class TestImagePreimage:
