@@ -206,6 +206,9 @@ def random_transitive(rho: QuasiOrder, seed: int = 0, want_nontrivial: bool = Fa
     if not off:
         return None if want_nontrivial else TransitiveMap.constant_one(rho)
     N = _nullspace(_constraint_matrix(rho))
+    # x is the orthogonal projection of a seeded r, which does not depend on the
+    # orthonormal basis the SVD returns (it varies with the BLAS thread count)
+    r = rng.standard_normal(len(off))
     if want_nontrivial:
         D = _coboundary_matrix(rho)
         # orthonormal basis of the coboundary space, then the component of the
@@ -217,13 +220,13 @@ def random_transitive(rho: QuasiOrder, seed: int = 0, want_nontrivial: bool = Fa
         rank = int(np.sum(sv > 1e-8))
         if rank == 0:
             return None
-        x = U[:, :rank] @ rng.standard_normal(rank)
+        x = U[:, :rank] @ (U[:, :rank].T @ r)
         if np.linalg.norm(x) < 1e-12:
             x = U[:, 0]
     else:
         if N.shape[1] == 0:
             return TransitiveMap.constant_one(rho)
-        x = N @ rng.standard_normal(N.shape[1])
+        x = N @ (N.T @ r)
     top = np.max(np.abs(x))
     if top > 0:
         x = x / top

@@ -118,7 +118,11 @@ def flat(A, positions) -> np.ndarray:
 
 def char_poly(A) -> np.ndarray:
     """Monic characteristic polynomial det(xI - A), coefficients in descending
-    powers, by the Faddeev-LeVerrier trace recursion in complex arithmetic."""
+    powers, by the Faddeev-LeVerrier trace recursion in complex arithmetic.
+
+    The recursion loses accuracy as n grows: on similar matrices A and SAS^-1
+    the coefficients disagree by about 6e-13 relative at n=8 and 3e-5 at n=32.
+    The sampling harness does not use it; it compares determinants instead."""
     A = _as_square(A)
     n = A.shape[0]
     coeffs = np.zeros(n + 1, dtype=complex)

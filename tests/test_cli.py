@@ -105,6 +105,19 @@ class TestVerify:
         assert props["additivity"]["ok"] is False
         assert props["spectrum"]["ok"] is True
 
+    def test_det_twist_on_full_8_stays_finite(self, capsys, tmp_path):
+        # det(diag(1..8)) = 40320 lies far past where exp(det X) overflows
+        path = tmp_path / "full8.json"
+        path.write_text(json.dumps({"n": 8, "pairs": [[i, j] for i in range(1, 9)
+                                                      for j in range(1, 9)]}))
+        code = main(["verify", "--kind", "det_twist", "--quasiorder", str(path),
+                     "--samples", "100"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.err == ""
+        props = json.loads(captured.out)["properties"]
+        assert props["spectrum"]["ok"] and props["injectivity"]["ok"]
+        assert props["commutativity"]["ok"] is False
+
     def test_missing_args_usage(self, capsys):
         code = main(["verify"])
         assert code == 1

@@ -152,10 +152,31 @@ class TestRandomTransitive:
             tracemalloc.stop()
         assert validate(g)[0]
         assert peak < 20e6
-        # values to 10 significant digits, as the full SVD gave them
+        # values to 10 significant digits; they project a seeded vector onto the
+        # solution space, so they do not depend on the BLAS thread count
         text = " ".join(f"{g.values[p].real:.9e}" for p in sorted(g.values))
         assert hashlib.sha256(text.encode()).hexdigest() == \
-            "52c2e1d3d924904245815015d8cdc9be7637b3017f86388020e6b14f0a383692"
+            "9c4e8f189a3dd16b56c274e8ef2c497bf6612dda57efe139a0a0bfe83fc35b48"
+
+    def test_values_ignore_nullspace_basis(self, cocycle7, monkeypatch):
+        rng = np.random.default_rng(4)
+        cases = [(QuasiOrder.full(8), False), (cocycle7, False), (cocycle7, True)]
+        cases += [(random_preorder(6, rng, p=0.3), nt) for nt in (False, True) for _ in range(4)]
+        want = [random_transitive(rho, 2, nt) for rho, nt in cases]
+        nullspace = cocycle._nullspace
+
+        def rotated_nullspace(M, rtol=1e-8):
+            N = nullspace(M, rtol)
+            Q, _ = np.linalg.qr(rng.standard_normal((N.shape[1], N.shape[1])))
+            return N @ Q
+
+        monkeypatch.setattr(cocycle, "_nullspace", rotated_nullspace)
+        got = [random_transitive(rho, 2, nt) for rho, nt in cases]
+        assert want[2] is not None  # the nontrivial branch is exercised
+        for a, b in zip(got, want):
+            assert (a is None) == (b is None)
+            if a is not None:
+                assert all(abs(a.values[p] - b.values[p]) <= 1e-12 for p in a.values)
 
     def test_values_match_full_svd_nullspace(self, cocycle7, monkeypatch):
         rng = np.random.default_rng(3)

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from smalg.quasiorder import QuasiOrder, all_preorders, condition_i
 from smalg.matalg import char_poly, in_sma, matrix_unit, random_in_sma
-from smalg.cocycle import TransitiveMap
+from smalg.cocycle import TransitiveMap, coboundary
 from smalg.jordan import CentralIdempotent, JordanSpec, build_embedding
 from smalg.preservers import (
     GALLERY_KINDS,
@@ -297,13 +297,15 @@ class TestHarness:
 
 # sha256 of jsonio.dump_json(report.to_dict()), recorded before the harness
 # became table driven; any change to draws, checks or encoding shows here.
+# scaling-fan4 was re-recorded when spectrum moved to the determinant check:
+# only the `err` of its three spectrum witnesses changed.
 PINNED_REPORTS = [
     ("fan4", lambda rho: verify_preserver(counterexample(rho), n_samples=150, seed=3),
      "ca6acba69a8fba040766e0e40ab70ea9400e5c4add48014145e444ded486fd1e"),
     ("sympair3", lambda rho: verify_preserver(counterexample(rho)),
      "25a14fe5ad6fa25a14ebe59f020a9b81acfe37a9643a5ca5c0878491f9187e8d"),
     ("fan4", lambda rho: verify_preserver(remark_gallery(rho, "scaling")),
-     "db9ab49a99d313656ead7eea165549bc644f551684bd82d01a449eb5046c824d"),
+     "61aa8d4fc0c1061d03c0681b1a3d286e2f4723968b69c843cc648c4733a80ac9"),
     ("cocycle7", lambda rho: verify_preserver(identity_map(rho)),
      "7434cae9cf557960724991a838bf52aacc544cf4e45aee74cd44a5b0523db935"),
 ]
@@ -319,6 +321,44 @@ def test_report_bytes_pinned(request, fixture, grade, digest):
 
     report = grade(request.getfixturevalue(fixture))
     assert hashlib.sha256(jsonio.dump_json(report.to_dict()).encode()).hexdigest() == digest
+
+
+def unitary(rng, n):
+    Q, R = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    return Q * (np.diag(R) / np.abs(np.diag(R)))
+
+
+class TestSpectrumOracle:
+    @pytest.mark.parametrize("n", [24, 32])
+    @pytest.mark.parametrize("shape", ["full", "upper"])
+    def test_large_embeddings_pass_and_scaling_fails(self, n, shape):
+        rng = np.random.default_rng(n)
+        rho = QuasiOrder.full(n) if shape == "full" else QuasiOrder.upper_triangular(n)
+        sigma = np.exp(rng.uniform(0.0, np.log(50.0), n))
+        S = unitary(rng, n) @ np.diag(sigma) @ unitary(rng, n)
+        assert np.linalg.cond(S) <= 50.0 + 1e-9
+        sep = dict(enumerate(np.exp(rng.uniform(-1.0, 1.0, n)), start=1))
+        bit = 1 if shape == "full" else 0  # an automorphism, then an anti-automorphism
+        phi = build_embedding(JordanSpec(rho, S, coboundary(rho, sep),
+                                         CentralIdempotent((bit,) * n)))
+        rep = verify_preserver(MapUnderTest(rho, phi, "embedding"), n_samples=20, seed=0)
+        assert rep.spectrum.ok and rep.spectrum.checked == 22
+        scaled = verify_preserver(remark_gallery(rho, "scaling"), n_samples=20, seed=0)
+        assert not scaled.spectrum.ok
+
+    def test_non_finite_map_fails_every_property(self, fan4):
+        from smalg.jordan import verify_antimultiplicative, verify_jordan, verify_multiplicative
+
+        def phi(X):
+            return np.full(X.shape, np.nan, dtype=complex)
+
+        reports = [verify_preserver(MapUnderTest(fan4, phi, "nan"), n_samples=20)]
+        reports += [check(phi, fan4, n_samples=20) for check in
+                    (verify_jordan, verify_multiplicative, verify_antimultiplicative)]
+        verdicts = [v for rep in reports for v in rep._verdicts().values()]
+        assert len(verdicts) == 5 + 4 + 1 + 1
+        assert not any(v.ok for v in verdicts)
+        assert all(v.checked > 0 and v.witnesses for v in verdicts)
 
 
 class TestSamplingInput:
@@ -354,6 +394,5 @@ class TestSamplingInput:
         rep = verify_preserver(MapUnderTest(fan4, phi, "counted"), n_samples=n_samples, seed=0)
         assert rep.all_pass
         assert len({id(X) for X in inputs}) == len(inputs)
-        # 2 spectrum probes and 3 unit probes per pair, then 7 inputs per
-        # sample plus the diagonalizable spectrum input on odd samples
-        assert len(inputs) == 2 + 3 * len(fan4.off_diagonal) + 7 * n_samples + n_samples // 2
+        # 2 spectrum probes and 3 unit probes per pair, then 7 inputs per sample
+        assert len(inputs) == 2 + 3 * len(fan4.off_diagonal) + 7 * n_samples
