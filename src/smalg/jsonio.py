@@ -15,6 +15,7 @@ from .cocycle import TransitiveMap
 from .jordan import CentralIdempotent, JordanSpec
 
 __all__ = [
+    "MAX_N",
     "quasiorder_to_dict",
     "quasiorder_from_dict",
     "load_quasiorder",
@@ -32,6 +33,12 @@ __all__ = [
 ]
 
 
+# largest n a quasi-order file may declare: the closure builds n bitmask rows of
+# n bits before anything else is checked, so an unbounded n in a tiny file
+# could exhaust memory
+MAX_N = 1024
+
+
 def dump_json(obj, pretty: bool = False) -> str:
     if pretty:
         return json.dumps(obj, sort_keys=True, indent=2)
@@ -45,6 +52,23 @@ def _int(value, what):
     return value
 
 
+def _complex(re, im, what):
+    """complex(re, im), with an integer too large for a double rejected as bad input."""
+    try:
+        return complex(re, im)
+    except OverflowError:
+        raise ValueError(f"{what} is out of floating-point range") from None
+
+
+def _read(path):
+    """The JSON document in `path`; nesting too deep for the parser is bad input too."""
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise ValueError("JSON document is nested too deeply") from None
+
+
 def quasiorder_to_dict(rho: QuasiOrder) -> dict:
     return {"n": rho.n, "pairs": [list(p) for p in sorted(rho.pairs)]}
 
@@ -53,6 +77,8 @@ def quasiorder_from_dict(d: dict):
     """Build the quasi-order, closing the listed pairs; returns (rho, added)
     where `added` lists the pairs the closure had to add."""
     n = _int(d["n"], "n")
+    if n > MAX_N:
+        raise ValueError(f"n={n} exceeds the supported maximum {MAX_N}")
     raw = {(_int(i, "index"), _int(j, "index")) for i, j in d["pairs"]}
     closed = close_pairs(n, raw)
     added = sorted(closed - raw)
@@ -60,8 +86,7 @@ def quasiorder_from_dict(d: dict):
 
 
 def load_quasiorder(path):
-    with open(path) as fh:
-        return quasiorder_from_dict(json.load(fh))
+    return quasiorder_from_dict(_read(path))
 
 
 def save_quasiorder(rho: QuasiOrder, path) -> None:
@@ -81,15 +106,14 @@ def matrix_to_dict(A) -> dict:
 
 def matrix_from_dict(d: dict) -> np.ndarray:
     n = _int(d["n"], "n")
-    A = np.array([[complex(re, im) for re, im in row] for row in d["entries"]])
+    A = np.array([[_complex(re, im, "matrix entry") for re, im in row] for row in d["entries"]])
     if A.shape != (n, n):
         raise ValueError(f"entry grid is {A.shape}, expected ({n},{n})")
     return A
 
 
 def load_matrix(path) -> np.ndarray:
-    with open(path) as fh:
-        return matrix_from_dict(json.load(fh))
+    return matrix_from_dict(_read(path))
 
 
 def save_matrix(A, path) -> None:
@@ -106,7 +130,7 @@ def transitive_map_to_dict(g: TransitiveMap) -> dict:
 def transitive_map_from_dict(d: dict, rho: QuasiOrder) -> TransitiveMap:
     values = {}
     for i, j, (re, im) in d["pairs"]:
-        values[(_int(i, "index"), _int(j, "index"))] = complex(re, im)
+        values[(_int(i, "index"), _int(j, "index"))] = _complex(re, im, "transitive map value")
     return TransitiveMap(rho, values)
 
 
@@ -130,5 +154,4 @@ def jordan_spec_from_dict(d: dict) -> JordanSpec:
 
 
 def load_jordan_spec(path) -> JordanSpec:
-    with open(path) as fh:
-        return jordan_spec_from_dict(json.load(fh))
+    return jordan_spec_from_dict(_read(path))

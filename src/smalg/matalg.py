@@ -11,9 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import maximum_bipartite_matching
 
 from .quasiorder import QuasiOrder, block_triangular_permutation
 
@@ -228,6 +225,8 @@ def nearby_diagonalizable(A, rho: QuasiOrder, eps: float) -> NearbyDiagonalizabl
     off the triangular form by back-substitution (their supports stay inside the
     permuted relation, so S lands in the algebra exactly).
     """
+    import scipy.linalg  # loaded here: the CLI and the harness never need it
+
     if eps <= 0:
         raise ValueError("eps must be positive")
     A = _as_square(A)
@@ -313,6 +312,9 @@ def diagonalize_in_sma(family, rho: QuasiOrder, tol: float = 1e-8,
     Postconditions are verified; on repeated failure raises
     SmaDiagonalizationError rather than falling back silently.
     """
+    from scipy.sparse import csr_matrix  # loaded here: the CLI and the harness never need it
+    from scipy.sparse.csgraph import maximum_bipartite_matching
+
     mats = [_as_square(M) for M in family]
     n = rho.n
     for M in mats:

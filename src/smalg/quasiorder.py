@@ -333,50 +333,72 @@ def rank_one_density(rho: QuasiOrder) -> bool:
     The defining criterion quantifies over pairs of subsets S, T with
     S x T inside rho; it collapses to the maximal T for each S:  with
     T_max(S) = intersection of rho(i) over i in S, a witness k in T_max(S)
-    covering T_max(S) also covers every smaller T.  The test suite checks this
-    reduction against a direct scan over all (S, T) pairs.
+    covering T_max(S) (that is, T_max(S) inside rho(k)) also covers every
+    smaller T.  The values T_max(S) over all nonempty S are exactly the rows
+    of rho and their intersections, so they are built as the closure of the
+    bitmask rows under AND, and each distinct member is checked once.  The
+    closure has at most 2^n - 1 members, one per subset at worst, and far
+    fewer on most patterns.  The test suite checks this reduction against a
+    direct scan over all (S, T) pairs and against the scan over all S.
     """
     n = rho.n
     if n > 24:
-        raise ValueError("exhaustive subset scan capped at n=24")
+        raise ValueError("rank-one density is capped at n=24")
     rows = rho.rows
-    verdict_for_tmax = {}
+    meets = set()
+    for r in rows:
+        meets |= {t & r for t in meets}
+        meets.add(r)
+    return all(
+        t == 0 or any(t & ~rows[k] == 0 for k in _bits(t)) for t in meets
+    )
 
-    def tmax_ok(tmax):
-        if tmax == 0:
-            return True
-        cached = verdict_for_tmax.get(tmax)
-        if cached is None:
-            cached = any(
-                tmax >> k & 1 and tmax & ~rows[k] == 0 for k in range(n)
-            )
-            verdict_for_tmax[tmax] = cached
-        return cached
 
-    full = (1 << n) - 1
-    for s_mask in range(1, 1 << n):
-        tmax = full
-        m = s_mask
-        while m:
-            k = (m & -m).bit_length() - 1
-            tmax &= rows[k]
-            m &= m - 1
-        if not tmax_ok(tmax):
-            return False
-    return True
+def _extensions(rows, m):
+    """Row tuples of the preorders on m + 1 points (0-based, new point m) that
+    restrict to the preorder with bitmask `rows` on the first m points.
+
+    The new point's image U must be up-closed and its preimage D down-closed
+    (the complement of an up-closed set), and d -> m -> u forces U inside
+    rows[d] for every d in D.
+    """
+    full = (1 << m) - 1
+    # union and intersection of the rows over each subset S of [0, m)
+    join, meet = [0] * (1 << m), [full] * (1 << m)
+    for s in range(1, 1 << m):
+        low = s & -s
+        r = rows[low.bit_length() - 1]
+        join[s] = join[s ^ low] | r
+        meet[s] = meet[s ^ low] & r
+    ups = [s for s in range(1 << m) if join[s] == s]
+    bit = 1 << m
+    for down in (full ^ s for s in ups):
+        grown = tuple(r | bit if down >> i & 1 else r for i, r in enumerate(rows))
+        for up in ups:
+            if up & ~meet[down] == 0:
+                yield grown + (up | bit,)
 
 
 def all_preorders(n: int):
-    """Yield every quasi-order on [1, n], by filtering off-diagonal subsets for closedness.
+    """Yield every quasi-order on [1, n] (1, 4, 29, 355, 6942, 209527 for n = 1..6).
 
-    Exponential in n(n-1); intended for n <= 4 (29 preorders on 3 points, 355 on 4).
+    The preorders on m + 1 points are built from those on m points by
+    `_extensions`, on bitmask rows.  They are yielded in increasing order of
+    the off-diagonal bitmask over the pairs (i, j), i != j, taken row-major:
+    that is the lexicographic order of the reversed row tuples.  Each is built
+    through the validating constructor only when it is yielded.  The list of
+    the last level is held in memory (209527 row tuples at n=6); the count
+    grows about 30x per point.
     """
-    off = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
-    diag = frozenset((i, i) for i in range(1, n + 1))
-    for mask in range(1 << len(off)):
-        pairs = diag | frozenset(off[b] for b in range(len(off)) if mask >> b & 1)
-        if close_pairs(n, pairs) == pairs:
-            yield QuasiOrder(n, pairs)
+    if n < 1:
+        raise ValueError("n must be a positive integer")
+    level = [()]
+    for m in range(n):
+        level = [ext for rows in level for ext in _extensions(rows, m)]
+    level.sort(key=lambda rows: rows[::-1])
+    for rows in level:
+        yield QuasiOrder(n, frozenset(
+            (i + 1, j + 1) for i, r in enumerate(rows) for j in _bits(r)))
 
 
 def random_preorder(n: int, rng, p: float = 0.3) -> QuasiOrder:

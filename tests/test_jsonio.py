@@ -1,13 +1,18 @@
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from smalg.quasiorder import closure
 from smalg.cocycle import TransitiveMap, random_transitive
 from smalg.jordan import CentralIdempotent, JordanSpec
 from smalg.matalg import random_invertible
 from smalg import jsonio
+from smalg.cli import main
 
 
 def test_quasiorder_roundtrip(cocycle7, tmp_path):
@@ -93,3 +98,138 @@ def test_jordan_spec_roundtrip(cocycle7, tmp_path):
 def test_dump_json_is_deterministic():
     obj = {"b": [1.5, 2.25], "a": {"z": True, "y": None}}
     assert jsonio.dump_json(obj) == jsonio.dump_json(json.loads(jsonio.dump_json(obj)))
+
+
+# Fuzzing the loaders: every document either loads or raises one of these.
+LOADER_ERRORS = (ValueError, KeyError, TypeError)
+
+# sizes stay small, so that no draw allocates a large array or relation; an n
+# drawn from `numbers` into a spec is held to MAX_N by the loader
+small_ints = st.integers(-2, 8)
+# JSON integers are unbounded: include some beyond the range of a double
+numbers = st.integers() | st.floats() | st.integers(2 ** 1024, 2 ** 1030).map(lambda k: k * (-1) ** k)
+json_values = st.recursive(
+    st.none() | st.booleans() | small_ints | st.floats() | st.text(max_size=3),
+    lambda kids: st.lists(kids, max_size=4) | st.dictionaries(st.text(max_size=2), kids, max_size=3),
+    max_leaves=10,
+)
+quasiorder_docs = st.fixed_dictionaries({
+    "n": small_ints | json_values,
+    "pairs": st.lists(st.lists(st.integers(-1, 9) | numbers, max_size=3), max_size=8) | json_values,
+})
+small_preorders = st.builds(
+    lambda n, pairs: closure(n, {(i, j) for i, j in pairs if i <= n and j <= n}),
+    st.integers(1, 3), st.sets(st.tuples(st.integers(1, 3), st.integers(1, 3))))
+
+
+def member_paths(node, prefix=()):
+    """Key paths from the root of a JSON document to each of its leaves."""
+    if isinstance(node, (dict, list)) and node:
+        for key, child in (node.items() if isinstance(node, dict) else enumerate(node)):
+            yield from member_paths(child, prefix + (key,))
+    else:
+        yield prefix
+
+
+@st.composite
+def spec_docs(draw):
+    """A valid spec document with one member, at any depth, replaced by a
+    number or an arbitrary JSON value, so that every field gets parsed."""
+    rho = draw(small_preorders)
+    doc = jsonio.jordan_spec_to_dict(JordanSpec(
+        rho, np.eye(rho.n, dtype=complex), TransitiveMap.constant_one(rho),
+        CentralIdempotent((1,) * rho.n)))
+    path = draw(st.sampled_from(list(member_paths(doc))))
+    path = path[:draw(st.integers(1, len(path)))]
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = draw(numbers | json_values)
+    return doc
+
+
+@pytest.fixture(scope="module")
+def doc_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "doc.json"
+
+
+def write_doc(path, doc):
+    path.write_text(json.dumps(doc))
+    return path
+
+
+@given(doc=quasiorder_docs | json_values)
+@settings(max_examples=300)
+def test_load_quasiorder_fuzz(doc_path, doc):
+    try:
+        rho, added = jsonio.load_quasiorder(write_doc(doc_path, doc))
+    except LOADER_ERRORS:
+        return
+    assert set(added) <= rho.pairs
+
+
+@given(doc=spec_docs() | json_values)
+@settings(max_examples=300)
+def test_load_jordan_spec_fuzz(doc_path, doc):
+    try:
+        jsonio.load_jordan_spec(write_doc(doc_path, doc))
+    except LOADER_ERRORS:
+        pass
+
+
+def run_cli(*argv):
+    """Exit code, stdout and stderr of one in-process CLI run."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def assert_clean_exit(code, out, err):
+    """Exit 0 with a JSON report, or exit 1 with one `error:` line and no traceback."""
+    if code == 0:
+        assert err == ""
+        json.loads(out)
+    else:
+        assert code == 1 and out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:"), lines
+
+
+@given(doc=quasiorder_docs | json_values)
+@settings(max_examples=150)
+def test_analyze_fuzz(doc_path, doc):
+    assert_clean_exit(*run_cli("analyze", str(write_doc(doc_path, doc))))
+
+
+@given(doc=spec_docs() | json_values)
+@settings(max_examples=150)
+def test_embed_fuzz(doc_path, doc):
+    assert_clean_exit(*run_cli("embed", str(write_doc(doc_path, doc))))
+
+
+def test_deeply_nested_document_fails_cleanly(doc_path):
+    doc_path.write_text("[" * 100_000 + "]" * 100_000)
+    with pytest.raises(ValueError, match="nested"):
+        jsonio.load_quasiorder(doc_path)
+    with pytest.raises(ValueError, match="nested"):
+        jsonio.load_jordan_spec(doc_path)
+    assert_clean_exit(*run_cli("analyze", str(doc_path)))
+
+
+def test_huge_n_rejected_before_closure(doc_path):
+    write_doc(doc_path, {"n": 10 ** 9, "pairs": []})
+    with pytest.raises(ValueError, match="exceeds"):
+        jsonio.load_quasiorder(doc_path)
+    assert_clean_exit(*run_cli("analyze", str(doc_path)))
+    assert jsonio.quasiorder_from_dict({"n": jsonio.MAX_N, "pairs": []})[0].n == jsonio.MAX_N
+
+
+def test_huge_integer_entries_rejected(cocycle7):
+    with pytest.raises(ValueError, match="entry"):
+        jsonio.matrix_from_dict({"n": 1, "entries": [[[10 ** 400, 0]]]})
+    with pytest.raises(ValueError, match="value"):
+        jsonio.transitive_map_from_dict({"pairs": [[1, 3, [1, 10 ** 400]]]}, cocycle7)

@@ -1,4 +1,8 @@
 import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -14,3 +18,13 @@ def test_all_names_resolve(layer):
     assert [name for name in names if not hasattr(module, name)] == []
     assert len(set(names)) == len(names)
     exec(f"from smalg.{layer} import *", {})
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    """scipy is imported only inside the two diagonalization routines that use
+    it, so the CLI and the library start without it."""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    code = "import sys, smalg, smalg.cli; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"

@@ -1,10 +1,12 @@
 import hashlib
 import itertools
 import json
+import random
+import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from smalg.quasiorder import (
@@ -60,6 +62,47 @@ def rank_one_density_naive(rho):
             if not ok:
                 return False
     return True
+
+
+def rank_one_density_subset_scan(rho):
+    """The T_max(S) check run over every nonempty subset S (2^n of them):
+    the second reference for `rank_one_density`, usable up to n of about 18."""
+    n = rho.n
+    rows = rho.rows
+    full = (1 << n) - 1
+    for s_mask in range(1, 1 << n):
+        tmax = full
+        m = s_mask
+        while m:
+            k = (m & -m).bit_length() - 1
+            tmax &= rows[k]
+            m &= m - 1
+        if tmax and not any(tmax >> k & 1 and tmax & ~rows[k] == 0 for k in range(n)):
+            return False
+    return True
+
+
+def bipartite(n, arcs):
+    """Preorder with arcs from source points to sink points only (already closed)."""
+    return QuasiOrder(n, frozenset((i, i) for i in range(1, n + 1)) | frozenset(arcs))
+
+
+@st.composite
+def bipartite_preorders(draw, max_n=7):
+    """Arcs from points 1..s to points s+1..n: dense rank one fails exactly when
+    two sources share two sinks, so these draws give both verdicts."""
+    n = draw(st.integers(2, max_n))
+    s = draw(st.integers(1, n - 1))
+    arcs = draw(st.sets(st.tuples(st.integers(1, s), st.integers(s + 1, n))))
+    return bipartite(n, arcs)
+
+
+def crown(k):
+    """Sources 1..k and sinks k+1..2k with i -> k+j for every j != i: the
+    intersections of the source rows are the 2^k sink sets, and for k >= 4 some
+    of them hold two sinks that no point covers."""
+    return bipartite(2 * k, {(i, k + j) for i in range(1, k + 1)
+                         for j in range(1, k + 1) if j != i})
 
 
 class TestConstruction:
@@ -215,7 +258,7 @@ class TestPredicates:
         assert not is_symmetric(closure(2, {(1, 2)}))
         assert not is_symmetric(cocycle7)  # (1,3) in, (3,1) out
 
-    @pytest.mark.parametrize("n", [3, 4])
+    @pytest.mark.parametrize("n", [3, 4, 5])
     def test_condition_implies_two_free(self, n):
         for rho in all_preorders(n):
             if condition_i(rho)[0]:
@@ -331,6 +374,41 @@ class TestRankOneDensity:
             rho = random_preorder(6, rng, p=0.25)
             assert rank_one_density(rho) == rank_one_density_naive(rho)
 
+    @given(st.one_of(preorders(max_n=7), bipartite_preorders(max_n=7)))
+    @example(bipartite(4, {(1, 3), (1, 4), (2, 3), (2, 4)}))
+    @example(bipartite(7, {(1, 5), (1, 6), (2, 6), (2, 7), (3, 5), (3, 6), (3, 7)}))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_naive_scan_up_to_n7(self, rho):
+        assert rank_one_density(rho) == rank_one_density_naive(rho)
+
+    def test_matches_subset_scan_n13_to_18(self):
+        rng = random.Random(5)
+        verdicts = []
+        for n in range(13, 19):
+            s = n // 2
+            sparse = bipartite(n, {(i, j) for i in range(1, s + 1)
+                                   for j in range(s + 1, n + 1) if rng.random() < 0.2})
+            for rho in (random_preorder(n, rng, p=0.1), sparse):
+                dense = rank_one_density(rho)
+                assert dense == rank_one_density_subset_scan(rho), sorted(rho.off_diagonal)
+                verdicts.append(dense)
+        assert set(verdicts) == {True, False}
+
+    def test_crown_fails_like_subset_scan(self):
+        for k in (4, 6):
+            assert not rank_one_density(crown(k))
+            assert not rank_one_density_subset_scan(crown(k))
+
+    @pytest.mark.parametrize("rho, dense", [
+        (QuasiOrder.full(24), True),
+        (QuasiOrder.upper_triangular(24), True),
+        (crown(12), False),
+    ], ids=["full", "upper", "crown"])
+    def test_n24_under_one_second(self, rho, dense):
+        t0 = time.perf_counter()
+        assert rank_one_density(rho) is dense
+        assert time.perf_counter() - t0 < 1.0
+
     def test_size_guard(self):
         with pytest.raises(ValueError):
             rank_one_density(diag(25))
@@ -341,9 +419,29 @@ class TestCensus:
         assert len(list(all_preorders(1))) == 1
         assert len(list(all_preorders(2))) == 4
         assert len(list(all_preorders(3))) == 29
+        assert len(list(all_preorders(4))) == 355
+
+    def test_count_n6(self):
+        assert sum(1 for _ in all_preorders(6)) == 209527
+
+    def test_yield_order_n5_pinned(self):
+        # sha256 of the yield sequence of the exhaustive off-diagonal-subset filter
+        # that the one-point extension replaced: the order must not change
+        h = hashlib.sha256()
+        for rho in all_preorders(5):
+            h.update(json.dumps(sorted(rho.pairs)).encode() + b"\n")
+        assert h.hexdigest() == "0805c1baef610a13e5d012020c99c3916a9e5ef114e74727ae7da630ba3eb4b0"
 
     def test_all_valid_and_distinct(self):
-        seen = set()
-        for rho in all_preorders(3):
-            assert rho.pairs not in seen
-            seen.add(rho.pairs)
+        for n, count in [(3, 29), (5, 6942)]:
+            seen = set()
+            for rho in all_preorders(n):
+                assert closure(n, rho.pairs) == rho
+                assert rho.pairs not in seen
+                seen.add(rho.pairs)
+            assert len(seen) == count
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_bad_n(self, n):
+        with pytest.raises(ValueError, match="positive"):
+            list(all_preorders(n))
