@@ -164,11 +164,18 @@ def permute_conjugate(A, perm, inverse: bool = False) -> np.ndarray:
     return A[np.ix_(idx, idx)]
 
 
+def _sma_stack(rho: QuasiOrder, Z, scale: float = 1.0) -> np.ndarray:
+    """Stack of elements of the algebra of rho from standard normals Z of shape
+    (B, 2 n^2): the first n^2 of each row are the real parts, row-major, and
+    the last n^2 the imaginary parts."""
+    n = rho.n
+    re, im = Z[:, : n * n].reshape(-1, n, n), Z[:, n * n:].reshape(-1, n, n)
+    return np.where(rho.mask, scale * (re + 1j * im), 0.0)
+
+
 def random_in_sma(rho: QuasiOrder, rng, scale: float = 1.0) -> np.ndarray:
     """Random element of the algebra of rho with iid complex-normal entries on rho."""
-    n = rho.n
-    Z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    return np.where(rho.mask, scale * Z, 0.0)
+    return _sma_stack(rho, rng.standard_normal((1, 2 * rho.n ** 2)), scale)[0]
 
 
 def random_invertible(n: int, rng, max_cond: float = 100.0, max_tries: int = 64) -> np.ndarray:
