@@ -336,14 +336,17 @@ def _fails(err, limit):
 # stacks whose rows are the witnesses.
 
 def _spectrum_error(f, tol, X):
-    """Compare det(zI - X) with det(zI - phi(X)) at n points z on a circle
-    enclosing both spectra: two monic degree-n polynomials that agree at n
-    points are equal.  On that circle zI - A has condition number below 3, so
+    """Compare det(zI - X) with det(zI - phi(X)) at n points z on the circle
+    of radius 1 + 2|X|_F: two monic degree-n polynomials that agree at n points
+    are equal.  The circle encloses the spectrum of X, and so that of phi(X)
+    whenever the two agree, and on it zI - X has condition number below 3, so
     the ratio stays within a small multiple of n * eps of 1 when the spectra
-    agree, at any n."""
+    agree.  The radius does not follow |phi(X)|_F: a large phi(X) with the
+    wrong spectrum would otherwise push the circle out until the error d/R of
+    a spectrum change d drops below the tolerance."""
     fX = f(X)
     B, n = X.shape[:2]
-    radius = 1.0 + 2.0 * np.fmax(_norms(X), _norms(fX))
+    radius = 1.0 + 2.0 * _norms(X)
     z = radius[:, None] * np.exp(2j * np.pi * np.arange(n) / n)
     shifted = np.empty((B, n, n, n), dtype=complex)  # zI - A for each sample and z
     diagonals = shifted.reshape(B, n, n * n)[:, :, :: n + 1]

@@ -297,15 +297,16 @@ class TestHarness:
 
 # sha256 of jsonio.dump_json(report.to_dict()), recorded before the harness
 # became table driven; any change to draws, checks or encoding shows here.
-# scaling-fan4 was re-recorded when spectrum moved to the determinant check:
-# only the `err` of its three spectrum witnesses changed.
+# scaling-fan4 was re-recorded when spectrum moved to the determinant check,
+# and again when the circle's radius came from X alone: each time only the
+# `err` of its three spectrum witnesses changed.
 PINNED_REPORTS = [
     ("fan4", lambda rho: verify_preserver(counterexample(rho), n_samples=150, seed=3),
      "ca6acba69a8fba040766e0e40ab70ea9400e5c4add48014145e444ded486fd1e"),
     ("sympair3", lambda rho: verify_preserver(counterexample(rho)),
      "25a14fe5ad6fa25a14ebe59f020a9b81acfe37a9643a5ca5c0878491f9187e8d"),
     ("fan4", lambda rho: verify_preserver(remark_gallery(rho, "scaling")),
-     "61aa8d4fc0c1061d03c0681b1a3d286e2f4723968b69c843cc648c4733a80ac9"),
+     "f6486447b2a08be5df06622dacd9aa0917e9fec3397de2db73faf6ad77007bcc"),
     ("cocycle7", lambda rho: verify_preserver(identity_map(rho)),
      "7434cae9cf557960724991a838bf52aacc544cf4e45aee74cd44a5b0523db935"),
 ]
@@ -372,6 +373,17 @@ class TestSpectrumOracle:
         assert rep.spectrum.ok and rep.spectrum.checked == 22
         scaled = verify_preserver(remark_gallery(rho, "scaling"), n_samples=20, seed=0)
         assert not scaled.spectrum.ok
+
+    @pytest.mark.parametrize("c", [0.0, 1e6, 1e9, 1e12])
+    def test_large_image_cannot_hide_a_spectrum_change(self, c):
+        # phi(X) = 2X + c E_14 doubles every eigenvalue on T_4; a circle whose
+        # radius followed |phi(X)|_F would shrink the error to about 1/c
+        t4 = QuasiOrder.upper_triangular(4)
+        E14 = matrix_unit(4, 1, 4)
+        mut = MapUnderTest(t4, lambda X: 2.0 * X + c * E14, "doubling-shift")
+        rep = verify_preserver(mut, n_samples=50, seed=0)
+        assert not rep.spectrum.ok
+        assert min(float(err) for _, _, err in rep.spectrum.witnesses) > 0.1
 
     def test_non_finite_map_fails_every_property(self, fan4):
         from smalg.jordan import verify_antimultiplicative, verify_jordan, verify_multiplicative
