@@ -1,0 +1,146 @@
+"""Cost per sample of the sampling harness, `verify_preserver`, at n = 4, 8, 16 and 32.
+
+    python3 bench/harness.py
+    python3 bench/harness.py --src before=/path/to/other/src --src after=src --rounds 5
+
+Each `--src LABEL=PATH` names a source tree to import smalg from (default:
+this checkout's `src`).  Every round measures each tree once, in a fresh
+process, alternating which tree goes first.  Two maps are graded on the full
+algebra M_n: `identity`, whose phi is one copy, so the time is the harness's
+own, and `embedding`, a Jordan embedding X -> S X S^-1 with cond(S) <= 50.
+For each, `fixed_ms` is the time of a 1-sample verdict (the probes and the
+set-up), and `us_per_sample` is (t(N) - t(1)) / (N - 1).  Each time is the
+median of REPEATS calls; the JSON gives the median and quartiles over rounds.
+BLAS runs on one thread.  The result goes to BENCH_harness.json.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+ROOT = Path(__file__).resolve().parent.parent
+SAMPLES = {4: 256, 8: 256, 16: 64, 32: 32}  # N per verdict, about 0.1-0.5 s each
+REPEATS = 5
+
+
+def _maps(n):
+    import numpy as np
+    from smalg.cocycle import coboundary
+    from smalg.jordan import CentralIdempotent, JordanSpec, build_embedding
+    from smalg.preservers import MapUnderTest, identity_map
+    from smalg.quasiorder import QuasiOrder
+
+    rng = np.random.default_rng(n)
+    rho = QuasiOrder.full(n)
+
+    def unitary():
+        Q, R = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+        return Q * (np.diag(R) / np.abs(np.diag(R)))
+
+    S = unitary() @ np.diag(np.exp(rng.uniform(0.0, np.log(50.0), n))) @ unitary()
+    spec = JordanSpec(rho, S, coboundary(rho, {i: 1.0 for i in range(1, n + 1)}),
+                      CentralIdempotent((1,) * n))
+    return {"identity": identity_map(rho),
+            "embedding": MapUnderTest(rho, build_embedding(spec), "embedding")}
+
+
+def _seconds(mut, n_samples):
+    from smalg.preservers import verify_preserver
+
+    times = []
+    for _ in range(REPEATS):
+        t0 = time.perf_counter()
+        rep = verify_preserver(mut, n_samples=n_samples, seed=0)
+        times.append(time.perf_counter() - t0)
+        if not rep.all_pass:
+            raise SystemExit(f"error: {mut.label} failed a property at n={mut.domain.n}")
+    return statistics.median(times)
+
+
+def worker(src):
+    sys.path.insert(0, str(src))
+    out = {}
+    for n, big in SAMPLES.items():
+        for name, mut in _maps(n).items():
+            _seconds(mut, 2)  # warm caches and lazy imports
+            one, many = _seconds(mut, 1), _seconds(mut, big)
+            out[f"n={n} {name}"] = {"fixed_ms": 1e3 * one,
+                                    "us_per_sample": 1e6 * (many - one) / (big - 1)}
+    print(json.dumps(out))
+
+
+def _quartiles(values):
+    if len(values) < 2:
+        return values[0], values[0], values[0]
+    q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, q2, q3
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--src", action="append", metavar="LABEL=PATH",
+                        help="a source tree to measure (repeatable; default: src=./src)")
+    parser.add_argument("--rounds", type=int, default=3)
+    parser.add_argument("--out", type=Path, default=ROOT / "BENCH_harness.json")
+    parser.add_argument("--worker", type=Path, help=argparse.SUPPRESS)
+    args = parser.parse_args()
+    if args.worker:
+        return worker(args.worker)
+    if args.rounds < 1:
+        parser.error("--rounds must be >= 1")
+    trees = []
+    for item in args.src or [f"src={ROOT / 'src'}"]:
+        label, sep, path = item.partition("=")
+        if not sep or not (Path(path) / "smalg").is_dir():
+            parser.error(f"--src {item!r}: expected LABEL=PATH to a tree holding smalg/")
+        trees.append((label, Path(path).resolve()))
+
+    runs = {label: [] for label, _ in trees}
+    for r in range(args.rounds):
+        for label, path in trees[::-1] if r % 2 else trees:
+            done = subprocess.run([sys.executable, __file__, "--worker", str(path)],
+                                  check=True, capture_output=True, text=True)
+            runs[label].append(json.loads(done.stdout))
+            print(f"round {r + 1} {label} done", file=sys.stderr)
+
+    results = {}
+    for label, rounds in runs.items():
+        results[label] = {}
+        for case in rounds[0]:
+            results[label][case] = {}
+            for metric in ("fixed_ms", "us_per_sample"):
+                q1, q2, q3 = _quartiles([rnd[case][metric] for rnd in rounds])
+                results[label][case][metric] = {"median": round(q2, 3), "q1": round(q1, 3),
+                                                "q3": round(q3, 3)}
+    import numpy as np
+
+    report = {
+        "what": "verify_preserver cost on the full algebra M_n: fixed_ms is a 1-sample "
+                "verdict, us_per_sample the cost of each further sample",
+        "samples": {f"n={n}": big for n, big in SAMPLES.items()},
+        "rounds": args.rounds,
+        "machine": {"platform": platform.platform(), "cpus": os.cpu_count(),
+                    "python": platform.python_version(), "numpy": np.__version__,
+                    "blas_threads": os.environ["OPENBLAS_NUM_THREADS"]},
+        "results": results,
+    }
+    args.out.write_text(json.dumps(report, indent=1) + "\n")
+    for label, cases in results.items():
+        for case, m in cases.items():
+            print(f"{label:>8} {case:>16}  fixed {m['fixed_ms']['median']:8.2f} ms"
+                  f"  {m['us_per_sample']['median']:9.1f} us/sample")
+
+
+if __name__ == "__main__":
+    main()

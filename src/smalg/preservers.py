@@ -72,13 +72,6 @@ def _norms(A):
     return np.sqrt((re @ re.transpose(0, 2, 1) + im @ im.transpose(0, 2, 1))[:, 0, 0])
 
 
-def _diag_stack(re, im):
-    D = np.zeros(re.shape + re.shape[-1:], dtype=complex)
-    k = np.arange(re.shape[-1])
-    D[:, k, k] = re + 1j * im
-    return D
-
-
 def _commuting_pairs(rho: QuasiOrder, Z):
     """gen_commuting_pair on a stack: row b of Z holds its 2n^2 + 4n normals."""
     n, k = rho.n, np.arange(rho.n)
@@ -89,10 +82,11 @@ def _commuting_pairs(rho: QuasiOrder, Z):
     N[big] *= (0.5 / norm[big])[:, None, None]
     S = np.eye(n, dtype=complex) + N
     Sinv = np.where(rho.mask, np.linalg.inv(S), 0.0)
-    d = Z[:, 2 * n * n:].reshape(-1, 4, n)
-    X = np.where(rho.mask, S @ _diag_stack(d[:, 0], d[:, 1]) @ Sinv, 0.0)
-    Y = np.where(rho.mask, S @ _diag_stack(d[:, 2], d[:, 3]) @ Sinv, 0.0)
-    return X, Y
+    d = Z[:, 2 * n * n:].reshape(-1, 2, 2, n)  # D1 real, D1 imaginary, then D2
+    D = np.zeros((len(Z), 2, n, n), dtype=complex)
+    D[:, :, k, k] = d[:, :, 0] + 1j * d[:, :, 1]
+    XY = np.where(rho.mask, S[:, None] @ D @ Sinv[:, None], 0.0)
+    return XY[:, 0], XY[:, 1]
 
 
 def gen_commuting_pair(rho: QuasiOrder, seed=0):
