@@ -568,8 +568,9 @@ def verify_preserver(mut: MapUnderTest, n_samples: int = 1000, tol: float = 1e-8
     homogeneity preservation.
 
     Spectrum is compared on each sample X (and on the identity and diag(1..n))
-    through det(zI - X) against det(zI - phi(X)) at n points of a circle that
-    encloses both spectra, so no characteristic polynomial is formed; commuting
+    through det(zI - X) against det(zI - phi(X)) at n points of the circle of
+    radius 1 + 2|X|_F, which encloses the spectrum of X (and of phi(X) when
+    the two agree), so no characteristic polynomial is formed; commuting
     inputs alternate between conjugated diagonal pairs and (X, p(X)) pairs.
     A non-finite output fails every property it enters, and never raises.
     Deterministic probes (the identity, diag(1..n), per-pair unit
