@@ -26,6 +26,8 @@ import sys
 import time
 from pathlib import Path
 
+from trees import source_trees, summary
+
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
@@ -80,13 +82,6 @@ def worker(src):
     print(json.dumps(out))
 
 
-def _quartiles(values):
-    if len(values) < 2:
-        return values[0], values[0], values[0]
-    q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
-    return q1, q2, q3
-
-
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", action="append", metavar="LABEL=PATH",
@@ -99,12 +94,7 @@ def main():
         return worker(args.worker)
     if args.rounds < 1:
         parser.error("--rounds must be >= 1")
-    trees = []
-    for item in args.src or [f"src={ROOT / 'src'}"]:
-        label, sep, path = item.partition("=")
-        if not sep or not (Path(path) / "smalg").is_dir():
-            parser.error(f"--src {item!r}: expected LABEL=PATH to a tree holding smalg/")
-        trees.append((label, Path(path).resolve()))
+    trees = source_trees(parser, args.src, ROOT)
 
     runs = {label: [] for label, _ in trees}
     for r in range(args.rounds):
@@ -120,9 +110,7 @@ def main():
         for case in rounds[0]:
             results[label][case] = {}
             for metric in ("fixed_ms", "us_per_sample"):
-                q1, q2, q3 = _quartiles([rnd[case][metric] for rnd in rounds])
-                results[label][case][metric] = {"median": round(q2, 3), "q1": round(q1, 3),
-                                                "q3": round(q3, 3)}
+                results[label][case][metric] = summary([rnd[case][metric] for rnd in rounds])
     import numpy as np
 
     report = {

@@ -314,12 +314,13 @@ def cmd_selftest(args):
     failures = []
     t0 = time.time()
     for name, check in _selftest_checks():
+        t = time.perf_counter()
         try:
             diff = check()
         except Exception as exc:  # a broken golden file should fail, not crash
             diff = f"exception: {exc!r}"
         status = "PASS" if diff is None else "FAIL"
-        print(f"[{status}] {name}")
+        print(f"[{status}] {name} ({1e3 * (time.perf_counter() - t):.1f} ms)")
         if diff is not None:
             print(f"       {diff}")
             failures.append(name)

@@ -112,7 +112,8 @@ def validate_spec(spec: JordanSpec, tol: float = 1e-10) -> None:
     n = spec.rho.n
     if S.shape != (n, n):
         raise ValueError("S has the wrong shape")
-    if not np.isfinite(np.linalg.cond(S)) or np.linalg.cond(S) > 1e12:
+    cond = np.linalg.cond(S)
+    if not np.isfinite(cond) or cond > 1e12:
         raise ValueError("S is not (numerically) invertible")
     if spec.g.rho != spec.rho:
         raise ValueError("transitive map is defined on a different quasi-order")
@@ -130,7 +131,13 @@ def validate_spec(spec: JordanSpec, tol: float = 1e-10) -> None:
 def build_embedding(spec: JordanSpec):
     """The Jordan embedding X -> S (P g*(X) + (I-P) g*(X)^t) S^{-1}."""
     validate_spec(spec)
-    S = np.asarray(spec.S, dtype=complex)
+    # phi is unchanged under S -> cS.  Scaling by the power of two c = 2^-e that
+    # brings max|S| into [1/2, 1) is exact, and it keeps S^-1 and every product
+    # in range when S is near the largest double.
+    S0 = np.asarray(spec.S, dtype=complex)
+    e = np.frexp(np.max(np.abs(S0)))[1]
+    S = np.empty_like(S0)
+    S.real, S.imag = np.ldexp(S0.real, -e), np.ldexp(S0.imag, -e)
     Sinv = np.linalg.inv(S)
     Pm = spec.P.matrix()
     Qm = np.eye(spec.rho.n, dtype=complex) - Pm

@@ -11,6 +11,7 @@ import json
 import numpy as np
 
 from .quasiorder import QuasiOrder, close_pairs
+from .matalg import entry_pairs
 from .cocycle import TransitiveMap
 from .jordan import CentralIdempotent, JordanSpec
 
@@ -94,14 +95,9 @@ def save_quasiorder(rho: QuasiOrder, path) -> None:
         fh.write(dump_json(quasiorder_to_dict(rho), pretty=True))
 
 
-def _c(z) -> list:
-    z = complex(z)
-    return [float(z.real), float(z.imag)]
-
-
 def matrix_to_dict(A) -> dict:
     A = np.asarray(A, dtype=complex)
-    return {"n": A.shape[0], "entries": [[_c(z) for z in row] for row in A]}
+    return {"n": A.shape[0], "entries": entry_pairs(A)}
 
 
 def matrix_from_dict(d: dict) -> np.ndarray:
@@ -123,7 +119,7 @@ def save_matrix(A, path) -> None:
 
 def transitive_map_to_dict(g: TransitiveMap) -> dict:
     return {
-        "pairs": [[i, j, _c(v)] for (i, j), v in sorted(g.values.items()) if i != j]
+        "pairs": [[i, j, [v.real, v.imag]] for (i, j), v in sorted(g.values.items()) if i != j]
     }
 
 

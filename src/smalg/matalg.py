@@ -23,6 +23,7 @@ __all__ = [
     "sharp",
     "flat",
     "char_poly",
+    "entry_pairs",
     "matrix_unit",
     "lambda_matrix",
     "permutation_matrix",
@@ -130,6 +131,14 @@ def char_poly(A) -> np.ndarray:
         M = A @ M + coeffs[k - 1] * eye
         coeffs[k] = -np.trace(A @ M) / k
     return coeffs
+
+
+def entry_pairs(A) -> list:
+    """A as nested lists of [re, im] float pairs, one per entry, in A's shape:
+    the JSON form of a complex matrix.  A complex128 array viewed as float64
+    holds exactly these pairs, so one tolist builds them."""
+    A = np.ascontiguousarray(A, dtype=complex)
+    return A.view(float).reshape(A.shape + (2,)).tolist()
 
 
 def matrix_unit(n: int, i: int, j: int) -> np.ndarray:

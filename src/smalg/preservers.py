@@ -18,7 +18,7 @@ from typing import Callable
 import numpy as np
 
 from .quasiorder import QuasiOrder, condition_i, image, is_symmetric, neighborhood, preimage
-from .matalg import _sma_stack, lambda_matrix, matrix_unit
+from .matalg import _sma_stack, entry_pairs, lambda_matrix, matrix_unit
 
 __all__ = [
     "MapUnderTest",
@@ -295,7 +295,7 @@ class PreserverReport:
     def to_dict(self) -> dict:
         def enc(x):
             if isinstance(x, np.ndarray):
-                return [[[float(z.real), float(z.imag)] for z in row] for row in x]
+                return entry_pairs(x)
             if isinstance(x, complex):
                 return [float(x.real), float(x.imag)]
             if isinstance(x, (np.floating, np.integer)):

@@ -1,4 +1,5 @@
 import json
+import re
 from importlib import resources
 
 import numpy as np
@@ -162,6 +163,9 @@ class TestSelftest:
         assert code == 0
         assert out.count("[PASS]") == 5 and "[FAIL]" not in out
         assert time.time() - t0 < 60.0
+        # each check's line ends with its wall time
+        lines = [line for line in out.splitlines() if line.startswith("[PASS]")]
+        assert all(re.search(r" \(\d+\.\d ms\)$", line) for line in lines)
 
     def test_perturbed_golden_fails_with_diff(self, capsys, tmp_path, monkeypatch):
         # copy the golden tree, drop one pair from the fan pattern, repoint the loader

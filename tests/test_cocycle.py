@@ -1,11 +1,14 @@
 import hashlib
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from smalg import cocycle
-from smalg.quasiorder import QuasiOrder, random_preorder
+from smalg.quasiorder import QuasiOrder, closure, random_preorder
 from smalg.matalg import matrix_unit, random_in_sma
 from smalg.cocycle import (
     Nontrivial,
@@ -42,7 +45,59 @@ class TestConstruction:
             TransitiveMap(fan4, vals)
 
 
+def validate_loop(g, tol=1e-10):
+    """The law checked one triple at a time in lexicographic (i, j, k) order:
+    the oracle for `validate`."""
+    by_first = {}
+    for i, j in sorted(g.rho.pairs):
+        by_first.setdefault(i, []).append(j)
+    for i, j in sorted(g.rho.pairs):
+        for k in by_first.get(j, ()):
+            lhs = g(i, j) * g(j, k)
+            rhs = g(i, k)
+            if abs(lhs - rhs) > tol * max(abs(rhs), 1.0):
+                return False, ((i, j), (j, k))
+    return True, None
+
+
+@st.composite
+def coboundary_maps(draw):
+    """A coboundary on a closed preorder with n <= 10, and maybe one value
+    multiplied by 1 + d, with |d| from far below to far above the tolerance."""
+    n = draw(st.integers(1, 10))
+    off = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
+    rho = closure(n, draw(st.sets(st.sampled_from(off), max_size=3 * n)) if off else set())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    s = np.exp(rng.uniform(-3, 3, n) + 1j * rng.uniform(0, 2 * np.pi, n))
+    g = coboundary(rho, {i: s[i - 1] for i in range(1, n + 1)})
+    pairs = sorted(rho.off_diagonal)
+    if pairs and draw(st.booleans()):
+        p = draw(st.sampled_from(pairs))
+        d = draw(st.sampled_from([1e-13, 1e-11, 1e-10, 1e-9, 1e-6, 1.0, -2.0]))
+        values = dict(g.values)
+        values[p] *= 1 + d * np.exp(1j * rng.uniform(0, 2 * np.pi))
+        g = TransitiveMap(rho, values)
+    return g
+
+
 class TestValidate:
+    @given(coboundary_maps(), st.sampled_from([1e-12, 1e-10, 1e-8]))
+    @settings(max_examples=400, deadline=None)
+    def test_matches_loop_oracle(self, g, tol):
+        assert validate(g, tol) == validate_loop(g, tol)
+
+    def test_full_m32_under_20_ms(self):
+        rho = QuasiOrder.full(32)
+        rng = np.random.default_rng(0)
+        g = coboundary(rho, {i: np.exp(1j * rng.uniform(0, 2 * np.pi)) for i in range(1, 33)})
+        validate(g)  # warm up
+        best = float("inf")
+        for _ in range(5):
+            t0 = time.perf_counter()
+            assert validate(g) == (True, None)
+            best = min(best, time.perf_counter() - t0)
+        assert best < 0.020
+
     def test_constant_one(self, cocycle7):
         assert validate(TransitiveMap.constant_one(cocycle7)) == (True, None)
 

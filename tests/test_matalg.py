@@ -10,6 +10,7 @@ from smalg.matalg import (
     SmaDiagonalizationError,
     char_poly,
     diagonalize_in_sma,
+    entry_pairs,
     flat,
     in_sma,
     lambda_matrix,
@@ -30,6 +31,21 @@ def fan_matrix():
     A[0, 2:] = 1
     A[1, 2:] = 1
     return A
+
+
+class TestEntryPairs:
+    @pytest.mark.parametrize("A", [
+        np.array([[1, -2], [0, 3]]),
+        np.array([[0.5, -0.0], [1e-300, -7.25]]),
+        np.array([[complex(-0.0, -0.0), 1e308 - 2.5e-7j], [np.nan, complex(0.1, np.inf)]]),
+        np.random.default_rng(0).standard_normal((5, 5, 2)) @ np.array([1, 1j]),
+        (np.arange(36.0).reshape(6, 6) - 1j)[::2, 1::2],  # a strided view
+        np.asfortranarray(np.arange(9.0).reshape(3, 3) * (1 + 2j)),
+    ])
+    def test_matches_entry_loop(self, A):
+        # the per-entry form the JSON reports used before one tolist per matrix
+        loop = [[[float(complex(z).real), float(complex(z).imag)] for z in row] for row in A]
+        assert repr(entry_pairs(A)) == repr(loop)
 
 
 class TestSupport:
