@@ -8,6 +8,7 @@ so reports are byte-identical across runs for fixed inputs.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import time
 from importlib import resources
@@ -122,7 +123,7 @@ def cmd_embed(args):
 def _build_map(args):
     if args.spec:
         spec, phi = _load_spec(args.spec)
-        return MapUnderTest(spec.rho, phi, "embedding")
+        return MapUnderTest(spec.rho, phi, "embedding", stacked=True)
     rho, _ = _load_quasiorder(args.quasiorder)
     kind = args.kind
     if kind == "identity":
@@ -349,19 +350,20 @@ def _add_common(p, samples_default=1000):
     p.add_argument("--pretty", action="store_true", help="indented human-oriented output")
 
 
-def main(argv=None):
+@functools.cache
+def _parser():
+    """The argument parser, built once: parse_args leaves it as it is and
+    gives each call a fresh namespace."""
     parser = _Parser(prog="smalg", description=__doc__)
     sub = parser.add_subparsers(dest="verb", required=True)
 
     p = sub.add_parser("analyze", help="structural report for a quasi-order file")
     p.add_argument("quasiorder")
     p.add_argument("--pretty", action="store_true")
-    p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("embed", help="matrix-unit table of an embedding spec")
     p.add_argument("spec")
     p.add_argument("--pretty", action="store_true")
-    p.set_defaults(func=cmd_embed)
 
     p = sub.add_parser("verify", help="grade a map as a preserver")
     p.add_argument("--spec", help="embedding spec JSON to verify")
@@ -369,25 +371,27 @@ def main(argv=None):
                                   + ", ".join(GALLERY_KINDS))
     p.add_argument("--quasiorder", help="quasi-order file for --kind maps")
     _add_common(p)
-    p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("counterexample", help="build and grade the non-Jordan preserver")
     p.add_argument("quasiorder")
     _add_common(p)
-    p.set_defaults(func=cmd_counterexample)
 
     p = sub.add_parser("recover", help="recover (S, g, P) data from an embedding spec")
     p.add_argument("--spec", required=True)
     _add_common(p, samples_default=100)
-    p.set_defaults(func=cmd_recover)
 
     p = sub.add_parser("selftest", help="run the golden end-to-end checks")
     p.add_argument("--pretty", action="store_true")
-    p.set_defaults(func=cmd_selftest)
 
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None):
+    args = _parser().parse_args(argv)
     try:
-        return args.func(args)
+        # the verb's function is looked up per call, so a rebinding of it
+        # takes effect although the parser is built once
+        return globals()[f"cmd_{args.verb}"](args)
     except SystemExit:
         raise
     except BrokenPipeError:

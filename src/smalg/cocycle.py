@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .quasiorder import QuasiOrder
-from .matalg import in_sma
+from .matalg import _in_sma_stack
 
 __all__ = [
     "TransitiveMap",
@@ -246,13 +246,15 @@ def random_transitive(rho: QuasiOrder, seed: int = 0, want_nontrivial: bool = Fa
 
 def induced_auto(g: TransitiveMap):
     """The entrywise-scaling algebra automorphism X -> (g(i,j) X_ij) of the
-    algebra of rho; raises on inputs with support escaping rho."""
+    algebra of rho, on one matrix or a (B, n, n) stack; raises on inputs with
+    support escaping rho."""
     G = g.as_matrix()
     rho = g.rho
 
     def apply(X):
         X = np.asarray(X, dtype=complex)
-        if not in_sma(X, rho):
+        n = rho.n
+        if X.shape[-2:] != (n, n) or not np.all(_in_sma_stack(X.reshape(-1, n, n), rho)):
             raise ValueError("input is not in the algebra of rho")
         return G * np.where(rho.mask, X, 0)
 

@@ -129,7 +129,9 @@ def validate_spec(spec: JordanSpec, tol: float = 1e-10) -> None:
 
 
 def build_embedding(spec: JordanSpec):
-    """The Jordan embedding X -> S (P g*(X) + (I-P) g*(X)^t) S^{-1}."""
+    """The Jordan embedding X -> S (P g*(X) + (I-P) g*(X)^t) S^{-1}, on one
+    matrix or a (B, n, n) stack; a stack's images are bit for bit its
+    matrices' images."""
     validate_spec(spec)
     # phi is unchanged under S -> cS.  Scaling by the power of two c = 2^-e that
     # brings max|S| into [1/2, 1) is exact, and it keeps S^-1 and every product
@@ -145,7 +147,7 @@ def build_embedding(spec: JordanSpec):
 
     def phi(X):
         Y = gstar(X)
-        return S @ (Pm @ Y + Qm @ Y.T) @ Sinv
+        return S @ (Pm @ Y + Qm @ Y.swapaxes(-1, -2)) @ Sinv
 
     return phi
 

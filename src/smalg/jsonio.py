@@ -41,9 +41,10 @@ MAX_N = 1024
 
 
 def dump_json(obj, pretty: bool = False) -> str:
+    # smalg's reports are trees, so the encoder's cycle check only costs time
     if pretty:
-        return json.dumps(obj, sort_keys=True, indent=2)
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+        return json.dumps(obj, sort_keys=True, indent=2, check_circular=False)
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"), check_circular=False)
 
 
 def _int(value, what):

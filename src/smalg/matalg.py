@@ -75,10 +75,17 @@ def support(A, tol: float | None = None) -> frozenset:
 def in_sma(A, rho: QuasiOrder, tol: float | None = None) -> bool:
     """Whether supp(A) lies inside rho."""
     A = _as_square(A)
-    if A.shape[0] != rho.n:
-        return False
-    cut = _abs_tol(A, tol)
-    return not np.any(np.abs(A[~rho.mask]) > cut)
+    return A.shape[0] == rho.n and bool(_in_sma_stack(A[None], rho, tol)[0])
+
+
+def _in_sma_stack(A, rho: QuasiOrder, tol: float | None = None) -> np.ndarray:
+    """in_sma on each matrix of a (B, n, n) stack, each with its own default
+    cutoff; raises on non-finite entries."""
+    if not np.all(np.isfinite(A)):
+        raise ValueError("matrix has non-finite entries")
+    absA = np.abs(A)
+    cut = DEFAULT_REL_TOL * absA.max(axis=(1, 2), initial=0.0) if tol is None else tol
+    return ~np.any(np.where(rho.mask, 0.0, absA) > np.reshape(cut, (-1, 1, 1)), axis=(1, 2))
 
 
 def project_sma(A, rho: QuasiOrder) -> np.ndarray:

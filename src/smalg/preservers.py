@@ -42,11 +42,18 @@ GALLERY_KINDS = ("scaling", "det_twist", "diag_shift", "noninjective_jordan")
 
 @dataclass
 class MapUnderTest:
-    """A total map on the algebra of `domain`, tagged for reporting."""
+    """A total map on the algebra of `domain`, tagged for reporting.
+
+    `eval` maps an n x n matrix to its image, and the harness calls it once
+    per input matrix.  A map that sets `stacked` also maps a (B, n, n) stack
+    to the stack of its images, each bit for bit the image of that matrix
+    alone, and the harness calls it once per stack of new inputs.
+    """
 
     domain: QuasiOrder
     eval: Callable[[np.ndarray], np.ndarray]
     label: str
+    stacked: bool = field(default=False, kw_only=True)
 
 
 @dataclass
@@ -57,11 +64,28 @@ class CounterexampleMap(MapUnderTest):
 
 
 def identity_map(rho: QuasiOrder) -> MapUnderTest:
-    return MapUnderTest(rho, lambda X: np.array(X, dtype=complex), "identity")
+    return MapUnderTest(rho, lambda X: np.array(X, dtype=complex), "identity", stacked=True)
 
 
 def transpose_map(rho: QuasiOrder) -> MapUnderTest:
-    return MapUnderTest(rho, lambda X: np.array(X, dtype=complex).T, "transpose")
+    return MapUnderTest(rho, lambda X: np.array(X, dtype=complex).swapaxes(-1, -2),
+                        "transpose", stacked=True)
+
+
+# numpy's array abs and array complex product can round differently from the
+# scalar ones; the stacked maps use these two, which compute what the scalar
+# forms compute, so that a stack's images are its matrices' images bit for bit
+
+def _cabs(z):
+    return np.hypot(z.real, z.imag)
+
+
+def _cmul(a, b):
+    """a * b for complex arrays of one shape."""
+    out = np.empty_like(a)
+    out.real = a.real * b.real - a.imag * b.imag
+    out.imag = a.real * b.imag + a.imag * b.real
+    return out
 
 
 def _norms(A):
@@ -129,23 +153,28 @@ def counterexample(rho: QuasiOrder) -> CounterexampleMap:
             # b = X_pq picks up f(|c/b|) = exp(i pi / (|c/b| + 1)) and c = X_qp
             # its conjugate, so bc is kept; nothing changes where b vanishes
             out = np.array(X, dtype=complex)
-            b, c = out[p, q], out[q, p]
-            if b != 0:
-                fval = np.exp(1j * np.pi / (abs(c / b) + 1.0))
-                out[p, q], out[q, p] = b * fval, c * np.conj(fval)
+            b, c = out[..., p, q], out[..., q, p]  # views into out
+            nz = b != 0
+            fval = np.exp(1j * (np.pi / (_cabs(c[nz] / b[nz]) + 1.0)))
+            b[nz], c[nz] = _cmul(b[nz], fval), _cmul(c[nz], np.conj(fval))
             return out
 
-        return CounterexampleMap(rho, eval_case1, f"case1-block({r},{s})", r, s, 1)
+        return CounterexampleMap(rho, eval_case1, f"case1-block({r},{s})", r, s, 1,
+                                 stacked=True)
 
     if preimage(rho, r) != {r} or image(rho, s) != {s}:
         raise RuntimeError("violating strict pair does not isolate row r / column s")
 
     def eval_case2(X):
+        # case2_kink(X_ss - X_rr, X_rs) in place of X_rs
         out = np.array(X, dtype=complex)
-        out[r - 1, s - 1] = case2_kink(X[s - 1, s - 1] - X[r - 1, r - 1], X[r - 1, s - 1])
+        u = out[..., s - 1, s - 1] - out[..., r - 1, r - 1]
+        v = out[..., r - 1, s - 1]  # a view into out
+        cut = ~(_cabs(u) <= _cabs(v))
+        v[cut] = _cmul(v[cut], _cabs(v[cut] / u[cut]).astype(complex))
         return out
 
-    return CounterexampleMap(rho, eval_case2, f"case2-kink({r},{s})", r, s, 2)
+    return CounterexampleMap(rho, eval_case2, f"case2-kink({r},{s})", r, s, 2, stacked=True)
 
 
 def commutes_criterion(X, Y, rho: QuasiOrder, r: int, s: int, tol: float = 1e-9) -> bool:
@@ -210,7 +239,8 @@ def remark_gallery(rho: QuasiOrder, kind: str) -> MapUnderTest:
     """
     n = rho.n
     if kind == "scaling":
-        return MapUnderTest(rho, lambda X: 2.0 * np.asarray(X, dtype=complex), "scaling-2x")
+        return MapUnderTest(rho, lambda X: 2.0 * np.asarray(X, dtype=complex), "scaling-2x",
+                            stacked=True)
 
     if kind == "det_twist":
         anchors = [i for i in range(1, n + 1) if len(neighborhood(rho, i)) > 1]
@@ -220,12 +250,12 @@ def remark_gallery(rho: QuasiOrder, kind: str) -> MapUnderTest:
 
         def eval_twist(X):
             out = np.array(X, dtype=complex)
-            t = 1.0 + abs(np.linalg.det(out))  # continuous, finite and >= 1
-            out[i0, :] *= t
-            out[:, i0] /= t
+            t = 1.0 + _cabs(np.linalg.det(out))[..., None]  # continuous, finite and >= 1
+            out[..., i0, :] *= t
+            out[..., :, i0] /= t
             return out
 
-        return MapUnderTest(rho, eval_twist, f"det-twist@{i0 + 1}")
+        return MapUnderTest(rho, eval_twist, f"det-twist@{i0 + 1}", stacked=True)
 
     if kind == "diag_shift":
         if rho.off_diagonal or n < 3:
@@ -233,10 +263,10 @@ def remark_gallery(rho: QuasiOrder, kind: str) -> MapUnderTest:
 
         def eval_shift(X):
             out = np.array(X, dtype=complex)
-            out[1, n - 1] += X[0, 0]
+            out[..., 1, n - 1] += out[..., 0, 0]
             return out
 
-        return MapUnderTest(rho, eval_shift, "diag-shift")
+        return MapUnderTest(rho, eval_shift, "diag-shift", stacked=True)
 
     if kind == "noninjective_jordan":
         if is_symmetric(rho):
@@ -246,7 +276,7 @@ def remark_gallery(rho: QuasiOrder, kind: str) -> MapUnderTest:
         def eval_trunc(X):
             return np.where(mutual, np.asarray(X, dtype=complex), 0.0)
 
-        return MapUnderTest(rho, eval_trunc, "mutual-block-truncation")
+        return MapUnderTest(rho, eval_trunc, "mutual-block-truncation", stacked=True)
 
     raise ValueError(f"unknown gallery kind {kind!r}; choose from {GALLERY_KINDS}")
 
@@ -468,9 +498,11 @@ def _chunk(n: int) -> int:
     return max(1, min(BATCH, 2 ** 20 // (16 * n ** 3)))
 
 
-def _images(phi):
-    """f(A, rows): phi on each row of the input stack A that `rows` marks, each
-    row evaluated once; rows not evaluated yet read 0."""
+def _images(mut: MapUnderTest):
+    """f(A, rows): the map on each row of the input stack A that `rows` marks,
+    each row evaluated once; rows not evaluated yet read 0.  A stacked map
+    gets a call per stack of new rows, any other map a call per row."""
+    phi = mut.eval
     memo = {}  # id -> (A, phi of its rows, rows done); holding A keeps its id unique
 
     def f(A, rows):
@@ -478,8 +510,13 @@ def _images(phi):
         if hit is None:
             hit = memo[id(A)] = (A, np.zeros(A.shape, dtype=complex), np.zeros(len(A), bool))
         _, fA, done = hit
-        for k in np.flatnonzero(rows & ~done):
-            fA[k] = phi(A[k])
+        todo = rows & ~done
+        if mut.stacked:
+            if todo.any():
+                fA[todo] = phi(A[todo])
+        else:
+            for k in np.flatnonzero(todo):
+                fA[k] = phi(A[k])
         done |= rows
         return fA
 
@@ -509,7 +546,7 @@ def _grade(mut: MapUnderTest, names, n_samples: int, tol: float, seed: int,
     tols = {"tol": tol, "spectrum_tol": tol if spectrum_tol is None else spectrum_tol,
             "commutator_tol": tol if commutator_tol is None else commutator_tol}
     _check_sampling(n_samples, sample_scale=sample_scale, **tols)
-    rho, phi, n = mut.domain, mut.eval, mut.domain.n
+    rho, n = mut.domain, mut.domain.n
     off = sorted(rho.off_diagonal)[:64]
     graded = {name: (prop, PropertyVerdict()) for name, prop in _PROPERTIES.items()
               if name in names}
@@ -517,7 +554,7 @@ def _grade(mut: MapUnderTest, names, n_samples: int, tol: float, seed: int,
                           **{name: verdict for name, (_, verdict) in graded.items()})
 
     def grade(s, probe):
-        f = _images(phi)  # images live for one chunk
+        f = _images(mut)  # images live for one chunk
         for (sample, _, error, tol_name, probe_cases), verdict in graded.values():
             cases = probe_cases if probe else sample
             results = []
@@ -584,7 +621,8 @@ def verify_preserver(mut: MapUnderTest, n_samples: int = 1000, tol: float = 1e-8
     2 at n = 32); the probes are stacked by the same rule.  A chunk draws its
     normals as one block, in the order a sample-by-sample loop would draw
     them, so chunking changes no sample and no report byte.  phi itself is
-    called once per input matrix, at most seven per sample; witnesses are the
+    called once per input matrix, at most seven per sample, or, for a map
+    that sets `stacked`, once per stack of new inputs; witnesses are the
     first three failing cases in sample order.
     """
     return _grade(mut, ("spectrum", "commutativity", "injectivity", "additivity", "homogeneity"),

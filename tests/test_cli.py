@@ -145,6 +145,17 @@ class TestCounterexample:
         assert code == 2
 
 
+class TestParser:
+    def test_options_do_not_leak_between_calls(self, capsys):
+        # the parser is built once per process; each call parses afresh
+        fan = golden("fan_2x2.json")
+        _, out = run(capsys, "counterexample", fan, "--samples", "5", "--pretty")
+        assert json.loads(out)["report"]["samples"] == 5 and "\n  " in out
+        code, out = run(capsys, "counterexample", fan)
+        assert code == 0
+        assert json.loads(out)["report"]["samples"] == 1000 and out.count("\n") == 1
+
+
 class TestRecover:
     def test_round_trip(self, capsys, spec_file):
         code, out = run(capsys, "recover", "--spec", spec_file)

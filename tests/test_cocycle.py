@@ -293,3 +293,19 @@ class TestInducedAuto:
         auto = induced_auto(TransitiveMap.constant_one(cocycle7))
         with pytest.raises(ValueError, match="not in the algebra"):
             auto(matrix_unit(7, 7, 1))
+
+    def test_stack_checks_each_matrix_with_its_own_cutoff(self, cocycle7):
+        # a stack's membership is in_sma's, matrix by matrix: a large member
+        # does not raise the cutoff of a small matrix that leaks out of rho
+        from smalg.matalg import in_sma
+
+        auto = induced_auto(TransitiveMap.constant_one(cocycle7))
+        big = 1e12 * matrix_unit(7, 1, 4)
+        leak = matrix_unit(7, 1, 4) + 1e-6 * matrix_unit(7, 7, 1)
+        assert in_sma(big, cocycle7) and not in_sma(leak, cocycle7)
+        assert in_sma(big + leak, cocycle7)
+        with pytest.raises(ValueError, match="not in the algebra"):
+            auto(np.stack([big, leak]))
+        with pytest.raises(ValueError, match="non-finite"):
+            auto(np.stack([big, np.full((7, 7), np.nan)]))
+        assert np.array_equal(auto(np.stack([big, 2 * big])), np.stack([auto(big), auto(2 * big)]))

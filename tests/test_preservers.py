@@ -3,12 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from smalg.quasiorder import QuasiOrder, all_preorders, condition_i
+from smalg.quasiorder import QuasiOrder, all_preorders, closure, condition_i
 from smalg.matalg import char_poly, in_sma, matrix_unit, random_in_sma
 from smalg.cocycle import TransitiveMap, coboundary
 from smalg.jordan import CentralIdempotent, JordanSpec, build_embedding
 from smalg.preservers import (
     GALLERY_KINDS,
+    CounterexampleMap,
     MapUnderTest,
     case2_kink,
     classify_unit_action,
@@ -438,6 +439,32 @@ class TestSamplingInput:
         # 2 spectrum probes and 3 unit probes per pair, then 7 inputs per sample
         assert len(inputs) == 2 + 3 * len(fan4.off_diagonal) + 7 * n_samples
 
+    @pytest.mark.parametrize("pairs", [{(1, 3), (1, 4), (2, 3), (2, 4)},
+                                       {(1, 2), (2, 1), (1, 3), (4, 3)}])
+    def test_stacked_phi_sees_each_input_once(self, pairs):
+        # the stacked twin of the test above: the inputs of the per-matrix
+        # calls, each once, in stacks; the second rho has unit probes that
+        # apply to only some pairs (F + G needs (j, i) in rho)
+        rho = closure(4, pairs)
+        singles, rows = [], []
+
+        def phi(X):
+            singles.append(X.copy())
+            return np.array(X, dtype=complex)
+
+        def stacked_phi(X):
+            assert X.ndim == 3
+            rows.extend(X)
+            return np.array(X, dtype=complex)
+
+        n_samples = 10
+        one = verify_preserver(MapUnderTest(rho, phi, "counted"), n_samples=n_samples, seed=0)
+        rep = verify_preserver(MapUnderTest(rho, stacked_phi, "counted", stacked=True),
+                               n_samples=n_samples, seed=0)
+        assert rep.all_pass and rep.to_dict() == one.to_dict()
+        assert len(singles) >= 2 + 3 * len(rho.off_diagonal) + 7 * n_samples
+        assert sorted(X.tobytes() for X in rows) == sorted(X.tobytes() for X in singles)
+
     def test_peak_memory_bounded_at_n32(self):
         # samples are graded as stacks a chunk at a time, so the stacks of a
         # full-M_32 embedding stay small
@@ -475,3 +502,59 @@ class TestStacks:
         for k in range(4):
             x, y = gen_commuting_pair(cocycle7, rng)
             assert np.array_equal(x, X[k]) and np.array_equal(y, Y[k])
+
+
+# every map smalg builds, on a rho it applies to; the embeddings are the ones
+# `cli._build_map` wraps
+STACKED_MAPS = {
+    "identity": lambda: identity_map(QuasiOrder.upper_triangular(4)),
+    "transpose": lambda: transpose_map(closure(4, {(1, 2), (2, 1), (3, 4), (4, 3)})),
+    "case1": lambda: counterexample(closure(3, {(1, 2), (2, 1)})),
+    "case2": lambda: counterexample(closure(4, {(1, 3), (1, 4), (2, 3), (2, 4)})),
+    "scaling": lambda: remark_gallery(QuasiOrder.full(4), "scaling"),
+    "det_twist": lambda: remark_gallery(QuasiOrder.upper_triangular(4), "det_twist"),
+    "diag_shift": lambda: remark_gallery(QuasiOrder.diagonal(4), "diag_shift"),
+    "truncation": lambda: remark_gallery(QuasiOrder.upper_triangular(4), "noninjective_jordan"),
+    "embedding-8": lambda: MapUnderTest(*large_embedding(8, "full"), "embedding", stacked=True),
+    "embedding-32": lambda: MapUnderTest(*large_embedding(32, "upper"), "embedding",
+                                         stacked=True),
+}
+
+
+def edge_stack(mut, rng, B=64):
+    """Random elements of the algebra at mixed scales, plus the rows where
+    the maps branch: zero matrices, and for the counterexamples b == 0
+    (case 1), u == 0 and |u| == |v| (case 2)."""
+    rho, n = mut.domain, mut.domain.n
+    A = rng.standard_normal((B, n, n)) + 1j * rng.standard_normal((B, n, n))
+    A *= 10.0 ** rng.uniform(-3, 3, (B, 1, 1))
+    A = np.where(rho.mask, A, 0.0)
+    A[:4] = 0.0
+    if isinstance(mut, CounterexampleMap):
+        r, s = mut.r - 1, mut.s - 1
+        A[4:8, r, s] = A[4:8, s, r] = 0.0
+        A[8:12, s, s] = A[8:12, r, r]
+        u = A[12:24, s, s] - A[12:24, r, r]
+        A[12:24, r, s] = np.concatenate([u[:4], -u[4:8], 1j * u[8:].conj()])
+    return A
+
+
+@pytest.mark.parametrize("name", list(STACKED_MAPS))
+def test_stacked_eval_is_per_matrix_eval(name):
+    mut = STACKED_MAPS[name]()
+    assert mut.stacked
+    A = edge_stack(mut, np.random.default_rng(len(name)))
+    got = mut.eval(A)
+    want = np.stack([mut.eval(a) for a in A])
+    assert got.shape == want.shape == A.shape
+    assert np.array_equal(bits(got), bits(want))
+    if name == "case2":
+        # case2_kink is the scalar reference of the stacked kink
+        r, s = mut.r - 1, mut.s - 1
+        kink = [case2_kink(a[s, s] - a[r, r], a[r, s]) for a in A]
+        assert np.array_equal(bits(got[:, r, s]), bits(np.array(kink, dtype=complex)))
+
+
+def bits(A):
+    """The complex entries of A as uint64 pairs, so -0.0 and 0.0 differ."""
+    return np.ascontiguousarray(A).view(np.uint64)
