@@ -1,5 +1,7 @@
 """CPU time and peak memory of the spec verbs `embed`, `verify --spec --samples 20`
-and `recover --spec` on the full algebra M_n, n = 8, 16, 24 and 32.
+and `recover --spec` on two shapes at n = 8, 16, 24 and 32: the full algebra
+M_n with P = I, and the upper-triangular algebra T_n with P = 0, the
+embedding's transposing branch.
 
     python3 bench/spec_verbs.py
     python3 bench/spec_verbs.py --src before=/path/to/other/src --src after=src --rounds 5
@@ -7,15 +9,16 @@ and `recover --spec` on the full algebra M_n, n = 8, 16, 24 and 32.
 
 Each `--src LABEL=PATH` names a source tree to import smalg from (default:
 this checkout's `src`).  The specs are written once: S = U diag(sigma) V with
-U, V unitary and sigma in [1, 50], g a coboundary and P = I, seeded by n.
+U, V unitary and sigma in [1, 50] and g a coboundary, seeded by n, so both
+shapes share S and the values of g.
 Every measurement runs one verb in a fresh process, and every round measures
 each tree once, alternating which tree goes first.  `cpu_s` is the process's
 user plus system time over the verb's call, printing its report to /dev/null
 included; `maxrss_mb` is the process's ru_maxrss.  The JSON gives the median
 and quartiles over rounds.  BLAS threads follow the environment (set
 OPENBLAS_NUM_THREADS=1 for stable figures).  The result goes to
-BENCH_spec_verbs.json; `--smoke` measures n = 8 for one round and writes to a
-temporary file.
+BENCH_spec_verbs.json; `--smoke` measures both shapes at n = 8 for one round
+and writes to a temporary file.
 """
 
 from __future__ import annotations
@@ -35,6 +38,8 @@ from trees import source_trees, summary
 
 ROOT = Path(__file__).resolve().parent.parent
 SIZES = (8, 16, 24, 32)
+# shape -> (membership of (i, j), the idempotent's bit)
+SHAPES = {"full": (lambda i, j: True, 1), "upper": (lambda i, j: i <= j, 0)}
 VERBS = {
     "embed": lambda spec: ["embed", spec],
     "verify": lambda spec: ["verify", "--spec", spec, "--samples", "20"],
@@ -42,7 +47,7 @@ VERBS = {
 }
 
 
-def write_spec(n, path):
+def write_spec(n, shape, path):
     import numpy as np
 
     rng = np.random.default_rng(n)
@@ -53,14 +58,15 @@ def write_spec(n, path):
 
     S = unitary() @ np.diag(np.exp(rng.uniform(0.0, np.log(50.0), n))) @ unitary()
     s = np.exp(1j * rng.uniform(0.0, 2 * np.pi, n))
-    pairs = [[i, j] for i in range(1, n + 1) for j in range(1, n + 1)]
+    member, bit = SHAPES[shape]
+    pairs = [[i, j] for i in range(1, n + 1) for j in range(1, n + 1) if member(i, j)]
     spec = {
         "quasiorder": {"n": n, "pairs": pairs},
         "s_matrix": {"n": n, "entries": np.stack([S.real, S.imag], -1).tolist()},
         "transitive_map": {"pairs": [[i, j, [(s[i - 1] / s[j - 1]).real,
                                              (s[i - 1] / s[j - 1]).imag]]
                                      for i, j in pairs if i != j]},
-        "idempotent_diag": [1] * n,
+        "idempotent_diag": [bit] * n,
     }
     Path(path).write_text(json.dumps(spec))
 
@@ -91,7 +97,7 @@ def main():
     parser.add_argument("--rounds", type=int, default=3)
     parser.add_argument("--out", type=Path, default=ROOT / "BENCH_spec_verbs.json")
     parser.add_argument("--smoke", action="store_true",
-                        help="n = 8 only, one round, output to a temporary file")
+                        help="both shapes at n = 8, one round, output to a temporary file")
     parser.add_argument("--worker", nargs=argparse.REMAINDER, help=argparse.SUPPRESS)
     args = parser.parse_args()
     if args.worker:
@@ -108,19 +114,20 @@ def main():
 
     runs = {label: {} for label, _ in trees}
     with tempfile.TemporaryDirectory() as tmp:
-        specs = {n: os.path.join(tmp, f"spec_full{n}.json") for n in sizes}
-        for n, path in specs.items():
-            write_spec(n, path)
+        specs = {(shape, n): os.path.join(tmp, f"spec_{shape}{n}.json")
+                 for n in sizes for shape in SHAPES}
+        for (shape, n), path in specs.items():
+            write_spec(n, shape, path)
         for r in range(rounds):
             for label, src in trees[::-1] if r % 2 else trees:
-                for n, spec in specs.items():
+                for (shape, n), spec in specs.items():
                     for verb, argv in VERBS.items():
                         done = subprocess.run(
                             [sys.executable, __file__, "--worker", str(src), *argv(spec)],
                             capture_output=True, text=True)
                         if done.returncode != 0:
                             raise SystemExit(f"{label}: {done.stderr.strip()}")
-                        runs[label].setdefault(f"n={n} {verb}", []).append(json.loads(done.stdout))
+                        runs[label].setdefault(f"{shape}{n} {verb}", []).append(json.loads(done.stdout))
                 print(f"round {r + 1} {label} done", file=sys.stderr)
 
     results = {}
@@ -133,8 +140,9 @@ def main():
     import numpy as np
 
     report = {
-        "what": "spec verbs on the full algebra M_n, one fresh process per measurement: "
-                "cpu_s is the CPU time of the verb's call, maxrss_mb the process's peak RSS",
+        "what": "spec verbs on M_n with P = I (fullN) and T_n with P = 0 (upperN), one fresh "
+                "process per measurement: cpu_s is the CPU time of the verb's call, "
+                "maxrss_mb the process's peak RSS",
         "rounds": rounds,
         "machine": {"platform": platform.platform(), "cpus": os.cpu_count(),
                     "python": platform.python_version(), "numpy": np.__version__,

@@ -120,10 +120,15 @@ def cmd_embed(args):
     return EXIT_OK
 
 
+def _spec_map(path):
+    """The embedding of the spec in `path`, evaluated a stack at a time."""
+    spec, phi = _load_spec(path)
+    return MapUnderTest(spec.rho, phi, "embedding", stacked=True)
+
+
 def _build_map(args):
     if args.spec:
-        spec, phi = _load_spec(args.spec)
-        return MapUnderTest(spec.rho, phi, "embedding", stacked=True)
+        return _spec_map(args.spec)
     rho, _ = _load_quasiorder(args.quasiorder)
     kind = args.kind
     if kind == "identity":
@@ -171,9 +176,10 @@ def cmd_counterexample(args):
 
 
 def cmd_recover(args):
-    spec, phi = _load_spec(args.spec)
+    mut = _spec_map(args.spec)
     try:
-        rec = recover_form(phi, spec.rho, tol=args.tol, n_samples=args.samples, seed=args.seed)
+        rec = recover_form(mut, mut.domain, tol=args.tol, n_samples=args.samples,
+                           seed=args.seed)
     except (RecoveryError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAIL

@@ -20,9 +20,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .quasiorder import QuasiOrder, components, condition_i
-from .matalg import lambda_matrix, matrix_unit, random_in_sma
+from .matalg import _sma_stack, lambda_matrix, matrix_unit
 from .cocycle import TransitiveMap, induced_auto, validate as validate_transitive
-from .preservers import MapUnderTest, PreserverReport, _check_sampling, _grade, _unit_action
+from .preservers import (PreserverReport, _as_map, _check_sampling, _eval_stack, _grade,
+                         _norms, _stack_step, _unit_action, _units)
 
 __all__ = [
     "CentralIdempotent",
@@ -156,20 +157,20 @@ def verify_jordan(phi, rho: QuasiOrder, n_samples: int = 1000,
                   tol: float = 1e-8, seed: int = 0) -> PreserverReport:
     """Sample additivity, homogeneity, the square identity phi(X^2) = phi(X)^2,
     and pairwise output separation of distinct inputs."""
-    return _grade(MapUnderTest(rho, phi, "phi"),
+    return _grade(_as_map(phi, rho),
                   ("injectivity", "additivity", "homogeneity", "jordan"), n_samples, tol, seed)
 
 
 def verify_multiplicative(phi, rho: QuasiOrder, n_samples: int = 200,
                           tol: float = 1e-8, seed: int = 0) -> PreserverReport:
     """Sampled check of phi(XY) = phi(X)phi(Y)."""
-    return _grade(MapUnderTest(rho, phi, "phi"), ("multiplicative",), n_samples, tol, seed)
+    return _grade(_as_map(phi, rho), ("multiplicative",), n_samples, tol, seed)
 
 
 def verify_antimultiplicative(phi, rho: QuasiOrder, n_samples: int = 200,
                               tol: float = 1e-8, seed: int = 0) -> PreserverReport:
     """Sampled check of phi(XY) = phi(Y)phi(X)."""
-    return _grade(MapUnderTest(rho, phi, "phi"), ("antimultiplicative",), n_samples, tol, seed)
+    return _grade(_as_map(phi, rho), ("antimultiplicative",), n_samples, tol, seed)
 
 
 @dataclass
@@ -202,14 +203,19 @@ def recover_form(phi, rho: QuasiOrder, tol: float = 1e-8,
     transpose-like parts and yields g; P marks the indices touched by the
     identity-like part.  The rebuilt map is compared against phi on all matrix
     units and on random samples, and the recovery fails loudly on mismatch.
+
+    phi is a callable or a MapUnderTest on rho.  Units and samples go through
+    it a stack at a time when it sets `stacked`, and one matrix at a time
+    otherwise; either way the result is the same to the bit.
     """
     _check_sampling(n_samples, tol=tol)
+    mut = _as_map(phi, rho)
     ok, witness = condition_i(rho)
     if not ok:
         raise ValueError(f"quasi-order fails the neighborhood criterion at {witness}")
     n = rho.n
 
-    M = phi(lambda_matrix(n))
+    M = _eval_stack(mut, lambda_matrix(n)[None])[0]
     w, V = np.linalg.eig(M)
     cols = []
     for k in range(1, n + 1):
@@ -221,11 +227,8 @@ def recover_form(phi, rho: QuasiOrder, tol: float = 1e-8,
     S = _gauge_columns(V[:, cols])
     Sinv = np.linalg.inv(S)
 
-    def psi(X):
-        return Sinv @ phi(X) @ S
-
     try:
-        rho_m, rho_a, gvals = _unit_action(psi, rho)
+        rho_m, rho_a, gvals = _unit_action(mut, rho, frame=(Sinv, S))
     except ValueError as exc:
         raise RecoveryError(str(exc)) from exc
     g = TransitiveMap(rho, gvals)
@@ -241,17 +244,22 @@ def recover_form(phi, rho: QuasiOrder, tol: float = 1e-8,
     except ValueError as exc:
         raise RecoveryError(f"recovered parameters are inconsistent: {exc}") from exc
 
-    unit_err = 0.0
-    for i, j in sorted(rho.pairs):
-        E = matrix_unit(n, i, j)
-        unit_err = max(unit_err, float(np.linalg.norm(rebuilt(E) - phi(E))))
+    def round_trip(A):  # the error on each matrix of a stack
+        return _norms(rebuilt(A) - _eval_stack(mut, A))
+
+    step = _stack_step(n)
+    pairs = sorted(rho.pairs)
+    unit_errs = [round_trip(_units(n, pairs[lo:lo + step])) for lo in range(0, len(pairs), step)]
     rng = np.random.default_rng(seed)
-    sample_err = 0.0
-    for _ in range(n_samples):
-        X = random_in_sma(rho, rng)
-        diff = np.linalg.norm(rebuilt(X) - phi(X)) / max(1.0, float(np.linalg.norm(X)))
-        sample_err = max(sample_err, float(diff))
-    if unit_err > tol or sample_err > tol:
+    sample_errs = []
+    for lo in range(0, n_samples, step):
+        # the normals of consecutive random_in_sma draws, as one block
+        X = _sma_stack(rho, rng.standard_normal((min(step, n_samples - lo), 2 * n * n)))
+        sample_errs.append(round_trip(X) / np.fmax(1.0, _norms(X)))
+    # np.max keeps a NaN error, and a NaN error is not <= tol
+    unit_err = float(np.max(np.concatenate(unit_errs)))
+    sample_err = float(np.max(np.concatenate(sample_errs)))
+    if not (unit_err <= tol and sample_err <= tol):
         raise RecoveryError(
             f"rebuilt map disagrees with phi (unit error {unit_err:.3e}, "
             f"sample error {sample_err:.3e})")

@@ -18,7 +18,7 @@ from typing import Callable
 import numpy as np
 
 from .quasiorder import QuasiOrder, condition_i, image, is_symmetric, neighborhood, preimage
-from .matalg import _sma_stack, entry_pairs, lambda_matrix, matrix_unit
+from .matalg import _sma_stack, entry_pairs, lambda_matrix
 
 __all__ = [
     "MapUnderTest",
@@ -196,23 +196,79 @@ def commutes_criterion(X, Y, rho: QuasiOrder, r: int, s: int, tol: float = 1e-9)
     return bool(base and abs(lhs - rhs) <= tol * scale)
 
 
-def _unit_action(phi, rho: QuasiOrder, rel_tol: float = 1e-7):
-    """classify_unit_action, plus the dominant scalar of each unit's image."""
-    n = rho.n
+def _as_map(phi, rho: QuasiOrder) -> MapUnderTest:
+    """phi as a MapUnderTest on rho: a plain callable is a per-matrix map."""
+    if not isinstance(phi, MapUnderTest):
+        return MapUnderTest(rho, phi, "phi")
+    if phi.domain != rho:
+        raise ValueError("the map is defined on a different quasi-order")
+    return phi
+
+
+def _eval_stack(mut: MapUnderTest, A) -> np.ndarray:
+    """The images of a (B, n, n) stack: one call for a stacked map, one call
+    per matrix for any other."""
+    if mut.stacked:
+        return np.asarray(mut.eval(A), dtype=complex)
+    out = np.empty(A.shape, dtype=complex)
+    for k, a in enumerate(A):
+        out[k] = mut.eval(a)
+    return out
+
+
+def _units(n: int, pairs) -> np.ndarray:
+    """The stack of matrix units E_ij, one per pair (i, j)."""
+    E = np.zeros((len(pairs), n, n), dtype=complex)
+    if pairs:
+        i, j = (np.array(pairs) - 1).T
+        E[np.arange(len(pairs)), i, j] = 1.0
+    return E
+
+
+def _stack_step(n: int) -> int:
+    """n x n matrices evaluated as one stack outside the sampling harness:
+    2^13 entries, 128 KB, so 8 at n = 32 and 128 at n = 8."""
+    return max(1, 2 ** 13 // (n * n))
+
+
+def _unit_action(phi, rho: QuasiOrder, rel_tol: float = 1e-7, frame=None):
+    """classify_unit_action, plus the dominant scalar of each unit's image.
+    With frame = (T, U), each finite image A is read as T A U."""
+    mut, n = _as_map(phi, rho), rho.n
+    units = sorted(rho.off_diagonal)
     parts = (set(), set())  # pairs mapped parallel to the unit, to its flip
     scalars = {}
-    for i, j in sorted(rho.off_diagonal):
-        A = np.asarray(phi(matrix_unit(n, i, j)), dtype=complex)
-        p, q = np.unravel_index(np.argmax(np.abs(A)), A.shape)
-        at, val = (int(p) + 1, int(q) + 1), A[p, q]
-        if abs(val) <= rel_tol:
-            raise ValueError(f"phi(E_{i}{j}) is numerically zero")
-        if np.partition(np.abs(A), -2, axis=None)[-2] > rel_tol * abs(val):
-            raise ValueError(f"phi(E_{i}{j}) is parallel to no matrix unit (dominant at {at})")
-        if at not in ((i, j), (j, i)):
-            raise ValueError(f"phi(E_{i}{j}) concentrates at {at}, not at ({i},{j}) or ({j},{i})")
-        parts[at != (i, j)].add((i, j))
-        scalars[i, j] = val
+    step = _stack_step(n)
+    for lo in range(0, len(units), step):
+        chunk = units[lo:lo + step]
+        A = _eval_stack(mut, _units(n, chunk))
+        finite = np.all(np.isfinite(A), axis=(1, 2))
+        if frame is not None:
+            A[finite] = frame[0] @ A[finite] @ frame[1]
+        absA = np.abs(A).reshape(len(A), n * n)
+        k = np.argmax(absA, axis=1)
+        vals = A.reshape(len(A), n * n)[np.arange(len(A)), k]
+        top = _cabs(vals)
+        second = np.partition(absA, -2, axis=1)[:, -2]
+        (i, j), (p, q) = (np.array(chunk) - 1).T, np.divmod(k, n)
+        flipped = (p == j) & (q == i)
+        checks = (
+            (~finite, "phi(E_{i}{j}) is not finite"),
+            (top <= rel_tol, "phi(E_{i}{j}) is numerically zero"),
+            (second > rel_tol * top, "phi(E_{i}{j}) is parallel to no matrix unit "
+                                     "(dominant at {at})"),
+            (~(((p == i) & (q == j)) | flipped),
+             "phi(E_{i}{j}) concentrates at {at}, not at ({i},{j}) or ({j},{i})"),
+        )
+        failed = np.any([bad for bad, _ in checks], axis=0)
+        if failed.any():
+            b = int(np.argmax(failed))
+            msg = next(msg for bad, msg in checks if bad[b])
+            raise ValueError(msg.format(i=chunk[b][0], j=chunk[b][1],
+                                        at=(int(p[b]) + 1, int(q[b]) + 1)))
+        for b, pair in enumerate(chunk):
+            parts[bool(flipped[b])].add(pair)
+            scalars[pair] = vals[b]
     diag = frozenset((i, i) for i in range(1, n + 1))
     try:
         rho_m, rho_a = (QuasiOrder(n, diag | frozenset(part)) for part in parts)
@@ -224,9 +280,12 @@ def _unit_action(phi, rho: QuasiOrder, rel_tol: float = 1e-7):
 def classify_unit_action(phi, rho: QuasiOrder, rel_tol: float = 1e-7):
     """Split rho into the pairs whose matrix unit maps parallel to itself versus
     to its transpose; both parts are returned as (verified) quasi-orders.
+    phi is a callable or a MapUnderTest on rho; the units go through it a
+    stack at a time when it sets `stacked`.
 
-    Raises ValueError with a witness when some image is numerically zero or
-    parallel to neither the unit nor its flip.
+    Raises ValueError with a witness, the first failing unit in sorted order,
+    when some image is not finite, numerically zero, or parallel to neither
+    the unit nor its flip.
     """
     return _unit_action(phi, rho, rel_tol)[:2]
 
@@ -502,7 +561,6 @@ def _images(mut: MapUnderTest):
     """f(A, rows): the map on each row of the input stack A that `rows` marks,
     each row evaluated once; rows not evaluated yet read 0.  A stacked map
     gets a call per stack of new rows, any other map a call per row."""
-    phi = mut.eval
     memo = {}  # id -> (A, phi of its rows, rows done); holding A keeps its id unique
 
     def f(A, rows):
@@ -511,12 +569,8 @@ def _images(mut: MapUnderTest):
             hit = memo[id(A)] = (A, np.zeros(A.shape, dtype=complex), np.zeros(len(A), bool))
         _, fA, done = hit
         todo = rows & ~done
-        if mut.stacked:
-            if todo.any():
-                fA[todo] = phi(A[todo])
-        else:
-            for k in np.flatnonzero(todo):
-                fA[k] = phi(A[k])
+        if todo.any():
+            fA[todo] = _eval_stack(mut, A[todo])
         done |= rows
         return fA
 
@@ -574,13 +628,11 @@ def _grade(mut: MapUnderTest, names, n_samples: int, tol: float, seed: int,
     step = _chunk(n)
     diagonals = [(None, (np.stack([np.eye(n, dtype=complex), lambda_matrix(n)]),))]
     for lo in range(0, max(len(off), 1), step):
-        F, P, G = (np.zeros((len(off[lo:lo + step]), n, n), dtype=complex) for _ in range(3))
-        has_G = np.zeros(len(F), bool)
-        for k, (i, j) in enumerate(off[lo:lo + step]):
-            F[k, i - 1, j - 1] = 1.0
-            P[k] = 2.0 * matrix_unit(n, i, i) + F[k]
-            if (j, i) in rho.pairs:
-                G[k, j - 1, i - 1], has_G[k] = 1.0, True
+        pairs = off[lo:lo + step]
+        F = _units(n, pairs)
+        P = 2.0 * _units(n, [(i, i) for i, _ in pairs]) + F
+        has_G = np.array([(j, i) in rho.pairs for i, j in pairs], bool)
+        G = np.where(has_G[:, None, None], _units(n, [(j, i) for i, j in pairs]), 0.0)
         grade(SimpleNamespace(diagonals=diagonals if lo == 0 else [], F=F, P=P, G=G,
                               has_G=has_G), probe=True)
     for b0 in range(0, n_samples, BATCH):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,8 @@ from smalg.jordan import (
     verify_jordan,
     verify_multiplicative,
 )
+from smalg.preservers import MapUnderTest
+from test_spec_verbs import SHAPES, seeded_spec
 
 
 def block_spec(two_blocks6):
@@ -151,6 +155,17 @@ class TestVerification:
         assert verify_antimultiplicative(lambda X: np.array(X).T, full).antimultiplicative.ok
         assert not verify_multiplicative(lambda X: np.array(X).T, full).multiplicative.ok
 
+    def test_stacked_map_grades_like_its_callable(self, two_blocks6):
+        phi = build_embedding(block_spec(two_blocks6))
+        mut = MapUnderTest(two_blocks6, phi, "phi", stacked=True)
+        for check in (verify_jordan, verify_multiplicative, verify_antimultiplicative):
+            assert check(mut, two_blocks6, n_samples=50).to_dict() == \
+                check(phi, two_blocks6, n_samples=50).to_dict()
+
+    def test_map_on_another_order_rejected(self, two_blocks6, fan4):
+        with pytest.raises(ValueError, match="different quasi-order"):
+            verify_jordan(MapUnderTest(fan4, np.array, "phi"), two_blocks6)
+
     def test_kink_map_fails_additivity_with_witness(self, fan4):
         from smalg.preservers import counterexample
 
@@ -203,6 +218,106 @@ class TestRecovery:
         # keeping only the diagonal kills every off-diagonal unit
         with pytest.raises(RecoveryError, match="zero"):
             recover_form(lambda X: np.diag(np.diag(X)), two_blocks6)
+
+
+    @pytest.mark.parametrize("stacked", [False, True])
+    def test_nan_on_samples_fails(self, stacked):
+        # exact on the units and on diag(1..n), NaN on about a third of the
+        # samples: a NaN round-trip error must fail the recovery
+        full3 = QuasiOrder.full(3)
+
+        def phi(X):
+            out = np.array(X, dtype=complex)
+            bad = (np.abs(out[..., 0, 0]) > 1.5) & (np.count_nonzero(out, axis=(-2, -1)) > 3)
+            out[bad] = np.nan
+            return out
+
+        mut = MapUnderTest(full3, phi, "phi", stacked=True) if stacked else phi
+        with pytest.raises(RecoveryError, match="sample error nan"):
+            recover_form(mut, full3, seed=0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_unit_image_reported(self, bad):
+        # checked before the conjugation by S, which would spread it
+        full3 = QuasiOrder.full(3)
+
+        def phi(X):
+            out = np.array(X, dtype=complex)
+            if out[0, 1] != 0:
+                out[0, 1] = bad
+            return out
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(RecoveryError, match=r"phi\(E_12\) is not finite"):
+                recover_form(phi, full3)
+
+    def test_map_on_another_order_rejected(self, two_blocks6):
+        with pytest.raises(ValueError, match="different quasi-order"):
+            recover_form(MapUnderTest(QuasiOrder.full(6), np.array, "phi"), two_blocks6)
+
+
+def bits(A):
+    """The complex entries of A as uint64 pairs, so -0.0 and 0.0 differ."""
+    return np.ascontiguousarray(A, dtype=complex).view(np.uint64)
+
+
+def random_spec(rho, seed, P):
+    S = random_invertible(rho.n, np.random.default_rng((99, seed)), max_cond=50)
+    return JordanSpec(rho, S, random_transitive(rho, seed), P)
+
+
+class TestStackedRecovery:
+    """recover_form reads a stacked map a stack at a time and a callable one
+    matrix at a time, to the same bits."""
+
+    def assert_same_recovery(self, spec):
+        phi = build_embedding(spec)
+        calls = []
+
+        def per_matrix(X):
+            calls.append(np.ndim(X))
+            return phi(X)
+
+        a = recover_form(MapUnderTest(spec.rho, phi, "phi", stacked=True), spec.rho, seed=3)
+        b = recover_form(per_matrix, spec.rho, seed=3)
+        assert np.array_equal(bits(a.spec.S), bits(b.spec.S))
+        pairs = sorted(spec.rho.off_diagonal)
+        assert np.array_equal(bits([a.spec.g.values[p] for p in pairs]),
+                              bits([b.spec.g.values[p] for p in pairs]))
+        assert a.spec.P == b.spec.P and (a.rho_m, a.rho_a) == (b.rho_m, b.rho_a)
+        errs = np.array([[r.max_unit_error, r.max_sample_error] for r in (a, b)])
+        assert np.array_equal(errs[0].view(np.uint64), errs[1].view(np.uint64))
+        # one call per matrix, as many as one sample-by-sample pass makes
+        rho = spec.rho
+        assert set(calls) == {2}
+        assert len(calls) == 1 + len(rho.off_diagonal) + len(rho.pairs) + 100
+
+    @pytest.mark.parametrize("n", [8, 16])
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_seeded_specs(self, n, shape):
+        self.assert_same_recovery(seeded_spec(n, shape))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_fixtures(self, cocycle7, two_blocks6, seed):
+        bit = seed % 2
+        self.assert_same_recovery(random_spec(cocycle7, seed, CentralIdempotent((bit,) * 7)))
+        P = CentralIdempotent((bit,) * 3 + (1 - bit,) * 3)
+        self.assert_same_recovery(random_spec(two_blocks6, seed, P))
+
+    def test_peak_memory_bounded_at_n32(self):
+        import tracemalloc
+
+        spec = seeded_spec(32, "full")
+        mut = MapUnderTest(spec.rho, build_embedding(spec), "embedding", stacked=True)
+        tracemalloc.start()
+        try:
+            rec = recover_form(mut, spec.rho)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rec.max_sample_error < 1e-8
+        assert peak < 8e6, f"peak {peak / 1e6:.1f} MB"
 
 
 class TestSamplingInput:

@@ -210,6 +210,35 @@ class TestClassifyUnits:
         with pytest.raises(ValueError, match="parallel"):
             classify_unit_action(phi, fan4)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_image_rejected(self, bad):
+        def phi(X):
+            out = np.array(X, dtype=complex)
+            if out[0, 1] != 0:
+                out[0, 1] = bad
+            return out
+
+        with pytest.raises(ValueError, match=r"phi\(E_12\) is not finite"):
+            classify_unit_action(phi, QuasiOrder.full(3))
+
+    @pytest.mark.parametrize("stacked", [False, True])
+    def test_first_failing_unit_in_sorted_order(self, stacked):
+        # E_13 is not finite and E_12 concentrates elsewhere: E_12 comes first
+        def phi(X):
+            out = np.array(X, dtype=complex)
+            out[..., 0, 2] = np.where(out[..., 0, 2] != 0, np.inf, 0)
+            out[..., 2, 1] += out[..., 0, 1]
+            out[..., 0, 1] = 0
+            return out
+
+        mut = MapUnderTest(QuasiOrder.full(3), phi, "phi", stacked=stacked)
+        with pytest.raises(ValueError, match=r"phi\(E_12\) concentrates at \(3, 2\)"):
+            classify_unit_action(mut, QuasiOrder.full(3))
+
+    def test_map_on_another_order_rejected(self, fan4):
+        with pytest.raises(ValueError, match="different quasi-order"):
+            classify_unit_action(identity_map(QuasiOrder.full(4)), fan4)
+
     def test_misplaced_image_names_plain_indices(self, fan4):
         def phi(X):
             out = np.diag(np.diag(X)).astype(complex)
