@@ -206,7 +206,9 @@ def recover_form(phi, rho: QuasiOrder, tol: float = 1e-8,
 
     phi is a callable or a MapUnderTest on rho.  Units and samples go through
     it a stack at a time when it sets `stacked`, and one matrix at a time
-    otherwise; either way the result is the same to the bit.
+    otherwise; either way the result is the same to the bit.  The unit error
+    reuses the classifier's images of the first off-diagonal units, up to
+    4 MB of them, so phi sees each of those units once.
     """
     _check_sampling(n_samples, tol=tol)
     mut = _as_map(phi, rho)
@@ -227,8 +229,12 @@ def recover_form(phi, rho: QuasiOrder, tol: float = 1e-8,
     S = _gauge_columns(V[:, cols])
     Sinv = np.linalg.inv(S)
 
+    # phi's images of the first off-diagonal units, up to 4 MB, are kept for
+    # the unit error below
+    off = sorted(rho.off_diagonal)
+    kept = np.empty((min(len(off), 2 ** 18 // (n * n)), n, n), dtype=complex)
     try:
-        rho_m, rho_a, gvals = _unit_action(mut, rho, frame=(Sinv, S))
+        rho_m, rho_a, gvals = _unit_action(mut, rho, frame=(Sinv, S), kept=kept)
     except ValueError as exc:
         raise RecoveryError(str(exc)) from exc
     g = TransitiveMap(rho, gvals)
@@ -247,9 +253,14 @@ def recover_form(phi, rho: QuasiOrder, tol: float = 1e-8,
     def round_trip(A):  # the error on each matrix of a stack
         return _norms(rebuilt(A) - _eval_stack(mut, A))
 
+    # the error on every pair, the kept units' first: the max does not depend
+    # on the order
     step = _stack_step(n)
-    pairs = sorted(rho.pairs)
-    unit_errs = [round_trip(_units(n, pairs[lo:lo + step])) for lo in range(0, len(pairs), step)]
+    reused = off[:len(kept)]
+    unit_errs = [_norms(rebuilt(_units(n, reused[lo:lo + step])) - kept[lo:lo + step])
+                 for lo in range(0, len(reused), step)]
+    rest = sorted(rho.pairs - set(reused))
+    unit_errs += [round_trip(_units(n, rest[lo:lo + step])) for lo in range(0, len(rest), step)]
     rng = np.random.default_rng(seed)
     sample_errs = []
     for lo in range(0, n_samples, step):

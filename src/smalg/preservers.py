@@ -231,9 +231,10 @@ def _stack_step(n: int) -> int:
     return max(1, 2 ** 13 // (n * n))
 
 
-def _unit_action(phi, rho: QuasiOrder, rel_tol: float = 1e-7, frame=None):
+def _unit_action(phi, rho: QuasiOrder, rel_tol: float = 1e-7, frame=None, kept=None):
     """classify_unit_action, plus the dominant scalar of each unit's image.
-    With frame = (T, U), each finite image A is read as T A U."""
+    With frame = (T, U), each finite image A is read as T A U.  A (K, n, n)
+    array `kept` receives the images of the first K units, as phi gave them."""
     mut, n = _as_map(phi, rho), rho.n
     units = sorted(rho.off_diagonal)
     parts = (set(), set())  # pairs mapped parallel to the unit, to its flip
@@ -242,6 +243,8 @@ def _unit_action(phi, rho: QuasiOrder, rel_tol: float = 1e-7, frame=None):
     for lo in range(0, len(units), step):
         chunk = units[lo:lo + step]
         A = _eval_stack(mut, _units(n, chunk))
+        if kept is not None and lo < len(kept):
+            kept[lo:lo + step] = A[:len(kept) - lo]
         finite = np.all(np.isfinite(A), axis=(1, 2))
         if frame is not None:
             A[finite] = frame[0] @ A[finite] @ frame[1]
