@@ -288,9 +288,10 @@ class TestStackedRecovery:
         assert a.spec.P == b.spec.P and (a.rho_m, a.rho_a) == (b.rho_m, b.rho_a)
         errs = np.array([[r.max_unit_error, r.max_sample_error] for r in (a, b)])
         assert np.array_equal(errs[0].view(np.uint64), errs[1].view(np.uint64))
-        # one call per matrix; the unit error reuses the classifier's images
-        # of the first units, up to 4 MB, where a sample-by-sample pass made
-        # 1 + |off-diagonal| + |pairs| + n_samples calls
+        # one call per matrix: on diag(1..n), on each off-diagonal unit, on
+        # each pair whose image the classifier did not keep (it keeps up to
+        # 4 MB), and on each sample; never more than
+        # 1 + |off-diagonal| + |pairs| + n_samples
         rho, off = spec.rho, len(spec.rho.off_diagonal)
         reused = min(off, 2 ** 18 // rho.n ** 2)
         assert set(calls) == {2}
