@@ -247,6 +247,7 @@ def _unit_action(phi, rho: QuasiOrder, rel_tol: float = 1e-7, frame=None, kept=N
             kept[lo:lo + step] = A[:len(kept) - lo]
         finite = np.all(np.isfinite(A), axis=(1, 2))
         if frame is not None:
+            A = A.copy()  # phi's own output is left as it is
             A[finite] = frame[0] @ A[finite] @ frame[1]
         absA = np.abs(A).reshape(len(A), n * n)
         k = np.argmax(absA, axis=1)
