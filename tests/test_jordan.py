@@ -273,13 +273,17 @@ class TestStackedRecovery:
 
     def assert_same_recovery(self, spec):
         phi = build_embedding(spec)
-        calls = []
+        calls, stacks = [], []
 
         def per_matrix(X):
             calls.append(np.ndim(X))
             return phi(X)
 
-        a = recover_form(MapUnderTest(spec.rho, phi, "phi", stacked=True), spec.rho, seed=3)
+        def stacked(X):
+            stacks.append(np.shape(X))
+            return phi(X)
+
+        a = recover_form(MapUnderTest(spec.rho, stacked, "phi", stacked=True), spec.rho, seed=3)
         b = recover_form(per_matrix, spec.rho, seed=3)
         assert np.array_equal(bits(a.spec.S), bits(b.spec.S))
         pairs = sorted(spec.rho.off_diagonal)
@@ -296,6 +300,9 @@ class TestStackedRecovery:
         reused = min(off, 2 ** 18 // rho.n ** 2)
         assert set(calls) == {2}
         assert len(calls) == 1 + off + len(rho.pairs) - reused + 100
+        # the stacked map sees the same matrices, in fewer calls
+        assert {len(shape) for shape in stacks} == {3}
+        assert sum(shape[0] for shape in stacks) == len(calls) > len(stacks)
 
     @pytest.mark.parametrize("n", [8, 16])
     @pytest.mark.parametrize("shape", SHAPES)
