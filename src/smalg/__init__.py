@@ -24,12 +24,8 @@ from .matalg import (
     project_sma,
     sharp,
     flat,
-    char_poly,
     matrix_unit,
     lambda_matrix,
-    permutation_matrix,
-    nearby_diagonalizable,
-    diagonalize_in_sma,
     rank_one_closure_member,
 )
 from .cocycle import (

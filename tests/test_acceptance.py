@@ -19,7 +19,6 @@ from smalg.quasiorder import (
     random_preorder,
 )
 from smalg.matalg import (
-    char_poly,
     flat,
     in_sma,
     matrix_unit,

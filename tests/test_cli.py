@@ -224,6 +224,13 @@ class TestBadInput:
     def test_counterexample_rejects_zero_samples(self, capsys):
         usage_error(capsys, "counterexample", golden("fan_2x2.json"), "--samples", "0")
 
+    @pytest.mark.parametrize("verb", ["verify", "counterexample", "recover"])
+    def test_rejects_negative_seed(self, capsys, spec_file, verb):
+        args = {"verify": ["--kind", "identity", "--quasiorder", golden("fan_2x2.json")],
+                "counterexample": [golden("fan_2x2.json")],
+                "recover": ["--spec", spec_file]}[verb]
+        assert "seed must be >= 0" in usage_error(capsys, verb, *args, "--seed", "-1")
+
     @pytest.fixture
     def noncentral_spec(self, tmp_path, spec_file):
         blob = json.loads(open(spec_file).read())

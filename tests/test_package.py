@@ -20,11 +20,14 @@ def test_all_names_resolve(layer):
     exec(f"from smalg.{layer} import *", {})
 
 
-def test_cli_import_leaves_scipy_unloaded():
-    """scipy is imported only inside the two diagonalization routines that use
-    it, so the CLI and the library start without it."""
+def test_smalg_never_loads_scipy():
+    """smalg depends on numpy alone: importing every layer and running the
+    selftest leave scipy unloaded."""
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
-    code = "import sys, smalg, smalg.cli; print('scipy' in sys.modules)"
+    code = ("import importlib, sys, smalg, smalg.cli\n"
+            f"for layer in {LAYERS!r}: importlib.import_module('smalg.' + layer)\n"
+            "assert smalg.cli.main(['selftest']) == 0\n"
+            "print('scipy' in sys.modules)")
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
-    assert out.strip() == "False"
+    assert out.splitlines()[-1] == "False"

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from smalg import quasiorder
 from smalg.quasiorder import (
     BlockTriangularization,
     Partition,
@@ -314,6 +315,16 @@ class TestBlockTriangular:
 
     def test_upper_triangular_exact(self):
         assert block_triangular_permutation(QuasiOrder.upper_triangular(4)).upper_exact
+
+    def test_block_form_computed_once_per_rho(self, cocycle7, monkeypatch):
+        calls = []
+        real = quasiorder._triangularize
+        monkeypatch.setattr(quasiorder, "_triangularize",
+                            lambda rho: calls.append(rho) or real(rho))
+        rho = closure(7, cocycle7.pairs)
+        first = block_triangular_permutation(rho)
+        assert block_triangular_permutation(rho) is first
+        assert calls == [rho]
 
     @given(preorders())
     @settings(max_examples=60)
