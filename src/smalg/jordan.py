@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .quasiorder import QuasiOrder, components, condition_i
-from .matalg import _sma_stack, lambda_matrix, matrix_unit
+from .matalg import _sma_stack, lambda_matrix
 from .cocycle import TransitiveMap, induced_auto, validate as validate_transitive
 from .preservers import (PreserverReport, _as_map, _check_sampling, _eval_stack, _grade,
                          _norms, _stack_step, _unit_action, _units)
@@ -30,7 +30,6 @@ __all__ = [
     "JordanSpec",
     "RecoveryError",
     "central_idempotents",
-    "is_central",
     "validate_spec",
     "build_embedding",
     "verify_jordan",
@@ -62,16 +61,6 @@ class CentralIdempotent:
 
     def complement(self) -> "CentralIdempotent":
         return CentralIdempotent(tuple(1 - b for b in self.diag_bits))
-
-
-def is_central(P: CentralIdempotent, rho: QuasiOrder) -> bool:
-    """Literal check that P commutes with every matrix unit of the algebra."""
-    Pm = P.matrix()
-    for i, j in rho.pairs:
-        E = matrix_unit(rho.n, i, j)
-        if np.any(Pm @ E != E @ Pm):
-            return False
-    return True
 
 
 def central_idempotents(rho: QuasiOrder) -> list:
@@ -132,7 +121,9 @@ def validate_spec(spec: JordanSpec, tol: float = 1e-10) -> None:
 def build_embedding(spec: JordanSpec):
     """The Jordan embedding X -> S (P g*(X) + (I-P) g*(X)^t) S^{-1}, on one
     matrix or a (B, n, n) stack; a stack's images are bit for bit its
-    matrices' images."""
+    matrices' images.  P is a 0/1 diagonal, so P Y + (I-P) Y^t is row i of Y
+    where P_ii = 1 and of Y^t elsewhere: rows are selected, not multiplied
+    (README, "Report bytes and BLAS kernels", on the sign of a zero)."""
     validate_spec(spec)
     # phi is unchanged under S -> cS.  Scaling by the power of two c = 2^-e that
     # brings max|S| into [1/2, 1) is exact, and it keeps S^-1 and every product
@@ -142,13 +133,12 @@ def build_embedding(spec: JordanSpec):
     S = np.empty_like(S0)
     S.real, S.imag = np.ldexp(S0.real, -e), np.ldexp(S0.imag, -e)
     Sinv = np.linalg.inv(S)
-    Pm = spec.P.matrix()
-    Qm = np.eye(spec.rho.n, dtype=complex) - Pm
+    rows = np.array(spec.P.diag_bits, dtype=bool)[:, None]
     gstar = induced_auto(spec.g)
 
     def phi(X):
         Y = gstar(X)
-        return S @ (Pm @ Y + Qm @ Y.swapaxes(-1, -2)) @ Sinv
+        return S @ np.where(rows, Y, Y.swapaxes(-1, -2)) @ Sinv
 
     return phi
 

@@ -40,7 +40,14 @@ def _as_square(A):
     return A
 
 
+def _check_tol(tol):
+    # no entry exceeds a NaN cutoff (a vacuous pass), and even a zero exceeds -1
+    if tol is not None and not (np.isfinite(tol) and tol >= 0):
+        raise ValueError(f"tol must be finite and >= 0, got {tol}")
+
+
 def _abs_tol(A, tol):
+    _check_tol(tol)
     if tol is not None:
         return tol
     top = np.max(np.abs(A)) if A.size else 0.0
@@ -67,9 +74,13 @@ def in_sma(A, rho: QuasiOrder, tol: float | None = None) -> bool:
 
 def _in_sma_stack(A, rho: QuasiOrder, tol: float | None = None) -> np.ndarray:
     """in_sma on each matrix of a (B, n, n) stack, each with its own default
-    cutoff; raises on non-finite entries."""
+    cutoff; raises on non-finite entries.  A stack that is exactly zero off
+    rho, as one built in the algebra is, is in it under any cutoff >= 0."""
+    _check_tol(tol)
     if not np.all(np.isfinite(A)):
         raise ValueError("matrix has non-finite entries")
+    if not np.any(A[:, ~rho.mask]):
+        return np.ones(len(A), bool)
     absA = np.abs(A)
     cut = DEFAULT_REL_TOL * absA.max(axis=(1, 2), initial=0.0) if tol is None else tol
     return ~np.any(np.where(rho.mask, 0.0, absA) > np.reshape(cut, (-1, 1, 1)), axis=(1, 2))

@@ -226,8 +226,10 @@ def _units(n: int, pairs) -> np.ndarray:
 
 
 def _stack_step(n: int) -> int:
-    """n x n matrices evaluated as one stack outside the sampling harness:
-    2^13 entries, 128 KB, so 8 at n = 32 and 128 at n = 8."""
+    """n x n matrices evaluated as one stack: 2^13 entries, 128 KB, so 128 at
+    n = 8, 32 at n = 16, 14 at n = 24 and 8 at n = 32.  Recovery stacks its
+    units and samples this many at a time, and the sampling harness its
+    samples and probes, at most BATCH of them."""
     return max(1, 2 ** 13 // (n * n))
 
 
@@ -555,12 +557,6 @@ def _check_sampling(n_samples, **values):
             raise ValueError(f"{name} must be finite and > 0, got {value}")
 
 
-def _chunk(n: int) -> int:
-    """Samples (or probe pairs) graded as one stack: the spectrum check's
-    (B, n, n, n) shift stack stays near 1 MB, so 128 at n <= 8 and 2 at n = 32."""
-    return max(1, min(BATCH, 2 ** 20 // (16 * n ** 3)))
-
-
 def _images(mut: MapUnderTest):
     """f(A, rows): the map on each row of the input stack A that `rows` marks,
     each row evaluated once; rows not evaluated yet read 0.  A stacked map
@@ -629,7 +625,7 @@ def _grade(mut: MapUnderTest, names, n_samples: int, tol: float, seed: int,
                     break
                 verdict.fail(tuple(w[k].copy() if w.ndim > 1 else w[k] for w in results[g][1]))
 
-    step = _chunk(n)
+    step = min(BATCH, _stack_step(n))
     diagonals = [(None, (np.stack([np.eye(n, dtype=complex), lambda_matrix(n)]),))]
     for lo in range(0, max(len(off), 1), step):
         pairs = off[lo:lo + step]
@@ -671,12 +667,13 @@ def verify_preserver(mut: MapUnderTest, n_samples: int = 1000, tol: float = 1e-8
     depend on sampling luck.
 
     Batches of 128 samples use independent generators keyed by (seed, batch
-    index).  Each batch is graded as stacked (B, n, n) arrays, a chunk of B
-    samples at a time, with B chosen from n so that the spectrum check's
-    (B, n, n, n) stack of shifted matrices stays near 1 MB (all 128 at n <= 8,
-    2 at n = 32); the probes are stacked by the same rule.  A chunk draws its
-    normals as one block, in the order a sample-by-sample loop would draw
-    them, so chunking changes no sample and no report byte.  phi itself is
+    index).  Each batch is graded as stacked (B, n, n) arrays, a chunk of
+    B = min(128, _stack_step(n)) samples at a time: 128 at n <= 8, 14 at
+    n = 24 and 8 at n = 32, so the spectrum check's (B, n, n, n) stack of
+    shifted matrices is at most 128 KB * n; the probes are stacked by the
+    same rule.  A chunk draws its normals as one block, in the order a
+    sample-by-sample loop would draw them, so chunking changes no sample
+    and no report byte.  phi itself is
     called once per input matrix, at most seven per sample, or, for a map
     that sets `stacked`, once per stack of new inputs; witnesses are the
     first three failing cases in sample order.

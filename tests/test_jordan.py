@@ -4,23 +4,29 @@ import numpy as np
 import pytest
 
 from smalg.quasiorder import QuasiOrder, closure, random_preorder
-from smalg.matalg import matrix_unit, random_in_sma, random_invertible
-from smalg.cocycle import TransitiveMap, induced_auto, random_transitive
+from smalg.matalg import _sma_stack, matrix_unit, random_in_sma, random_invertible
+from smalg.cocycle import TransitiveMap, coboundary, induced_auto, random_transitive
 from smalg.jordan import (
     CentralIdempotent,
     JordanSpec,
     RecoveryError,
     build_embedding,
     central_idempotents,
-    is_central,
     recover_form,
     validate_spec,
     verify_antimultiplicative,
     verify_jordan,
     verify_multiplicative,
 )
-from smalg.preservers import MapUnderTest
+from smalg.preservers import MapUnderTest, _units
 from test_spec_verbs import SHAPES, seeded_spec
+
+
+def is_central(P, rho):
+    """Literal check that P commutes with every matrix unit of the algebra."""
+    D = P.matrix()
+    return all(np.array_equal(D @ matrix_unit(rho.n, i, j), matrix_unit(rho.n, i, j) @ D)
+               for i, j in rho.pairs)
 
 
 def block_spec(two_blocks6):
@@ -333,6 +339,74 @@ class TestStackedRecovery:
             tracemalloc.stop()
         assert rec.max_sample_error < 1e-8
         assert peak < 8e6, f"peak {peak / 1e6:.1f} MB"
+
+
+def four_matmul_embedding(spec):
+    """build_embedding's map as S (P Y + (I-P) Y^t) S^-1 with its two
+    diagonal matmuls, the form row selection replaced: the reference."""
+    S0 = np.asarray(spec.S, dtype=complex)
+    e = np.frexp(np.max(np.abs(S0)))[1]
+    S = np.empty_like(S0)
+    S.real, S.imag = np.ldexp(S0.real, -e), np.ldexp(S0.imag, -e)
+    Sinv = np.linalg.inv(S)
+    Pm = spec.P.matrix()
+    Qm = np.eye(spec.rho.n, dtype=complex) - Pm
+    gstar = induced_auto(spec.g)
+
+    def phi(X):
+        Y = gstar(X)
+        return S @ (Pm @ Y + Qm @ Y.swapaxes(-1, -2)) @ Sinv
+
+    return phi
+
+
+def blas_keeps_zero_sign(n):
+    """Whether this BLAS's n x n complex matmul can sum exact zeros to -0.0.
+    OpenBLAS's AVX-512 kernels do at n = 2, 3, 5, 6 and 7; its Prescott,
+    Sandybridge and Haswell kernels always give +0.0."""
+    Y = np.full((n, n), complex(-0.0, 0.0))
+    return bool(np.signbit((np.eye(n, dtype=complex) @ Y).real).any())
+
+
+def selection_order(n, shape):
+    """Full M_n, or the sum of M_{n//2} and T_{n - n//2}: two component
+    classes, so a mixed central idempotent exists."""
+    if shape == "full":
+        return QuasiOrder.full(n)
+    h = n // 2
+    return QuasiOrder(n, frozenset((i, j) for i in range(1, n + 1) for j in range(1, n + 1)
+                                   if (i <= h and j <= h) or (h < i <= j)))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8, 24])
+@pytest.mark.parametrize("dense", [True, False], ids=["dense-S", "diagonal-S"])
+@pytest.mark.parametrize("shape, P", [("full", "ones"), ("full", "zeros"), ("sum", "ones"),
+                                      ("sum", "zeros"), ("sum", "mixed")])
+def test_row_selection_is_the_four_matmul_form(n, dense, shape, P):
+    rng = np.random.default_rng([n, dense, len(shape), len(P)])
+    rho = selection_order(n, shape)
+    bit = {"ones": lambda i: 1, "zeros": lambda i: 0, "mixed": lambda i: int(i <= n // 2)}[P]
+    if dense:
+        S = random_invertible(n, rng, max_cond=50)
+    else:
+        S = np.diag(np.exp(rng.uniform(-1, 1, n) + 1j * rng.uniform(0, 2 * np.pi, n)))
+    sep = np.exp(rng.uniform(-0.5, 0.5, n) + 1j * rng.uniform(0, 2 * np.pi, n))
+    spec = JordanSpec(rho, S, coboundary(rho, {i: sep[i - 1] for i in range(1, n + 1)}),
+                      CentralIdempotent(tuple(bit(i) for i in range(1, n + 1))))
+    phi, reference = build_embedding(spec), four_matmul_embedding(spec)
+    X = _sma_stack(rho, rng.standard_normal((16, 2 * n * n)))  # the harness's samples
+    alpha = rng.standard_normal(16) + 1j * rng.standard_normal(16)
+    # alpha X carries -0.0 off rho, and g scales the zeros of a unit to -0.0
+    for A in (_units(n, sorted(rho.pairs)), X, alpha[:, None, None] * X):
+        got, want = phi(A), reference(A)
+        if dense or not blas_keeps_zero_sign(n):
+            assert np.array_equal(bits(got), bits(want))
+        else:
+            # a zero of the selection can reach the image alone through a
+            # diagonal S, and such a BLAS keeps its sign where the diagonal
+            # matmuls gave +0.0: every other bit agrees
+            assert np.array_equal(bits(got + 0.0), bits(want + 0.0))
+            assert np.array_equal(bits(got[got != 0]), bits(want[want != 0]))
 
 
 class TestSamplingInput:

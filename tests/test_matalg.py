@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from smalg.quasiorder import QuasiOrder, random_preorder
 from smalg.matalg import (
+    DEFAULT_REL_TOL,
+    _in_sma_stack,
     entry_pairs,
     flat,
     in_sma,
@@ -76,6 +78,92 @@ class TestMembership:
         Z = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
         P = project_sma(Z, fan4)
         assert in_sma(P, fan4, tol=0.0)
+
+
+class TestTolerance:
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1.0, -5e-324])
+    def test_bad_tol_raises(self, tol):
+        # a NaN cutoff let in_sma(ones, diagonal) pass and left support empty
+        diag = QuasiOrder.diagonal(3)
+        calls = [
+            lambda: in_sma(np.ones((3, 3)), diag, tol=tol),
+            lambda: in_sma(np.eye(3), diag, tol=tol),
+            lambda: support(np.ones((3, 3)), tol=tol),
+            lambda: rank_one_closure_member(matrix_unit(3, 1, 1), diag, tol=tol),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match="tol must be finite and >= 0"):
+                call()
+
+    def test_zero_tol_is_exact_support(self):
+        diag = QuasiOrder.diagonal(3)
+        A = np.eye(3, dtype=complex)
+        A[0, 1] = 5e-324
+        assert in_sma(np.eye(3), diag, tol=0.0) and not in_sma(A, diag, tol=0.0)
+        assert support(A, tol=-0.0) == {(1, 1), (1, 2), (2, 2), (3, 3)}
+
+
+def relative_cutoff_membership(A, rho, tol):
+    """_in_sma_stack's reference: every off-rho |A_ij| against the cutoff."""
+    absA = np.abs(A)
+    cut = DEFAULT_REL_TOL * absA.max(axis=(1, 2), initial=0.0) if tol is None else tol
+    return ~np.any(np.where(rho.mask, 0.0, absA) > np.reshape(cut, (-1, 1, 1)), axis=(1, 2))
+
+
+@st.composite
+def edge_stacks(draw):
+    """A stack on a random rho whose entries off rho are exact zeros of
+    either sign, subnormals, or sit one ulp either side of the default
+    cutoff of the largest entry on rho."""
+    n = draw(st.integers(1, 4))
+    rho = random_preorder(n, np.random.default_rng(draw(st.integers(0, 2 ** 16))), p=0.4)
+    B = draw(st.integers(1, 3))
+    top = draw(st.sampled_from([1.0, 3.5, 1e-300, 1e300, 5e-324, 0.0]))
+    cut = DEFAULT_REL_TOL * top
+    near = [cut, np.nextafter(cut, np.inf), np.nextafter(cut, 0.0)]
+    off = st.sampled_from([5e-324, -5e-324, 2.0 ** -1030] + near + [-c for c in near])
+    on = st.sampled_from([top, -top, 0.0, -0.0, 1e-3 * top])
+    zero = st.sampled_from([0.0, -0.0])
+    # off rho, a signed zero, or a value in the real part, the imaginary
+    # part or both; half the stacks are exactly zero off rho
+    where = st.sampled_from(["", "", "re", "im", "both"])
+    zero_off = draw(st.booleans())
+    A = np.empty((B, n, n), dtype=complex)
+    for b in range(B):
+        for i in range(n):
+            for j in range(n):
+                if rho.mask[i, j]:
+                    A[b, i, j] = complex(draw(on), draw(on))
+                    continue
+                at = "" if zero_off else draw(where)
+                A[b, i, j] = complex(draw(off if at in ("re", "both") else zero),
+                                     draw(off if at in ("im", "both") else zero))
+    return A, rho
+
+
+class TestStackMembership:
+    @settings(max_examples=300, deadline=None)
+    @given(edge_stacks(), st.sampled_from([None, 0.0, 1e-300, 1.0]))
+    # off rho: an imaginary part alone, then a subnormal beside a -0.0
+    @example((np.array([[[1.0, 0.0], [1e-3j, 1.0]]]), QuasiOrder.upper_triangular(2)), None)
+    @example((np.array([[[1.0, 0.0], [complex(-0.0, 5e-324), 0.0]]]),
+              QuasiOrder.upper_triangular(2)), 0.0)
+    def test_matches_relative_cutoff(self, case, tol):
+        A, rho = case
+        got = _in_sma_stack(A, rho, tol)
+        assert got.dtype == bool and got.shape == (len(A),)
+        assert np.array_equal(got, relative_cutoff_membership(A, rho, tol))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
+    @pytest.mark.parametrize("on_rho", [True, False])
+    def test_rejects_nonfinite(self, bad, on_rho):
+        # a stack that is zero off rho, or not, raises either way
+        rho = QuasiOrder.upper_triangular(3)
+        A = np.zeros((2, 3, 3), dtype=complex)
+        A[1, 0, 2] = 1.0
+        A[(1, 0, 1) if on_rho else (1, 2, 0)] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            _in_sma_stack(A, rho)
 
 
 class TestSharpFlat:

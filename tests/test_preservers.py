@@ -495,19 +495,47 @@ class TestSamplingInput:
         assert sorted(X.tobytes() for X in rows) == sorted(X.tobytes() for X in singles)
 
     def test_peak_memory_bounded_at_n32(self):
-        # samples are graded as stacks a chunk at a time, so the stacks of a
-        # full-M_32 embedding stay small
+        # samples are graded 8 at a time at n = 32, the 2^13 entries of
+        # _stack_step, so the spectrum check's shift stack is 4 MB and the
+        # traced peak of a full-M_32 embedding stays below 8 MB over 100
+        # samples
         import tracemalloc
 
         rho, phi = large_embedding(32, "full")
         tracemalloc.start()
         try:
-            rep = verify_preserver(MapUnderTest(rho, phi, "embedding"), n_samples=20, seed=0)
+            rep = verify_preserver(MapUnderTest(rho, phi, "embedding"), n_samples=100, seed=0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert rep.all_pass
         assert peak < 8e6, f"peak {peak / 1e6:.1f} MB"
+
+
+class TestStackSize:
+    """The harness grades samples and probes min(BATCH, _stack_step(n)) at
+    a time; no report byte depends on that size."""
+
+    @pytest.mark.parametrize("n, n_samples", [(8, 150), (24, 20)])
+    def test_report_bytes_do_not_depend_on_it(self, monkeypatch, n, n_samples):
+        import json
+
+        from smalg import jsonio, preservers
+
+        assert min(preservers.BATCH, preservers._stack_step(n)) == {8: 128, 24: 14}[n]
+        rho, phi = large_embedding(n, "upper")
+        maps = [MapUnderTest(rho, phi, "embedding", stacked=True),
+                remark_gallery(rho, "scaling"), remark_gallery(rho, "det_twist")]
+
+        def reports():
+            return [jsonio.dump_json(verify_preserver(mut, n_samples=n_samples, seed=7).to_dict())
+                    for mut in maps]
+
+        default = reports()
+        assert [json.loads(rep)["all_pass"] for rep in default] == [True, False, False]
+        for size in (1, 3):
+            monkeypatch.setattr(preservers, "_stack_step", lambda n: size)
+            assert reports() == default
 
 
 class TestStacks:
