@@ -347,13 +347,8 @@ def _checked(convert, check):
     return parse
 
 
-def _check_seed(seed):
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
-
-
 def _add_common(p, samples_default=1000):
-    p.add_argument("--seed", type=_checked(int, _check_seed), default=0,
+    p.add_argument("--seed", type=_checked(int, lambda v: _check_sampling(1, v)), default=0,
                    help="root seed for all sampling (>= 0)")
     p.add_argument("--tol", type=_checked(float, lambda v: _check_sampling(1, tol=v)),
                    default=1e-8, help="comparison tolerance (finite, > 0)")

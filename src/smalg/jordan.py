@@ -200,7 +200,7 @@ def recover_form(phi, rho: QuasiOrder, tol: float = 1e-8,
     reuses the classifier's images of the first off-diagonal units, up to
     4 MB of them, so phi sees each of those units once.
     """
-    _check_sampling(n_samples, tol=tol)
+    seed = _check_sampling(n_samples, seed, tol=tol)
     mut = _as_map(phi, rho)
     ok, witness = condition_i(rho)
     if not ok:

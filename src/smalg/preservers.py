@@ -11,6 +11,8 @@ harness that grades any black-box map on the algebra.
 
 from __future__ import annotations
 
+import functools
+import operator
 from dataclasses import dataclass, field
 from types import SimpleNamespace
 from typing import Callable
@@ -47,7 +49,8 @@ class MapUnderTest:
     `eval` maps an n x n matrix to its image, and the harness calls it once
     per input matrix.  A map that sets `stacked` also maps a (B, n, n) stack
     to the stack of its images, each bit for bit the image of that matrix
-    alone, and the harness calls it once per stack of new inputs.
+    alone, and gets stacks instead: one call per chunk of the sampling
+    harness, and one per stack of units or samples in recovery.
     """
 
     domain: QuasiOrder
@@ -418,13 +421,13 @@ def _fails(err, limit):
 # harness grades stacks of cases: a sampler builds one chunk of samples' cases
 # from s.draw, a probe the deterministic cases graded before the samples, and
 # both return groups (rows, case), where case is a tuple of stacks indexed by
-# sample and rows marks the cases that apply (None: all of them).  `draws` is
-# the number of normals a sampler takes per sample.  An error function takes
-# the stacks of one group and f, which maps an input stack to its stack of
-# images, and returns (failed, witness): a boolean per case and a tuple of
-# stacks whose rows are the witnesses.
+# sample (or by pair) and rows marks the cases that apply (None: all of them).
+# `draws` is the number of normals a sampler takes per sample.  An error
+# function takes the tolerance, the stacks of a case and then the images of
+# its (B, n, n) stacks, and returns (failed, witness): a boolean per case and
+# a tuple of stacks whose rows are the witnesses.
 
-def _spectrum_error(f, tol, X):
+def _spectrum_error(tol, X, fX):
     """Compare det(zI - X) with det(zI - phi(X)) at n points z on the circle
     of radius 1 + 2|X|_F: two monic degree-n polynomials that agree at n points
     are equal.  The circle encloses the spectrum of X, and so that of phi(X)
@@ -433,7 +436,6 @@ def _spectrum_error(f, tol, X):
     agree.  The radius does not follow |phi(X)|_F: a large phi(X) with the
     wrong spectrum would otherwise push the circle out until the error d/R of
     a spectrum change d drops below the tolerance."""
-    fX = f(X)
     B, n = X.shape[:2]
     radius = 1.0 + 2.0 * _norms(X)
     z = radius[:, None] * np.exp(2j * np.pi * np.arange(n) / n)
@@ -463,8 +465,7 @@ def _commuting_cases(s):
     return [(None, (X, Y))]
 
 
-def _commutator_error(f, tol, X, Y):
-    fX, fY = f(X), f(Y)
+def _commutator_error(tol, X, Y, fX, fY):
     err = _norms(fX @ fY - fY @ fX)
     return _fails(err, tol * np.fmax(1.0, _norms(fX) * _norms(fY))), (X, Y, err)
 
@@ -484,8 +485,7 @@ def _injective_cases(s):
     return [(_separable(*case), case) for case in cases]
 
 
-def _separation_error(f, tol, X, Y):
-    fX, fY = f(X), f(Y)
+def _separation_error(tol, X, Y, fX, fY):
     sep = _norms(fX - fY)
     limit = tol * np.fmax(np.fmax(1.0, _norms(fX)), _norms(fY))
     return ~(sep > limit), (X, Y, sep)  # a NaN separation is not above it, so it fails
@@ -495,9 +495,8 @@ def _additive_probe(s):
     return [(None, (s.P, s.F, s.P + s.F)), (s.has_G, (s.F, s.G, s.F + s.G))]
 
 
-def _additive_error(f, tol, X, Y, XY):
-    fX, fY = f(X), f(Y)
-    err = _norms(f(XY) - fX - fY)
+def _additive_error(tol, X, Y, XY, fX, fY, fXY):
+    err = _norms(fXY - fX - fY)
     return _fails(err, tol * np.fmax(1.0, _norms(fX) + _norms(fY))), (X, Y, err)
 
 
@@ -506,24 +505,21 @@ def _homogeneous_cases(s):
     return [(None, (s.X, alpha, alpha[:, None, None] * s.X))]
 
 
-def _homogeneous_error(f, tol, X, alpha, aX):
-    fX = f(X)
-    err = _norms(f(aX) - alpha[:, None, None] * fX)
+def _homogeneous_error(tol, X, alpha, aX, fX, faX):
+    err = _norms(faX - alpha[:, None, None] * fX)
     limit = tol * np.fmax(1.0, np.hypot(alpha.real, alpha.imag) * _norms(fX))
     return _fails(err, limit), (X, alpha, err)
 
 
-def _square_error(f, tol, X, XX):
-    fX = f(X)
-    err = _norms(f(XX) - fX @ fX)
+def _square_error(tol, X, XX, fX, fXX):
+    err = _norms(fXX - fX @ fX)
     return _fails(err, tol * np.fmax(1.0, _norms(fX) ** 2)), (X, err)
 
 
 def _product_error(reverse):
-    def error(f, tol, X, Y, XY):
-        fX, fY = f(X), f(Y)
+    def error(tol, X, Y, XY, fX, fY, fXY):
         want = fY @ fX if reverse else fX @ fY
-        err = _norms(f(XY) - want)
+        err = _norms(fXY - want)
         return _fails(err, tol * np.fmax(1.0, _norms(want))), (X, Y, err)
     return error
 
@@ -548,39 +544,26 @@ _PROPERTIES = {
 }
 
 
-def _check_sampling(n_samples, **values):
-    """Reject inputs that would make a sampled verdict pass vacuously."""
+def _check_sampling(n_samples, seed=0, **values):
+    """Reject inputs that would make a sampled verdict pass vacuously, and a
+    seed that is not an integer >= 0; return the seed as an int."""
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
     for name, value in values.items():
         if not (np.isfinite(value) and value > 0):
             raise ValueError(f"{name} must be finite and > 0, got {value}")
+    if (isinstance(seed, (bool, np.bool_)) or not hasattr(type(seed), "__index__")
+            or operator.index(seed) < 0):
+        raise ValueError(f"seed must be >= 0 and an integer, got {seed!r}")
+    return operator.index(seed)
 
 
-def _images(mut: MapUnderTest):
-    """f(A, rows): the map on each row of the input stack A that `rows` marks,
-    each row evaluated once; rows not evaluated yet read 0.  A stacked map
-    gets a call per stack of new rows, any other map a call per row."""
-    memo = {}  # id -> (A, phi of its rows, rows done); holding A keeps its id unique
-
-    def f(A, rows):
-        hit = memo.get(id(A))
-        if hit is None:
-            hit = memo[id(A)] = (A, np.zeros(A.shape, dtype=complex), np.zeros(len(A), bool))
-        _, fA, done = hit
-        todo = rows & ~done
-        if todo.any():
-            fA[todo] = _eval_stack(mut, A[todo])
-        done |= rows
-        return fA
-
-    return f
-
-
-def _normals(rng, counts):
-    """One chunk's standard normals, drawn as one block in sample order:
-    draw(k, rows) hands each marked sample its next k normals, as a (B, k) array."""
-    block = rng.standard_normal(int(np.sum(counts)))
+def _normals(generator, batch, counts):
+    """One chunk's standard normals, drawn in sample order, each sample's from
+    generator(b) of its batch b: draw(k, rows) hands each marked sample its
+    next k normals, as a (B, k) array."""
+    block = np.concatenate([generator(b).standard_normal(int(np.sum(counts[batch == b])))
+                            for b in range(batch[0], batch[-1] + 1)])
     at = np.cumsum(counts) - counts
 
     def draw(k, rows=slice(None)):
@@ -591,61 +574,120 @@ def _normals(rng, counts):
     return draw
 
 
+def _probe_cases(graded, rho: QuasiOrder, pairs, diagonals):
+    """The groups of each probing property on the unit probes of `pairs`,
+    and on `diagonals`."""
+    n = rho.n
+    F = _units(n, pairs)
+    P = 2.0 * _units(n, [(i, i) for i, _ in pairs]) + F
+    has_G = np.array([(j, i) in rho.pairs for i, j in pairs], bool)
+    G = np.where(has_G[:, None, None], _units(n, [(j, i) for i, j in pairs]), 0.0)
+    p = SimpleNamespace(diagonals=diagonals, F=F, P=P, G=G, has_G=has_G)
+    return {name: probe(p) for name, ((*_, probe), _) in graded.items() if probe}
+
+
+def _sample_cases(graded, rho: QuasiOrder, off, t, generator, sample_scale):
+    """The groups of each property on the samples t, indexed over the whole
+    run; the samplers see the index of each sample in its batch as s.t."""
+    n = rho.n
+    s = SimpleNamespace(rho=rho, off=off, t=t % BATCH)
+    counts = np.full(len(t), 4 * n * n)  # X and Y, then each sampler's draws
+    counts += sum(draws(s) for (_, draws, *_), _ in graded.values() if draws)
+    s.draw = _normals(generator, t // BATCH, counts)
+    s.X = _sma_stack(rho, s.draw(2 * n * n), sample_scale)
+    s.Y = _sma_stack(rho, s.draw(2 * n * n), sample_scale)
+    return {name: sample(s) for name, ((sample, *_), _) in graded.items()}
+
+
+def _grade_chunk(mut: MapUnderTest, graded, tols, parts):
+    """Grade one chunk: each part maps a property to the groups that one probe
+    or sampler call returned, and the parts come in the order of the cases."""
+    # every input stack once, by identity, with the rows that some case needs
+    stacks = {}  # id -> [stack, rows needed or None for all]; holding it keeps the id
+    for groups in (groups for part in parts for groups in part.values()):
+        for rows, case in groups:
+            for A in case:
+                if A.ndim == 3:
+                    seen = stacks.setdefault(id(A), [A, rows])
+                    if seen[1] is not None:
+                        seen[1] = None if rows is None else seen[1] | rows
+    # their needed rows through phi as one stack, which is freed before any
+    # error function runs
+    todo = [A if rows is None else A[rows] for A, rows in stacks.values()]
+    out = _eval_stack(mut, np.concatenate(todo))
+    images, at = {}, 0
+    for key, (A, rows), done in zip(stacks, stacks.values(), todo):
+        images[key] = image = out[at:at + len(done)]
+        if rows is not None:  # rows that no case needs read 0
+            images[key] = np.zeros(A.shape, dtype=complex)
+            images[key][rows] = image
+        at += len(done)
+    for name, ((_, _, error, tol_name, _), verdict) in graded.items():
+        # (part, group, rows, case) for the property's groups, stacked in this order
+        groups = [(p, g, rows, case) for p, part in enumerate(parts)
+                  for g, (rows, case) in enumerate(part.get(name, ()))]
+        if not groups:
+            continue
+        stacked = [slot[0] if len(slot) == 1 else np.concatenate(slot) for slot in
+                   zip(*(case + tuple(images[id(A)] for A in case if A.ndim == 3)
+                         for *_, case in groups))]
+        failed, witness = error(tols[tol_name], *stacked)
+        rows = [np.ones(len(case[0]), bool) if rows is None else rows
+                for _, _, rows, case in groups]
+        rows = rows[0] if len(rows) == 1 else np.concatenate(rows)
+        failed &= rows
+        verdict.checked += int(np.count_nonzero(rows))
+        if not failed.any():
+            continue
+        # the first failing cases in the order of the cases: by part, then by
+        # sample (or pair), then by group
+        found, at = [], 0
+        for p, g, _, case in groups:
+            found += [(p, k, g, at + k) for k in np.flatnonzero(failed[at:at + len(case[0])])[:3]]
+            at += len(case[0])
+        for *_, k in sorted(found)[:3 - len(verdict.witnesses)]:
+            verdict.fail(tuple(w[k].copy() if w.ndim > 1 else w[k] for w in witness))
+
+
 def _grade(mut: MapUnderTest, names, n_samples: int, tol: float, seed: int,
            sample_scale: float = 1.0, spectrum_tol: float | None = None,
            commutator_tol: float | None = None) -> PreserverReport:
     """The sampling harness: grade the named properties of the table on the
-    probes, then on `n_samples` seeded samples, a chunk of stacked cases at a
-    time."""
+    probes and then on `n_samples` seeded samples.
+
+    The cases form one sequence of units: one probe unit per pair of the
+    first 64 off-diagonal pairs of rho in sorted order, when a named property
+    has probes, and then the samples; the identity and diag(1..n) ride with
+    the first unit.  The sequence is graded a chunk of
+    min(BATCH, _stack_step(n)) units at a time: the chunk's probes and
+    samplers run, phi maps all their input matrices in one stack, and each
+    property's error function runs once, on the chunk's probe and sample
+    cases together."""
     tols = {"tol": tol, "spectrum_tol": tol if spectrum_tol is None else spectrum_tol,
             "commutator_tol": tol if commutator_tol is None else commutator_tol}
-    _check_sampling(n_samples, sample_scale=sample_scale, **tols)
+    seed = _check_sampling(n_samples, seed, sample_scale=sample_scale, **tols)
     rho, n = mut.domain, mut.domain.n
     off = sorted(rho.off_diagonal)[:64]
     graded = {name: (prop, PropertyVerdict()) for name, prop in _PROPERTIES.items()
               if name in names}
-    rep = PreserverReport(mut.label, seed if isinstance(seed, int) else -1, n_samples,
+    rep = PreserverReport(mut.label, seed, n_samples,
                           **{name: verdict for name, (_, verdict) in graded.items()})
-
-    def grade(s, probe):
-        f = _images(mut)  # images live for one chunk
-        for (sample, _, error, tol_name, probe_cases), verdict in graded.values():
-            cases = probe_cases if probe else sample
-            results = []
-            for rows, case in cases(s) if cases else ():
-                rows = np.ones(len(case[0]), bool) if rows is None else rows
-                failed, witness = error(lambda A: f(A, rows), tols[tol_name], *case)
-                results.append((failed & rows, witness))
-                verdict.checked += int(np.count_nonzero(rows))
-            if not results:
-                continue
-            # witnesses in the order of the cases: by sample, then by group
-            for k, g in zip(*np.nonzero(np.stack([failed for failed, _ in results], axis=1))):
-                if len(verdict.witnesses) == 3:
-                    break
-                verdict.fail(tuple(w[k].copy() if w.ndim > 1 else w[k] for w in results[g][1]))
-
-    step = min(BATCH, _stack_step(n))
+    probed = off if any(probe for (*_, probe), _ in graded.values()) else []
+    units, step = len(probed) + n_samples, min(BATCH, _stack_step(n))
     diagonals = [(None, (np.stack([np.eye(n, dtype=complex), lambda_matrix(n)]),))]
-    for lo in range(0, max(len(off), 1), step):
-        pairs = off[lo:lo + step]
-        F = _units(n, pairs)
-        P = 2.0 * _units(n, [(i, i) for i, _ in pairs]) + F
-        has_G = np.array([(j, i) in rho.pairs for i, j in pairs], bool)
-        G = np.where(has_G[:, None, None], _units(n, [(j, i) for i, j in pairs]), 0.0)
-        grade(SimpleNamespace(diagonals=diagonals if lo == 0 else [], F=F, P=P, G=G,
-                              has_G=has_G), probe=True)
-    for b0 in range(0, n_samples, BATCH):
-        rng = np.random.default_rng((seed, b0 // BATCH))
-        size = min(BATCH, n_samples - b0)
-        for t0 in range(0, size, step):
-            s = SimpleNamespace(rho=rho, off=off, t=np.arange(t0, min(t0 + step, size)))
-            counts = np.full(len(s.t), 4 * n * n)  # X and Y, then each sampler's draws
-            counts += sum(draws(s) for (_, draws, *_), _ in graded.values() if draws)
-            s.draw = _normals(rng, counts)
-            s.X = _sma_stack(rho, s.draw(2 * n * n), sample_scale)
-            s.Y = _sma_stack(rho, s.draw(2 * n * n), sample_scale)
-            grade(s, probe=False)
+
+    @functools.lru_cache(maxsize=1)  # chunks take the batches in order
+    def generator(b):
+        return np.random.default_rng((seed, b))
+
+    for lo in range(0, units, step):
+        hi, parts = min(lo + step, units), []
+        if lo < max(len(probed), 1):
+            parts.append(_probe_cases(graded, rho, probed[lo:hi], diagonals if lo == 0 else []))
+        t = np.arange(max(lo, len(probed)), hi) - len(probed)  # the chunk's samples
+        if len(t):
+            parts.append(_sample_cases(graded, rho, off, t, generator, sample_scale))
+        _grade_chunk(mut, graded, tols, parts)
     return rep
 
 
@@ -662,21 +704,25 @@ def verify_preserver(mut: MapUnderTest, n_samples: int = 1000, tol: float = 1e-8
     the two agree), so no characteristic polynomial is formed; commuting
     inputs alternate between conjugated diagonal pairs and (X, p(X)) pairs.
     A non-finite output fails every property it enters, and never raises.
-    Deterministic probes (the identity, diag(1..n), per-pair unit
-    combinations) run before the seeded batches, so structural failures do not
-    depend on sampling luck.
+    Deterministic probes run before the samples: the identity and diag(1..n)
+    for spectrum, and per-pair unit combinations for injectivity and
+    additivity.  The unit probes cover the first 64 off-diagonal pairs of rho
+    in sorted order, so a structural failure at one of those pairs does not
+    depend on sampling luck; past 64 pairs (992 on full M_32) only the
+    samples reach the rest.
 
-    Batches of 128 samples use independent generators keyed by (seed, batch
-    index).  Each batch is graded as stacked (B, n, n) arrays, a chunk of
-    B = min(128, _stack_step(n)) samples at a time: 128 at n <= 8, 14 at
-    n = 24 and 8 at n = 32, so the spectrum check's (B, n, n, n) stack of
-    shifted matrices is at most 128 KB * n; the probes are stacked by the
-    same rule.  A chunk draws its normals as one block, in the order a
-    sample-by-sample loop would draw them, so chunking changes no sample
-    and no report byte.  phi itself is
-    called once per input matrix, at most seven per sample, or, for a map
-    that sets `stacked`, once per stack of new inputs; witnesses are the
-    first three failing cases in sample order.
+    The probes and samples form one sequence of cases, graded a chunk of
+    B = min(128, _stack_step(n)) units at a time, a unit being one probed
+    pair or one sample: 128 at n <= 8, 14 at n = 24 and 8 at n = 32.  Batches
+    of 128 samples use independent generators keyed by (seed, batch index),
+    and a chunk draws its normals in the order a sample-by-sample loop would
+    draw them, so chunking changes no sample and no report byte.  phi sees
+    each chunk's inputs once: one call per input matrix, at most seven per
+    sample, or, for a map that sets `stacked`, one call per chunk.  The
+    spectrum check's (B, n, n, n) stack of shifted matrices, which the first
+    chunk extends by the identity and diag(1..n), is about 128 KB * n.
+    Witnesses are the first three failing cases: probes first, then samples
+    in sample order.
     """
     return _grade(mut, ("spectrum", "commutativity", "injectivity", "additivity", "homogeneity"),
                   n_samples, tol, seed, sample_scale, spectrum_tol, commutator_tol)

@@ -448,6 +448,26 @@ class TestSamplingInput:
         with pytest.raises(ValueError, match="tol"):
             verify_jordan(lambda X: np.array(X), fan4, n_samples=10, tol=float("nan"))
 
+    def test_numpy_integer_seed_is_the_int_seed(self, fan4):
+        from smalg import jsonio
+
+        def report(seed):
+            return jsonio.dump_json(verify_preserver(counterexample(fan4), n_samples=150,
+                                                     seed=seed).to_dict())
+
+        assert report(np.int64(3)) == report(3)
+
+    @pytest.mark.parametrize("seed", [-1, 3.0, True, np.random.default_rng(3)],
+                             ids=["negative", "float", "bool", "generator"])
+    def test_bad_seed_rejected(self, fan4, seed):
+        from smalg.jordan import recover_form
+
+        with pytest.raises(ValueError, match="^seed must be >= 0 and an integer"):
+            verify_preserver(counterexample(fan4), n_samples=10, seed=seed)
+        t4 = QuasiOrder.upper_triangular(4)
+        with pytest.raises(ValueError, match="^seed must be >= 0 and an integer"):
+            recover_form(identity_map(t4), t4, seed=seed)
+
     def test_unchecked_verdict_is_not_ok(self):
         from smalg.preservers import PropertyVerdict
 
@@ -493,6 +513,29 @@ class TestSamplingInput:
         assert rep.all_pass and rep.to_dict() == one.to_dict()
         assert len(singles) >= 2 + 3 * len(rho.off_diagonal) + 7 * n_samples
         assert sorted(X.tobytes() for X in rows) == sorted(X.tobytes() for X in singles)
+
+    @pytest.mark.parametrize("case", ["fan4", "upper24"])
+    def test_stacked_phi_called_once_per_chunk(self, fan4, case):
+        # the probed pairs and then the samples are graded
+        # min(BATCH, _stack_step(n)) units at a time, and a stacked map gets
+        # one call per chunk: fan4's 4 pairs and 100 samples fit in one chunk
+        # of 128; T_24 probes 64 of its 276 pairs, which with 20 samples fill
+        # six chunks of 14
+        if case == "fan4":
+            mut, n_samples, chunks = counterexample(fan4), 100, 1
+        else:
+            rho, phi = large_embedding(24, "upper")
+            mut, n_samples, chunks = MapUnderTest(rho, phi, "embedding", stacked=True), 20, 6
+        calls, inner = [], mut.eval
+
+        def counted(X):
+            calls.append(len(X))
+            return inner(X)
+
+        mut.eval = counted
+        rep = verify_preserver(mut, n_samples=n_samples, seed=0)
+        assert rep.all_pass == (case != "fan4")
+        assert len(calls) == chunks
 
     def test_peak_memory_bounded_at_n32(self):
         # samples are graded 8 at a time at n = 32, the 2^13 entries of
