@@ -9,19 +9,16 @@ from .quasiorder import (
     image,
     preimage,
     components,
-    mutual_classes,
     is_two_free,
     condition_i,
     is_symmetric,
     block_triangular_permutation,
-    delete_indices,
     rank_one_density,
     all_preorders,
 )
 from .matalg import (
     support,
     in_sma,
-    project_sma,
     sharp,
     flat,
     matrix_unit,
@@ -34,7 +31,6 @@ from .cocycle import (
     Nontrivial,
     validate,
     triviality,
-    random_transitive,
     induced_auto,
 )
 from .jordan import (
@@ -51,7 +47,6 @@ from .jordan import (
 from .preservers import (
     MapUnderTest,
     PreserverReport,
-    gen_commuting_pair,
     counterexample,
     commutes_criterion,
     classify_unit_action,

@@ -63,12 +63,18 @@ def _emit(obj, pretty):
     print(jsonio.dump_json(obj, pretty=pretty))
 
 
+def _unloadable(what, path, exc):
+    """Exit 1 with one line naming the file and what is wrong with it."""
+    reason = f"missing key {exc}" if isinstance(exc, KeyError) else exc
+    print(f"error: cannot load {what} from {path}: {reason}", file=sys.stderr)
+    raise SystemExit(EXIT_USAGE)
+
+
 def _load_quasiorder(path):
     try:
         return jsonio.load_quasiorder(path)
     except (OSError, ValueError, KeyError, TypeError) as exc:
-        print(f"error: cannot load quasi-order from {path}: {exc}", file=sys.stderr)
-        raise SystemExit(EXIT_USAGE)
+        _unloadable("quasi-order", path, exc)
 
 
 def _load_spec(path):
@@ -77,8 +83,7 @@ def _load_spec(path):
         spec = jsonio.load_jordan_spec(path)
         return spec, build_embedding(spec)
     except (OSError, ValueError, KeyError, TypeError) as exc:
-        print(f"error: cannot load spec from {path}: {exc}", file=sys.stderr)
-        raise SystemExit(EXIT_USAGE)
+        _unloadable("spec", path, exc)
 
 
 def cmd_analyze(args):

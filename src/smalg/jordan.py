@@ -56,12 +56,6 @@ class CentralIdempotent:
             raise ValueError("diagonal bits must be 0 or 1")
         object.__setattr__(self, "diag_bits", bits)
 
-    def matrix(self) -> np.ndarray:
-        return np.diag(np.array(self.diag_bits, dtype=complex))
-
-    def complement(self) -> "CentralIdempotent":
-        return CentralIdempotent(tuple(1 - b for b in self.diag_bits))
-
 
 def central_idempotents(rho: QuasiOrder) -> list:
     """All central idempotents of the algebra of rho: the 0/1 diagonals constant
@@ -91,10 +85,6 @@ class JordanSpec:
     S: np.ndarray
     g: TransitiveMap
     P: CentralIdempotent
-
-    @property
-    def cond(self) -> float:
-        return float(np.linalg.cond(self.S))
 
 
 def validate_spec(spec: JordanSpec, tol: float = 1e-10) -> None:
@@ -207,7 +197,15 @@ def recover_form(phi, rho: QuasiOrder, tol: float = 1e-8,
         raise ValueError(f"quasi-order fails the neighborhood criterion at {witness}")
     n = rho.n
 
-    M = _eval_stack(mut, lambda_matrix(n)[None])[0]
+    def images(A):  # phi's images of a stack; a broken map contract fails the recovery
+        try:
+            return _eval_stack(mut, A)
+        except ValueError as exc:
+            raise RecoveryError(str(exc)) from exc
+
+    M = images(lambda_matrix(n)[None])[0]
+    if not np.all(np.isfinite(M)):
+        raise RecoveryError("phi(diag(1..n)) is not finite")
     w, V = np.linalg.eig(M)
     cols = []
     for k in range(1, n + 1):
@@ -241,7 +239,7 @@ def recover_form(phi, rho: QuasiOrder, tol: float = 1e-8,
         raise RecoveryError(f"recovered parameters are inconsistent: {exc}") from exc
 
     def round_trip(A):  # the error on each matrix of a stack
-        return _norms(rebuilt(A) - _eval_stack(mut, A))
+        return _norms(rebuilt(A) - images(A))
 
     # the error on every pair, the kept units' first: the max does not depend
     # on the order
@@ -254,7 +252,7 @@ def recover_form(phi, rho: QuasiOrder, tol: float = 1e-8,
     rng = np.random.default_rng(seed)
     sample_errs = []
     for lo in range(0, n_samples, step):
-        # the normals of consecutive random_in_sma draws, as one block
+        # one block of normals, 2 n^2 per sample, in sample order
         X = _sma_stack(rho, rng.standard_normal((min(step, n_samples - lo), 2 * n * n)))
         sample_errs.append(round_trip(X) / np.fmax(1.0, _norms(X)))
     # np.max keeps a NaN error, and a NaN error is not <= tol

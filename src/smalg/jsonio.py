@@ -20,11 +20,8 @@ __all__ = [
     "quasiorder_to_dict",
     "quasiorder_from_dict",
     "load_quasiorder",
-    "save_quasiorder",
     "matrix_to_dict",
     "matrix_from_dict",
-    "load_matrix",
-    "save_matrix",
     "transitive_map_to_dict",
     "transitive_map_from_dict",
     "jordan_spec_to_dict",
@@ -91,11 +88,6 @@ def load_quasiorder(path):
     return quasiorder_from_dict(_read(path))
 
 
-def save_quasiorder(rho: QuasiOrder, path) -> None:
-    with open(path, "w") as fh:
-        fh.write(dump_json(quasiorder_to_dict(rho), pretty=True))
-
-
 def matrix_to_dict(A) -> dict:
     A = np.asarray(A, dtype=complex)
     return {"n": A.shape[0], "entries": entry_pairs(A)}
@@ -107,15 +99,6 @@ def matrix_from_dict(d: dict) -> np.ndarray:
     if A.shape != (n, n):
         raise ValueError(f"entry grid is {A.shape}, expected ({n},{n})")
     return A
-
-
-def load_matrix(path) -> np.ndarray:
-    return matrix_from_dict(_read(path))
-
-
-def save_matrix(A, path) -> None:
-    with open(path, "w") as fh:
-        fh.write(dump_json(matrix_to_dict(A), pretty=True))
 
 
 def transitive_map_to_dict(g: TransitiveMap) -> dict:

@@ -2,8 +2,8 @@
 
 Matrices are plain complex128 numpy arrays.  The algebra of a quasi-order rho
 is the set of matrices supported in rho; membership, the row/column deletion
-and insertion operators, random members and the rank-one closure test live
-here.
+and insertion operators, stacks of members built from given normals and the
+rank-one closure test live here.
 """
 
 from __future__ import annotations
@@ -16,14 +16,11 @@ __all__ = [
     "DEFAULT_REL_TOL",
     "support",
     "in_sma",
-    "project_sma",
     "sharp",
     "flat",
     "entry_pairs",
     "matrix_unit",
     "lambda_matrix",
-    "random_in_sma",
-    "random_invertible",
     "rank_one_closure_member",
 ]
 
@@ -86,12 +83,6 @@ def _in_sma_stack(A, rho: QuasiOrder, tol: float | None = None) -> np.ndarray:
     return ~np.any(np.where(rho.mask, 0.0, absA) > np.reshape(cut, (-1, 1, 1)), axis=(1, 2))
 
 
-def project_sma(A, rho: QuasiOrder) -> np.ndarray:
-    """Zero out all entries outside rho (exact membership by construction)."""
-    A = _as_square(A)
-    return np.where(rho.mask, A, 0.0)
-
-
 def sharp(A, positions) -> np.ndarray:
     """Insert zero rows and columns so they land at the given 1-based positions
     of the enlarged matrix; inverse (on its range) of `flat` at the same set."""
@@ -145,20 +136,6 @@ def _sma_stack(rho: QuasiOrder, Z, scale: float = 1.0) -> np.ndarray:
     n = rho.n
     re, im = Z[:, : n * n].reshape(-1, n, n), Z[:, n * n:].reshape(-1, n, n)
     return np.where(rho.mask, scale * (re + 1j * im), 0.0)
-
-
-def random_in_sma(rho: QuasiOrder, rng, scale: float = 1.0) -> np.ndarray:
-    """Random element of the algebra of rho with iid complex-normal entries on rho."""
-    return _sma_stack(rho, rng.standard_normal((1, 2 * rho.n ** 2)), scale)[0]
-
-
-def random_invertible(n: int, rng, max_cond: float = 100.0, max_tries: int = 64) -> np.ndarray:
-    """Random complex matrix with condition number below max_cond."""
-    for _ in range(max_tries):
-        S = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        if np.linalg.cond(S) <= max_cond:
-            return S
-    raise RuntimeError(f"no matrix with condition number <= {max_cond} after {max_tries} draws")
 
 
 def rank_one_closure_member(A, rho: QuasiOrder, tol: float | None = None):

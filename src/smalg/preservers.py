@@ -29,7 +29,6 @@ __all__ = [
     "PreserverReport",
     "identity_map",
     "transpose_map",
-    "gen_commuting_pair",
     "counterexample",
     "case2_kink",
     "commutes_criterion",
@@ -100,7 +99,11 @@ def _norms(A):
 
 
 def _commuting_pairs(rho: QuasiOrder, Z):
-    """gen_commuting_pair on a stack: row b of Z holds its 2n^2 + 4n normals."""
+    """A stack of commuting pairs X = S D1 S^{-1}, Y = S D2 S^{-1}, with S = I
+    plus a small strictly-off-diagonal element of the algebra, from the
+    standard normals Z: row b holds the 2n^2 + 4n normals of pair b.  Both
+    outputs are projected to the algebra exactly, leaving a commutator at
+    roundoff level."""
     n, k = rho.n, np.arange(rho.n)
     N = _sma_stack(rho, Z[:, : 2 * n * n])
     N[:, k, k] = 0.0
@@ -114,15 +117,6 @@ def _commuting_pairs(rho: QuasiOrder, Z):
     D[:, :, k, k] = d[:, :, 0] + 1j * d[:, :, 1]
     XY = np.where(rho.mask, S[:, None] @ D @ Sinv[:, None], 0.0)
     return XY[:, 0], XY[:, 1]
-
-
-def gen_commuting_pair(rho: QuasiOrder, seed=0):
-    """A commuting pair X = S D1 S^{-1}, Y = S D2 S^{-1} with S = I plus a small
-    strictly-off-diagonal element of the algebra; both outputs are projected to
-    the algebra exactly, leaving a commutator at roundoff level."""
-    rng = np.random.default_rng(seed)  # a Generator is passed through as is
-    X, Y = _commuting_pairs(rho, rng.standard_normal((1, 2 * rho.n ** 2 + 4 * rho.n)))
-    return X[0], Y[0]
 
 
 def case2_kink(u: complex, v: complex) -> complex:
@@ -208,14 +202,24 @@ def _as_map(phi, rho: QuasiOrder) -> MapUnderTest:
     return phi
 
 
+def _image(mut: MapUnderTest, A):
+    """mut.eval(A), which must have the shape of A: numpy would broadcast a
+    scalar or a row into a full image."""
+    image = mut.eval(A)
+    if np.shape(image) != A.shape:
+        raise ValueError(f"map {mut.label!r} returned an image of shape {np.shape(image)} "
+                         f"for an input of shape {A.shape}")
+    return image
+
+
 def _eval_stack(mut: MapUnderTest, A) -> np.ndarray:
     """The images of a (B, n, n) stack: one call for a stacked map, one call
-    per matrix for any other."""
+    per matrix for any other.  An image of the wrong shape raises ValueError."""
     if mut.stacked:
-        return np.asarray(mut.eval(A), dtype=complex)
+        return np.asarray(_image(mut, A), dtype=complex)
     out = np.empty(A.shape, dtype=complex)
     for k, a in enumerate(A):
-        out[k] = mut.eval(a)
+        out[k] = _image(mut, a)
     return out
 
 

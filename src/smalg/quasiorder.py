@@ -28,15 +28,12 @@ __all__ = [
     "preimage",
     "neighborhood",
     "components",
-    "mutual_classes",
     "is_two_free",
     "condition_i",
     "is_symmetric",
     "block_triangular_permutation",
-    "delete_indices",
     "rank_one_density",
     "all_preorders",
-    "random_preorder",
 ]
 
 
@@ -158,12 +155,6 @@ class Partition:
         if seen != set(range(1, self.n + 1)):
             raise ValueError("blocks do not cover [1, n]")
 
-    def block_of(self, i: int) -> frozenset:
-        for b in self.blocks:
-            if i in b:
-                return b
-        raise KeyError(i)
-
     def __len__(self):
         return len(self.blocks)
 
@@ -219,15 +210,6 @@ def _mutual_masks(rho: QuasiOrder) -> list:
     in order of smallest member."""
     return [c for i, c in enumerate(r & c for r, c in zip(rho.rows, rho.cols))
             if c & -c == 1 << i]
-
-
-def mutual_classes(rho: QuasiOrder) -> Partition:
-    """Classes of the mutual relation i ~ j iff both (i,j) and (j,i) lie in rho.
-
-    This is already an equivalence (transitivity of rho closes it), and it is
-    finer than `components`.
-    """
-    return Partition(rho.n, [_members(c) for c in _mutual_masks(rho)])
 
 
 def is_two_free(rho: QuasiOrder) -> bool:
@@ -310,22 +292,6 @@ def _triangularize(rho: QuasiOrder) -> BlockTriangularization:
     return BlockTriangularization(tuple(perm), tuple(sizes), len(rho.pairs) == count_upper)
 
 
-def delete_indices(rho: QuasiOrder, drop) -> QuasiOrder:
-    """Quasi-order on [1, n-|drop|] obtained by deleting the indices in `drop`
-    and reindexing the survivors order-preservingly."""
-    drop = frozenset(drop)
-    for i in drop:
-        _check_index(rho, i)
-    if len(drop) == rho.n:
-        raise ValueError("cannot delete every index")
-    keep = sorted(set(range(1, rho.n + 1)) - drop)
-    kappa = {orig: new for new, orig in enumerate(keep, start=1)}
-    pairs = frozenset(
-        (kappa[i], kappa[j]) for (i, j) in rho.pairs if i not in drop and j not in drop
-    )
-    return QuasiOrder(rho.n - len(drop), pairs)
-
-
 def rank_one_density(rho: QuasiOrder) -> bool:
     """Whether rank-one non-nilpotents are dense among the rank-one matrices of
     the algebra of rho.
@@ -400,13 +366,3 @@ def all_preorders(n: int):
         yield QuasiOrder(n, frozenset(
             (i + 1, j + 1) for i, r in enumerate(rows) for j in _bits(r)))
 
-
-def random_preorder(n: int, rng, p: float = 0.3) -> QuasiOrder:
-    """Closure of a random off-diagonal pair set with inclusion probability p."""
-    pairs = [
-        (i, j)
-        for i in range(1, n + 1)
-        for j in range(1, n + 1)
-        if i != j and rng.random() < p
-    ]
-    return closure(n, pairs)

@@ -16,18 +16,16 @@ from smalg.quasiorder import (
     closure,
     condition_i,
     is_two_free,
-    random_preorder,
 )
 from smalg.matalg import (
+    _sma_stack,
     flat,
     in_sma,
     matrix_unit,
-    random_in_sma,
-    random_invertible,
     rank_one_closure_member,
     sharp,
 )
-from smalg.cocycle import Nontrivial, TransitiveMap, induced_auto, random_transitive, triviality, validate
+from smalg.cocycle import Nontrivial, TransitiveMap, induced_auto, triviality, validate
 from smalg.jordan import (
     CentralIdempotent,
     JordanSpec,
@@ -38,8 +36,10 @@ from smalg.jordan import (
     verify_jordan,
     verify_multiplicative,
 )
-from smalg.preservers import counterexample, gen_commuting_pair, verify_preserver
+from smalg.preservers import _commuting_pairs, counterexample, verify_preserver
 from smalg import jsonio
+
+from generators import random_invertible, random_preorder, random_transitive
 
 
 def announce(name, t0, failed=False):
@@ -129,10 +129,12 @@ def test_acceptance_strict_pair_counterexample():
                               spectrum_tol=1e-12, commutator_tol=1e-8)
     assert report.spectrum.ok and report.commutativity.ok
     assert not report.additivity.ok
-    # absolute commutator bound over seeded commuting pairs
-    worst = 0.0
-    for seed in range(1000):
-        X, Y = gen_commuting_pair(rho, seed)
+    # absolute commutator bound over seeded commuting pairs, one row of
+    # normals from each seed's generator
+    worst, n = 0.0, rho.n
+    Z = np.concatenate([np.random.default_rng(seed).standard_normal((1, 2 * n * n + 4 * n))
+                        for seed in range(1000)])
+    for X, Y in zip(*_commuting_pairs(rho, Z)):
         fX, fY = mut.eval(X), mut.eval(Y)
         worst = max(worst, float(np.linalg.norm(fX @ fY - fY @ fX)))
     assert worst < 1e-8
@@ -149,7 +151,7 @@ def test_acceptance_symmetric_block_counterexample():
 
     rng = np.random.default_rng(0)
     for _ in range(1000):
-        X = random_in_sma(rho, rng)
+        X = _sma_stack(rho, rng.standard_normal((1, 2 * 3 * 3)))[0]
         fX = mut.eval(X)
         assert abs(np.trace(fX) - np.trace(X)) < 1e-12 * max(1.0, abs(np.trace(X)))
         dX, dfX = np.linalg.det(X), np.linalg.det(fX)

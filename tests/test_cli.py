@@ -258,10 +258,20 @@ class TestBadInput:
         path.write_text(json.dumps(blob))
         assert "must be an integer" in usage_error(capsys, "embed", str(path))
 
-    @pytest.mark.parametrize("content", [None, "{not json", '{"quasiorder": {"n": 2}}'])
-    def test_missing_or_malformed_spec(self, capsys, tmp_path, content):
+    @pytest.mark.parametrize("content, expected", [
+        pytest.param(None, "No such file", id="None"),
+        pytest.param("{not json", "Expecting property name", id="{not json"),
+        pytest.param('{"quasiorder": {"n": 2}}', ": missing key 'pairs'",
+                     id='{"quasiorder": {"n": 2}}'),
+    ])
+    def test_missing_or_malformed_spec(self, capsys, tmp_path, content, expected):
         path = tmp_path / "spec.json"
         if content is not None:
             path.write_text(content)
-        usage_error(capsys, "embed", str(path))
-        usage_error(capsys, "recover", "--spec", str(path))
+        assert expected in usage_error(capsys, "embed", str(path))
+        assert expected in usage_error(capsys, "recover", "--spec", str(path))
+
+    def test_quasiorder_missing_key_named(self, capsys, tmp_path):
+        path = tmp_path / "q.json"
+        path.write_text('{"n": 2}')
+        assert ": missing key 'pairs'" in usage_error(capsys, "analyze", str(path))

@@ -3,9 +3,9 @@ import warnings
 import numpy as np
 import pytest
 
-from smalg.quasiorder import QuasiOrder, closure, random_preorder
-from smalg.matalg import _sma_stack, matrix_unit, random_in_sma, random_invertible
-from smalg.cocycle import TransitiveMap, coboundary, induced_auto, random_transitive
+from smalg.quasiorder import QuasiOrder, closure
+from smalg.matalg import _sma_stack, matrix_unit
+from smalg.cocycle import TransitiveMap, coboundary, induced_auto
 from smalg.jordan import (
     CentralIdempotent,
     JordanSpec,
@@ -19,12 +19,13 @@ from smalg.jordan import (
     verify_multiplicative,
 )
 from smalg.preservers import MapUnderTest, _units
+from generators import random_invertible, random_preorder, random_transitive
 from test_spec_verbs import SHAPES, seeded_spec
 
 
 def is_central(P, rho):
     """Literal check that P commutes with every matrix unit of the algebra."""
-    D = P.matrix()
+    D = np.diag(P.diag_bits).astype(complex)
     return all(np.array_equal(D @ matrix_unit(rho.n, i, j), matrix_unit(rho.n, i, j) @ D)
                for i, j in rho.pairs)
 
@@ -78,12 +79,12 @@ class TestBuildEmbedding:
                           TransitiveMap.constant_one(fan4),
                           CentralIdempotent((1, 1, 1, 1)))
         phi = build_embedding(spec)
-        X = random_in_sma(fan4, rng)
+        X = _sma_stack(fan4, rng.standard_normal((1, 2 * 4 * 4)))[0]
         assert np.array_equal(phi(X), X)
 
     def test_two_block_transposition(self, two_blocks6, rng):
         phi = build_embedding(block_spec(two_blocks6))
-        X = random_in_sma(two_blocks6, rng)
+        X = _sma_stack(two_blocks6, rng.standard_normal((1, 2 * 6 * 6)))[0]
         want = np.zeros((6, 6), dtype=complex)
         want[:3, :3] = X[:3, :3]
         want[3:, 3:] = X[3:, 3:].T
@@ -96,7 +97,7 @@ class TestBuildEmbedding:
                           CentralIdempotent((1,) * 7))
         phi = build_embedding(spec)
         auto = induced_auto(g)
-        X = random_in_sma(cocycle7, rng)
+        X = _sma_stack(cocycle7, rng.standard_normal((1, 2 * 7 * 7)))[0]
         assert np.allclose(phi(X), auto(X))
 
     def test_validate_rejects_noncentral(self, fan4):
@@ -121,7 +122,7 @@ class TestBuildEmbedding:
             P = ids[int(rng.integers(0, len(ids)))]
             phi = build_embedding(JordanSpec(rho, S, g, P))
             for _ in range(40):
-                X = random_in_sma(rho, rng)
+                X = _sma_stack(rho, rng.standard_normal((1, 2 * 5 * 5)))[0]
                 fX = phi(X)
                 assert np.linalg.norm(phi(X @ X) - fX @ fX) < 1e-8 * max(
                     1.0, float(np.linalg.norm(fX)) ** 2)
@@ -129,11 +130,11 @@ class TestBuildEmbedding:
     def test_range_orthogonality_exact(self, two_blocks6, rng):
         # the P-part and the transposed complement annihilate each other
         spec = block_spec(two_blocks6)
-        Pm = spec.P.matrix()
+        Pm = np.diag(spec.P.diag_bits).astype(complex)
         Qm = np.eye(6) - Pm
         auto = induced_auto(spec.g)
         for _ in range(25):
-            X, Y = random_in_sma(two_blocks6, rng), random_in_sma(two_blocks6, rng)
+            X, Y = _sma_stack(two_blocks6, rng.standard_normal((2, 2 * 6 * 6)))
             left = Pm @ auto(X)
             right = Qm @ auto(Y).T
             assert not np.any(left @ right)
@@ -258,6 +259,20 @@ class TestRecovery:
             with pytest.raises(RecoveryError, match=r"phi\(E_12\) is not finite"):
                 recover_form(phi, full3)
 
+    @pytest.mark.parametrize("stacked", [False, True])
+    def test_non_finite_diagonal_image_reported(self, stacked):
+        # checked before the eigendecomposition, which would raise LinAlgError
+        full3 = QuasiOrder.full(3)
+
+        def phi(X):
+            out = np.array(X, dtype=complex)
+            out[np.all(out == np.diag([1, 2, 3]), axis=(-2, -1)), 0, 0] = np.nan
+            return out
+
+        mut = MapUnderTest(full3, phi, "phi", stacked=stacked)
+        with pytest.raises(RecoveryError, match=r"phi\(diag\(1..n\)\) is not finite"):
+            recover_form(mut, full3)
+
     def test_map_on_another_order_rejected(self, two_blocks6):
         with pytest.raises(ValueError, match="different quasi-order"):
             recover_form(MapUnderTest(QuasiOrder.full(6), np.array, "phi"), two_blocks6)
@@ -349,7 +364,7 @@ def four_matmul_embedding(spec):
     S = np.empty_like(S0)
     S.real, S.imag = np.ldexp(S0.real, -e), np.ldexp(S0.imag, -e)
     Sinv = np.linalg.inv(S)
-    Pm = spec.P.matrix()
+    Pm = np.diag(spec.P.diag_bits).astype(complex)
     Qm = np.eye(spec.rho.n, dtype=complex) - Pm
     gstar = induced_auto(spec.g)
 

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from smalg.quasiorder import QuasiOrder, random_preorder
+from smalg.quasiorder import QuasiOrder
 from smalg.matalg import (
     DEFAULT_REL_TOL,
     _in_sma_stack,
@@ -12,11 +12,12 @@ from smalg.matalg import (
     in_sma,
     lambda_matrix,
     matrix_unit,
-    project_sma,
     rank_one_closure_member,
     sharp,
     support,
 )
+
+from generators import random_preorder
 
 
 def fan_matrix():
@@ -73,11 +74,6 @@ class TestMembership:
 
     def test_fan_matrix_member(self, fan4):
         assert in_sma(fan_matrix(), fan4)
-
-    def test_project(self, fan4, rng):
-        Z = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        P = project_sma(Z, fan4)
-        assert in_sma(P, fan4, tol=0.0)
 
 
 class TestTolerance:

@@ -1,3 +1,4 @@
+import ast
 import importlib
 import os
 import subprocess
@@ -7,6 +8,18 @@ from pathlib import Path
 import pytest
 
 LAYERS = ("quasiorder", "matalg", "cocycle", "jordan", "preservers", "jsonio", "cli")
+ROOT = Path(__file__).resolve().parents[1]
+
+# public names that no layer and no bench script uses, each kept because it
+# states a fact of the paper that a test pins, or serves as a reference
+KEEP = {
+    "case2_kink": "the strict-pair kink f(u, v), the scalar reference of the stacked case-2 map",
+    "commutes_criterion": "the commutation criterion of the strict-pair geometry",
+    "classify_unit_action": "the split of rho into the unit-parallel and unit-flipping pairs",
+    "support": "supp(A), by which membership in the algebra of rho is defined",
+    "sharp": "zero row and column insertion, the inverse of `flat` on its range",
+    "flat": "row and column deletion, in the insertion and deletion laws",
+}
 
 
 @pytest.mark.parametrize("layer", LAYERS)
@@ -23,7 +36,7 @@ def test_all_names_resolve(layer):
 def test_smalg_never_loads_scipy():
     """smalg depends on numpy alone: importing every layer and running the
     selftest leave scipy unloaded."""
-    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     code = ("import importlib, sys, smalg, smalg.cli\n"
             f"for layer in {LAYERS!r}: importlib.import_module('smalg.' + layer)\n"
             "assert smalg.cli.main(['selftest']) == 0\n"
@@ -31,3 +44,31 @@ def test_smalg_never_loads_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.splitlines()[-1] == "False"
+
+
+def _referenced(paths):
+    """Every name, attribute and imported name that the modules at `paths` use."""
+    used = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                used.update(alias.name for alias in node.names)
+    return used
+
+
+def test_public_names_have_callers():
+    """Each name in a layer's `__all__` is used by a layer (`__init__` does not
+    count) or a bench script, or KEEP says why it stays: the public API holds
+    no test scaffolding and no dead code."""
+    used = _referenced(p for p in (ROOT / "src" / "smalg").glob("*.py") if p.name != "__init__.py")
+    used |= _referenced((ROOT / "bench").glob("*.py"))
+    public = {layer: getattr(importlib.import_module(f"smalg.{layer}"), "__all__", [])
+              for layer in LAYERS}
+    assert {layer: [name for name in names if name not in used and name not in KEEP]
+            for layer, names in public.items()} == {layer: [] for layer in LAYERS}
+    # and KEEP holds no name that is gone or has found a caller
+    assert set(KEEP) <= {name for names in public.values() for name in names} - used

@@ -1,12 +1,14 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from smalg.quasiorder import QuasiOrder, all_preorders, closure, condition_i
-from smalg.matalg import in_sma, matrix_unit, random_in_sma
+from smalg.matalg import _sma_stack, in_sma, matrix_unit
 from smalg.cocycle import TransitiveMap, coboundary
-from smalg.jordan import CentralIdempotent, JordanSpec, build_embedding
+from smalg.jordan import CentralIdempotent, JordanSpec, RecoveryError, build_embedding, recover_form
 from smalg.preservers import (
     GALLERY_KINDS,
     CounterexampleMap,
@@ -15,12 +17,14 @@ from smalg.preservers import (
     classify_unit_action,
     commutes_criterion,
     counterexample,
-    gen_commuting_pair,
     identity_map,
     remark_gallery,
     transpose_map,
     verify_preserver,
+    _commuting_pairs,
 )
+
+from generators import random_invertible, random_preorder, random_transitive
 
 complexes = st.complex_numbers(allow_nan=False, allow_infinity=False,
                                min_magnitude=0.0, max_magnitude=1e6)
@@ -28,13 +32,17 @@ complexes = st.complex_numbers(allow_nan=False, allow_infinity=False,
 
 class TestCommutingPairs:
     def test_diagonal_algebra(self):
-        X, Y = gen_commuting_pair(QuasiOrder.diagonal(5), 0)
+        X, Y = _commuting_pairs(QuasiOrder.diagonal(5),
+                                np.random.default_rng(0).standard_normal((1, 2 * 25 + 4 * 5)))
+        X, Y = X[0], Y[0]
         assert np.array_equal(X, np.diag(np.diag(X)))
         assert np.linalg.norm(X @ Y - Y @ X) < 1e-14
 
     def test_membership_exact_and_commutator_small(self, cocycle7):
-        for seed in range(200):
-            X, Y = gen_commuting_pair(cocycle7, seed)
+        # one row of normals from each seed's generator
+        Z = np.concatenate([np.random.default_rng(seed).standard_normal((1, 2 * 49 + 4 * 7))
+                            for seed in range(200)])
+        for X, Y in zip(*_commuting_pairs(cocycle7, Z)):
             assert in_sma(X, cocycle7, tol=0.0)
             assert in_sma(Y, cocycle7, tol=0.0)
             scale = max(1.0, float(np.linalg.norm(X)) * float(np.linalg.norm(Y)))
@@ -102,7 +110,7 @@ class TestCounterexample:
         # the redrawn entry never enters the characteristic polynomial
         mut = counterexample(fan4)
         for _ in range(200):
-            X = random_in_sma(fan4, rng)
+            X = _sma_stack(fan4, rng.standard_normal((1, 2 * 4 * 4)))[0]
             assert np.max(np.abs(np.poly(mut.eval(X)) - np.poly(X))) < 1e-12 * max(
                 1.0, float(np.max(np.abs(np.poly(X)))))
 
@@ -126,16 +134,17 @@ class TestCounterexample:
 
 class TestCommutesCriterion:
     def test_self_commutes(self, fan4, rng):
-        X = random_in_sma(fan4, rng)
+        X = _sma_stack(fan4, rng.standard_normal((1, 2 * 4 * 4)))[0]
         assert commutes_criterion(X, X, fan4, 1, 3)
 
     def test_agrees_with_direct_commutator(self, fan4, rng):
         mismatches = 0
         for k in range(10_000):
             if k % 3 == 0:
-                X, Y = gen_commuting_pair(fan4, k)
+                Z = np.random.default_rng(k).standard_normal((1, 2 * 4 * 4 + 4 * 4))
+                X, Y = (A[0] for A in _commuting_pairs(fan4, Z))
             else:
-                X, Y = random_in_sma(fan4, rng), random_in_sma(fan4, rng)
+                X, Y = _sma_stack(fan4, rng.standard_normal((2, 2 * 4 * 4)))
             direct = np.linalg.norm(X @ Y - Y @ X) <= 1e-9 * max(
                 1.0, float(np.linalg.norm(X)) * float(np.linalg.norm(Y)))
             if commutes_criterion(X, Y, fan4, 1, 3) != direct:
@@ -149,7 +158,7 @@ class TestCommutesCriterion:
         assert np.linalg.norm(X @ Y - Y @ X) > 1
 
     def test_structural_precondition(self, sympair3, rng):
-        X = random_in_sma(sympair3, rng)
+        X = _sma_stack(sympair3, rng.standard_normal((1, 2 * 3 * 3)))[0]
         with pytest.raises(ValueError, match="isolate"):
             commutes_criterion(X, X, sympair3, 1, 2)
 
@@ -177,10 +186,7 @@ class TestClassifyUnits:
         assert ra.off_diagonal == frozenset(block2)
 
     def test_built_embeddings_always_split_into_quasiorders(self, rng):
-        from smalg.quasiorder import random_preorder
         from smalg.jordan import central_idempotents
-        from smalg.matalg import random_invertible
-        from smalg.cocycle import random_transitive
 
         done = 0
         for k in range(40):
@@ -593,15 +599,13 @@ class TestStacks:
     def test_stacked_pairs_are_sequential_pairs(self, cocycle7):
         # one block of normals for four samples gives the pairs that four
         # sample-by-sample calls draw from the same generator
-        from smalg.preservers import _commuting_pairs
-
         n = cocycle7.n
         X, Y = _commuting_pairs(cocycle7, np.random.default_rng(5).standard_normal(
             (4, 2 * n * n + 4 * n)))
         rng = np.random.default_rng(5)
         for k in range(4):
-            x, y = gen_commuting_pair(cocycle7, rng)
-            assert np.array_equal(x, X[k]) and np.array_equal(y, Y[k])
+            x, y = _commuting_pairs(cocycle7, rng.standard_normal((1, 2 * n * n + 4 * n)))
+            assert np.array_equal(x[0], X[k]) and np.array_equal(y[0], Y[k])
 
 
 # every map smalg builds, on a rho it applies to; the embeddings are the ones
@@ -653,6 +657,35 @@ def test_stacked_eval_is_per_matrix_eval(name):
         r, s = mut.r - 1, mut.s - 1
         kink = [case2_kink(a[s, s] - a[r, r], a[r, s]) for a in A]
         assert np.array_equal(bits(got[:, r, s]), bits(np.array(kink, dtype=complex)))
+
+
+# maps on full M_3 whose images have the wrong shape, with that shape: numpy
+# would broadcast a per-matrix scalar or row into a full image, and a stacked
+# map's scalar or single matrix fails deep inside the grading or the recovery
+WRONG_SHAPES = {
+    "per-matrix-scalar": (False, lambda X: np.trace(X), "()"),
+    "per-matrix-row": (False, lambda X: np.array(X)[0], "(3,)"),
+    "stacked-scalar": (True, lambda X: 1.0, "()"),
+    "stacked-matrix": (True, lambda X: np.array(X)[0], "(3, 3)"),
+}
+
+
+@pytest.mark.parametrize("entry", ["verify_preserver", "classify_unit_action", "recover_form"])
+@pytest.mark.parametrize("case", list(WRONG_SHAPES))
+def test_wrong_image_shape_reported(entry, case):
+    full3 = QuasiOrder.full(3)
+    stacked, eval_, shape = WRONG_SHAPES[case]
+    mut = MapUnderTest(full3, eval_, "bad-shape", stacked=stacked)
+    call, error = {
+        "verify_preserver": (lambda: verify_preserver(mut, n_samples=10), ValueError),
+        "classify_unit_action": (lambda: classify_unit_action(mut, full3), ValueError),
+        "recover_form": (lambda: recover_form(mut, full3), RecoveryError),
+    }[entry]
+    with pytest.raises(error) as exc:
+        call()
+    want = re.escape(f"map 'bad-shape' returned an image of shape {shape} for an input of shape (")
+    assert exc.type is error
+    assert re.fullmatch(want + (r"\d+, 3, 3\)" if stacked else r"3, 3\)"), str(exc.value))
 
 
 def bits(A):

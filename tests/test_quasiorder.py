@@ -19,16 +19,15 @@ from smalg.quasiorder import (
     closure,
     components,
     condition_i,
-    delete_indices,
     image,
     is_symmetric,
     is_two_free,
-    mutual_classes,
     neighborhood,
     preimage,
     rank_one_density,
-    random_preorder,
 )
+
+from generators import random_preorder
 
 
 @st.composite
@@ -152,9 +151,6 @@ class TestDerivedData:
         bad = [(i, j) for (i, j) in sorted(rho.off_diagonal) if len(nb[i] & nb[j]) < 3]
         assert condition_i(rho) == ((False, bad[0]) if bad else (True, None))
         assert is_symmetric(rho) == all((j, i) in pairs for (i, j) in pairs)
-        mutual = {frozenset(j for j in range(1, n + 1) if {(i, j), (j, i)} <= pairs)
-                  for i in range(1, n + 1)}
-        assert set(mutual_classes(rho).blocks) == mutual
         linked = closure(n, pairs | {(j, i) for (i, j) in pairs})
         assert set(components(rho).blocks) == {image(linked, i) for i in range(1, n + 1)}
 
@@ -188,10 +184,13 @@ class TestDerivedData:
         for rho in all_preorders(4):
             holds, witness = condition_i(rho)
             bt = block_triangular_permutation(rho)
+            # the classes of i ~ j iff (i, j) and (j, i) lie in rho, by smallest member
+            mutual = sorted({tuple(j for j in range(1, 5) if {(i, j), (j, i)} <= rho.pairs)
+                             for i in range(1, 5)})
             h.update(json.dumps([
                 sorted(rho.pairs), holds, witness,
                 [sorted(c) for c in components(rho).blocks],
-                [sorted(c) for c in mutual_classes(rho).blocks],
+                mutual,
                 is_symmetric(rho), bt.perm, bt.sizes, bt.upper_exact,
             ]).encode() + b"\n")
             count += 1
@@ -330,40 +329,6 @@ class TestBlockTriangular:
     @settings(max_examples=60)
     def test_sandwich_always_holds(self, rho):
         check_sandwich(rho, block_triangular_permutation(rho))
-
-    def test_mutual_classes_refine_components(self, cocycle7, two_blocks6):
-        assert len(mutual_classes(cocycle7)) == 7
-        assert mutual_classes(two_blocks6).blocks == components(two_blocks6).blocks
-
-
-class TestDeleteIndices:
-    def test_chain_becomes_pair(self):
-        rho = closure(3, {(1, 3)})
-        assert delete_indices(rho, {2}).pairs == closure(2, {(1, 2)}).pairs
-
-    def test_empty_delete_is_identity(self, fan4):
-        assert delete_indices(fan4, set()) == fan4
-
-    def test_keep_three_of_seven(self, cocycle7):
-        kept = delete_indices(cocycle7, {4, 5})
-        # survivors 1,2,3,6,7 reindex to 1,2,3,4,5
-        kappa = {1: 1, 2: 2, 3: 3, 6: 4, 7: 5}
-        expected = frozenset(
-            (kappa[i], kappa[j]) for (i, j) in cocycle7.pairs
-            if i not in (4, 5) and j not in (4, 5))
-        assert kept.pairs == expected
-
-    def test_cannot_delete_all(self, fan4):
-        with pytest.raises(ValueError):
-            delete_indices(fan4, {1, 2, 3, 4})
-
-    @given(preorders(), st.data())
-    @settings(max_examples=60)
-    def test_result_is_quasiorder(self, rho, data):
-        if rho.n == 1:
-            return
-        drop = data.draw(st.sets(st.integers(1, rho.n), max_size=rho.n - 1))
-        delete_indices(rho, drop)  # constructor re-validates reflexive+transitive
 
 
 class TestRankOneDensity:
