@@ -392,9 +392,7 @@ def _parser():
     p.add_argument("--spec", required=True)
     _add_common(p, samples_default=100)
 
-    p = sub.add_parser("selftest", help="run the golden end-to-end checks")
-    p.add_argument("--pretty", action="store_true")
-
+    sub.add_parser("selftest", help="run the golden end-to-end checks")
     return parser
 
 

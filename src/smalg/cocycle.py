@@ -7,6 +7,7 @@ maps are the ones separating through a point function s, g(i,j) = s(i)/s(j).
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,8 +43,8 @@ class TransitiveMap:
             missing = self.rho.pairs - set(vals)
             raise ValueError(f"values must cover rho exactly (extra={extra}, missing={missing})")
         for p, v in vals.items():
-            if v == 0:
-                raise ValueError(f"value at {p} must be nonzero")
+            if v == 0 or not cmath.isfinite(v):
+                raise ValueError(f"value at {p} must be finite and nonzero, got {v}")
         object.__setattr__(self, "values", vals)
 
     def __call__(self, i: int, j: int) -> complex:
@@ -111,13 +112,14 @@ def _sym_adjacency(rho: QuasiOrder):
     return adj
 
 
-def triviality(g: TransitiveMap, tol: float = 1e-8):
+def triviality(g: TransitiveMap):
     """Decide whether g separates through a point function.
 
     BFS over the symmetrized graph assigns s per component (value 1 at the
     smallest index); if some pair of rho disagrees with s the tree paths close
     up into a walk whose alternating product differs from 1, which is returned
-    as the nontriviality witness.
+    as the nontriviality witness.  A pair disagrees beyond 1e-8 relative; each
+    s(v) is a product of fewer than n values of g, so a trivial g agrees to n eps.
     """
     rho = g.rho
     adj = _sym_adjacency(rho)
@@ -139,7 +141,7 @@ def triviality(g: TransitiveMap, tol: float = 1e-8):
                 queue.append(v)
     for i, j in sorted(rho.pairs):
         expected = s[i] / s[j]
-        if abs(g(i, j) - expected) > tol * max(abs(expected), 1.0):
+        if abs(g(i, j) - expected) > 1e-8 * max(abs(expected), 1.0):
             reversed_j = tuple((p, -e) for p, e in reversed(tree_walk[j]))
             walk = tree_walk[i] + (((i, j), +1),) + reversed_j
             return Nontrivial(walk, walk_product(g, walk))

@@ -87,17 +87,21 @@ class JordanSpec:
     P: CentralIdempotent
 
 
-def validate_spec(spec: JordanSpec, tol: float = 1e-10) -> None:
+def validate_spec(spec: JordanSpec) -> None:
     S = np.asarray(spec.S, dtype=complex)
     n = spec.rho.n
     if S.shape != (n, n):
         raise ValueError("S has the wrong shape")
+    if not np.all(np.isfinite(S)):
+        i, j = np.argwhere(~np.isfinite(S))[0]
+        raise ValueError(f"S has a non-finite entry {S[i, j]} at ({i + 1},{j + 1})")
     cond = np.linalg.cond(S)
     if not np.isfinite(cond) or cond > 1e12:
         raise ValueError("S is not (numerically) invertible")
     if spec.g.rho != spec.rho:
         raise ValueError("transitive map is defined on a different quasi-order")
-    ok, violation = validate_transitive(spec.g, tol=max(tol, 1e-10))
+    # 1e-10 relative: a g transitive in exact arithmetic rounds by a few eps per product
+    ok, violation = validate_transitive(spec.g, tol=1e-10)
     if not ok:
         raise ValueError(f"transitive map violates the cocycle law at {violation}")
     if len(spec.P.diag_bits) != n:

@@ -129,13 +129,13 @@ def lambda_matrix(n: int) -> np.ndarray:
     return np.diag(np.arange(1, n + 1)).astype(complex)
 
 
-def _sma_stack(rho: QuasiOrder, Z, scale: float = 1.0) -> np.ndarray:
+def _sma_stack(rho: QuasiOrder, Z) -> np.ndarray:
     """Stack of elements of the algebra of rho from standard normals Z of shape
     (B, 2 n^2): the first n^2 of each row are the real parts, row-major, and
     the last n^2 the imaginary parts."""
     n = rho.n
     re, im = Z[:, : n * n].reshape(-1, n, n), Z[:, n * n:].reshape(-1, n, n)
-    return np.where(rho.mask, scale * (re + 1j * im), 0.0)
+    return np.where(rho.mask, re + 1j * im, 0.0)
 
 
 def rank_one_closure_member(A, rho: QuasiOrder, tol: float | None = None):

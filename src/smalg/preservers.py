@@ -174,23 +174,21 @@ def counterexample(rho: QuasiOrder) -> CounterexampleMap:
     return CounterexampleMap(rho, eval_case2, f"case2-kink({r},{s})", r, s, 2, stacked=True)
 
 
-def commutes_criterion(X, Y, rho: QuasiOrder, r: int, s: int, tol: float = 1e-9) -> bool:
+def commutes_criterion(X, Y, rho: QuasiOrder, r: int, s: int) -> bool:
     """Commutation test specialized to the strict-pair geometry: X and Y commute
     iff their (r,s)-punctured parts commute and
-    (X_ss - X_rr) Y_rs = (Y_ss - Y_rr) X_rs."""
+    (X_ss - X_rr) Y_rs = (Y_ss - Y_rr) X_rs, each to 1e-9 max(1, |X|_F |Y|_F),
+    far above the n eps |X|_F |Y|_F rounding of a commuting pair's products."""
     if preimage(rho, r) != {r} or image(rho, s) != {s}:
         raise ValueError("pair (r,s) does not isolate row r / column s in rho")
-    X = np.asarray(X, dtype=complex)
-    Y = np.asarray(Y, dtype=complex)
-    X0 = X.copy()
-    X0[r - 1, s - 1] = 0.0
-    Y0 = Y.copy()
-    Y0[r - 1, s - 1] = 0.0
-    scale = max(1.0, float(np.linalg.norm(X)) * float(np.linalg.norm(Y)))
-    base = np.linalg.norm(X0 @ Y0 - Y0 @ X0) <= tol * scale
+    X, Y = np.asarray(X, dtype=complex), np.asarray(Y, dtype=complex)
+    X0, Y0 = X.copy(), Y.copy()
+    X0[r - 1, s - 1] = Y0[r - 1, s - 1] = 0.0
+    limit = 1e-9 * max(1.0, float(np.linalg.norm(X)) * float(np.linalg.norm(Y)))
+    base = np.linalg.norm(X0 @ Y0 - Y0 @ X0) <= limit
     lhs = (X[s - 1, s - 1] - X[r - 1, r - 1]) * Y[r - 1, s - 1]
     rhs = (Y[s - 1, s - 1] - Y[r - 1, r - 1]) * X[r - 1, s - 1]
-    return bool(base and abs(lhs - rhs) <= tol * scale)
+    return bool(base and abs(lhs - rhs) <= limit)
 
 
 def _as_map(phi, rho: QuasiOrder) -> MapUnderTest:
@@ -240,10 +238,14 @@ def _stack_step(n: int) -> int:
     return max(1, 2 ** 13 // (n * n))
 
 
-def _unit_action(phi, rho: QuasiOrder, rel_tol: float = 1e-7, frame=None, kept=None):
+def _unit_action(phi, rho: QuasiOrder, frame=None, kept=None):
     """classify_unit_action, plus the dominant scalar of each unit's image.
     With frame = (T, U), each finite image A is read as T A U.  A (K, n, n)
-    array `kept` receives the images of the first K units, as phi gave them."""
+    array `kept` receives the images of the first K units, as phi gave them.
+
+    An image is zero when its top entry is at most 1e-7, and parallel to no unit
+    when its second exceeds 1e-7 times its top: in the frame of S, a Jordan
+    embedding's E_ij image is g(i,j) plus rounding of about eps cond(S)^2 |g(i,j)|."""
     mut, n = _as_map(phi, rho), rho.n
     units = sorted(rho.off_diagonal)
     parts = (set(), set())  # pairs mapped parallel to the unit, to its flip
@@ -267,9 +269,9 @@ def _unit_action(phi, rho: QuasiOrder, rel_tol: float = 1e-7, frame=None, kept=N
         flipped = (p == j) & (q == i)
         checks = (
             (~finite, "phi(E_{i}{j}) is not finite"),
-            (top <= rel_tol, "phi(E_{i}{j}) is numerically zero"),
-            (second > rel_tol * top, "phi(E_{i}{j}) is parallel to no matrix unit "
-                                     "(dominant at {at})"),
+            (top <= 1e-7, "phi(E_{i}{j}) is numerically zero"),
+            (second > 1e-7 * top, "phi(E_{i}{j}) is parallel to no matrix unit "
+                                  "(dominant at {at})"),
             (~(((p == i) & (q == j)) | flipped),
              "phi(E_{i}{j}) concentrates at {at}, not at ({i},{j}) or ({j},{i})"),
         )
@@ -290,7 +292,7 @@ def _unit_action(phi, rho: QuasiOrder, rel_tol: float = 1e-7, frame=None, kept=N
     return rho_m, rho_a, scalars
 
 
-def classify_unit_action(phi, rho: QuasiOrder, rel_tol: float = 1e-7):
+def classify_unit_action(phi, rho: QuasiOrder):
     """Split rho into the pairs whose matrix unit maps parallel to itself versus
     to its transpose; both parts are returned as (verified) quasi-orders.
     phi is a callable or a MapUnderTest on rho; the units go through it a
@@ -298,9 +300,9 @@ def classify_unit_action(phi, rho: QuasiOrder, rel_tol: float = 1e-7):
 
     Raises ValueError with a witness, the first failing unit in sorted order,
     when some image is not finite, numerically zero, or parallel to neither
-    the unit nor its flip.
+    the unit nor its flip, at the cutoffs of `_unit_action`.
     """
-    return _unit_action(phi, rho, rel_tol)[:2]
+    return _unit_action(phi, rho)[:2]
 
 
 def remark_gallery(rho: QuasiOrder, kind: str) -> MapUnderTest:
@@ -421,15 +423,15 @@ def _fails(err, limit):
     return ~np.isfinite(err) | (err > limit)
 
 
-# A property is (sampler, draws, error function, tolerance name, probe).  The
-# harness grades stacks of cases: a sampler builds one chunk of samples' cases
-# from s.draw, a probe the deterministic cases graded before the samples, and
-# both return groups (rows, case), where case is a tuple of stacks indexed by
-# sample (or by pair) and rows marks the cases that apply (None: all of them).
-# `draws` is the number of normals a sampler takes per sample.  An error
-# function takes the tolerance, the stacks of a case and then the images of
-# its (B, n, n) stacks, and returns (failed, witness): a boolean per case and
-# a tuple of stacks whose rows are the witnesses.
+# A property is (sampler, draws, error function, probe).  The harness grades
+# stacks of cases: a sampler builds one chunk of samples' cases from s.draw, a
+# probe the deterministic cases graded before the samples, and both return
+# groups (rows, case), where case is a tuple of stacks indexed by sample (or
+# by pair) and rows marks the cases that apply (None: all of them).  `draws`
+# is the number of normals a sampler takes per sample.  An error function
+# takes the run's one tol, the stacks of a case and then the images of its
+# (B, n, n) stacks, and returns (failed, witness): a boolean per case and a
+# tuple of stacks whose rows are the witnesses.
 
 def _spectrum_error(tol, X, fX):
     """Compare det(zI - X) with det(zI - phi(X)) at n points z on the circle
@@ -530,32 +532,30 @@ def _product_error(reverse):
 
 # samplers run in table order, which fixes the order of the random draws
 _PROPERTIES = {
-    "spectrum": (lambda s: [(None, (s.X,))], None, _spectrum_error, "spectrum_tol",
-                 lambda s: s.diagonals),
+    "spectrum": (lambda s: [(None, (s.X,))], None, _spectrum_error, lambda s: s.diagonals),
     "commutativity": (_commuting_cases,
                       lambda s: 2 * s.rho.n ** 2 + np.where(s.t % 2 == 0, 4 * s.rho.n, 6),
-                      _commutator_error, "commutator_tol", None),
-    "injectivity": (_injective_cases, lambda s: 2 if s.off else 0, _separation_error, "tol",
+                      _commutator_error, None),
+    "injectivity": (_injective_cases, lambda s: 2 if s.off else 0, _separation_error,
                     lambda s: [(_separable(s.P, s.F), (s.P, s.F))]),
-    "additivity": (lambda s: [(None, (s.X, s.Y, s.X + s.Y))], None, _additive_error, "tol",
+    "additivity": (lambda s: [(None, (s.X, s.Y, s.X + s.Y))], None, _additive_error,
                    _additive_probe),
-    "homogeneity": (_homogeneous_cases, lambda s: 2, _homogeneous_error, "tol", None),
-    "jordan": (lambda s: [(None, (s.X, s.X @ s.X))], None, _square_error, "tol", None),
-    "multiplicative": (lambda s: [(None, (s.X, s.Y, s.X @ s.Y))], None, _product_error(False),
-                       "tol", None),
+    "homogeneity": (_homogeneous_cases, lambda s: 2, _homogeneous_error, None),
+    "jordan": (lambda s: [(None, (s.X, s.X @ s.X))], None, _square_error, None),
+    "multiplicative": (lambda s: [(None, (s.X, s.Y, s.X @ s.Y))], None,
+                       _product_error(False), None),
     "antimultiplicative": (lambda s: [(None, (s.X, s.Y, s.X @ s.Y))], None,
-                           _product_error(True), "tol", None),
+                           _product_error(True), None),
 }
 
 
-def _check_sampling(n_samples, seed=0, **values):
+def _check_sampling(n_samples, seed=0, tol=1e-8):
     """Reject inputs that would make a sampled verdict pass vacuously, and a
     seed that is not an integer >= 0; return the seed as an int."""
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
-    for name, value in values.items():
-        if not (np.isfinite(value) and value > 0):
-            raise ValueError(f"{name} must be finite and > 0, got {value}")
+    if not (np.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be finite and > 0, got {tol}")
     if (isinstance(seed, (bool, np.bool_)) or not hasattr(type(seed), "__index__")
             or operator.index(seed) < 0):
         raise ValueError(f"seed must be >= 0 and an integer, got {seed!r}")
@@ -590,7 +590,7 @@ def _probe_cases(graded, rho: QuasiOrder, pairs, diagonals):
     return {name: probe(p) for name, ((*_, probe), _) in graded.items() if probe}
 
 
-def _sample_cases(graded, rho: QuasiOrder, off, t, generator, sample_scale):
+def _sample_cases(graded, rho: QuasiOrder, off, t, generator):
     """The groups of each property on the samples t, indexed over the whole
     run; the samplers see the index of each sample in its batch as s.t."""
     n = rho.n
@@ -598,12 +598,12 @@ def _sample_cases(graded, rho: QuasiOrder, off, t, generator, sample_scale):
     counts = np.full(len(t), 4 * n * n)  # X and Y, then each sampler's draws
     counts += sum(draws(s) for (_, draws, *_), _ in graded.values() if draws)
     s.draw = _normals(generator, t // BATCH, counts)
-    s.X = _sma_stack(rho, s.draw(2 * n * n), sample_scale)
-    s.Y = _sma_stack(rho, s.draw(2 * n * n), sample_scale)
+    s.X = _sma_stack(rho, s.draw(2 * n * n))
+    s.Y = _sma_stack(rho, s.draw(2 * n * n))
     return {name: sample(s) for name, ((sample, *_), _) in graded.items()}
 
 
-def _grade_chunk(mut: MapUnderTest, graded, tols, parts):
+def _grade_chunk(mut: MapUnderTest, graded, tol, parts):
     """Grade one chunk: each part maps a property to the groups that one probe
     or sampler call returned, and the parts come in the order of the cases."""
     # every input stack once, by identity, with the rows that some case needs
@@ -626,7 +626,7 @@ def _grade_chunk(mut: MapUnderTest, graded, tols, parts):
             images[key] = np.zeros(A.shape, dtype=complex)
             images[key][rows] = image
         at += len(done)
-    for name, ((_, _, error, tol_name, _), verdict) in graded.items():
+    for name, ((_, _, error, _), verdict) in graded.items():
         # (part, group, rows, case) for the property's groups, stacked in this order
         groups = [(p, g, rows, case) for p, part in enumerate(parts)
                   for g, (rows, case) in enumerate(part.get(name, ()))]
@@ -635,7 +635,7 @@ def _grade_chunk(mut: MapUnderTest, graded, tols, parts):
         stacked = [slot[0] if len(slot) == 1 else np.concatenate(slot) for slot in
                    zip(*(case + tuple(images[id(A)] for A in case if A.ndim == 3)
                          for *_, case in groups))]
-        failed, witness = error(tols[tol_name], *stacked)
+        failed, witness = error(tol, *stacked)
         rows = [np.ones(len(case[0]), bool) if rows is None else rows
                 for _, _, rows, case in groups]
         rows = rows[0] if len(rows) == 1 else np.concatenate(rows)
@@ -653,9 +653,7 @@ def _grade_chunk(mut: MapUnderTest, graded, tols, parts):
             verdict.fail(tuple(w[k].copy() if w.ndim > 1 else w[k] for w in witness))
 
 
-def _grade(mut: MapUnderTest, names, n_samples: int, tol: float, seed: int,
-           sample_scale: float = 1.0, spectrum_tol: float | None = None,
-           commutator_tol: float | None = None) -> PreserverReport:
+def _grade(mut: MapUnderTest, names, n_samples: int, tol: float, seed: int) -> PreserverReport:
     """The sampling harness: grade the named properties of the table on the
     probes and then on `n_samples` seeded samples.
 
@@ -667,9 +665,7 @@ def _grade(mut: MapUnderTest, names, n_samples: int, tol: float, seed: int,
     samplers run, phi maps all their input matrices in one stack, and each
     property's error function runs once, on the chunk's probe and sample
     cases together."""
-    tols = {"tol": tol, "spectrum_tol": tol if spectrum_tol is None else spectrum_tol,
-            "commutator_tol": tol if commutator_tol is None else commutator_tol}
-    seed = _check_sampling(n_samples, seed, sample_scale=sample_scale, **tols)
+    seed = _check_sampling(n_samples, seed, tol)
     rho, n = mut.domain, mut.domain.n
     off = sorted(rho.off_diagonal)[:64]
     graded = {name: (prop, PropertyVerdict()) for name, prop in _PROPERTIES.items()
@@ -690,15 +686,13 @@ def _grade(mut: MapUnderTest, names, n_samples: int, tol: float, seed: int,
             parts.append(_probe_cases(graded, rho, probed[lo:hi], diagonals if lo == 0 else []))
         t = np.arange(max(lo, len(probed)), hi) - len(probed)  # the chunk's samples
         if len(t):
-            parts.append(_sample_cases(graded, rho, off, t, generator, sample_scale))
-        _grade_chunk(mut, graded, tols, parts)
+            parts.append(_sample_cases(graded, rho, off, t, generator))
+        _grade_chunk(mut, graded, tol, parts)
     return rep
 
 
 def verify_preserver(mut: MapUnderTest, n_samples: int = 1000, tol: float = 1e-8,
-                     seed: int = 0, sample_scale: float = 1.0,
-                     spectrum_tol: float | None = None,
-                     commutator_tol: float | None = None) -> PreserverReport:
+                     seed: int = 0) -> PreserverReport:
     """Grade a map on sampled spectrum/commutativity/injectivity/additivity/
     homogeneity preservation.
 
@@ -707,10 +701,11 @@ def verify_preserver(mut: MapUnderTest, n_samples: int = 1000, tol: float = 1e-8
     radius 1 + 2|X|_F, which encloses the spectrum of X (and of phi(X) when
     the two agree), so no characteristic polynomial is formed; commuting
     inputs alternate between conjugated diagonal pairs and (X, p(X)) pairs.
-    A non-finite output fails every property it enters, and never raises.
-    Deterministic probes run before the samples: the identity and diag(1..n)
-    for spectrum, and per-pair unit combinations for injectivity and
-    additivity.  The unit probes cover the first 64 off-diagonal pairs of rho
+    Every property's error is held against the one `tol`, scaled as its error
+    function states, and a non-finite output fails every property it enters,
+    and never raises.  Deterministic probes run before the samples: the
+    identity and diag(1..n) for spectrum, and per-pair unit combinations for
+    injectivity and additivity.  The unit probes cover the first 64 off-diagonal pairs of rho
     in sorted order, so a structural failure at one of those pairs does not
     depend on sampling luck; past 64 pairs (992 on full M_32) only the
     samples reach the rest.
@@ -729,4 +724,4 @@ def verify_preserver(mut: MapUnderTest, n_samples: int = 1000, tol: float = 1e-8
     in sample order.
     """
     return _grade(mut, ("spectrum", "commutativity", "injectivity", "additivity", "homogeneity"),
-                  n_samples, tol, seed, sample_scale, spectrum_tol, commutator_tol)
+                  n_samples, tol, seed)

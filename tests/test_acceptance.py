@@ -125,9 +125,10 @@ def test_acceptance_strict_pair_counterexample():
     E11, E13 = matrix_unit(4, 1, 1), matrix_unit(4, 1, 3)
     assert np.array_equal(mut.eval(2 * E11 + E13), 2 * E11 + 0.5 * E13)
 
-    report = verify_preserver(mut, n_samples=1000, tol=1e-8, seed=0,
-                              spectrum_tol=1e-12, commutator_tol=1e-8)
-    assert report.spectrum.ok and report.commutativity.ok
+    report = verify_preserver(mut, n_samples=1000, tol=1e-8, seed=0)
+    assert report.commutativity.ok
+    # spectrum to 1e-12, on the same samples: the draws do not depend on tol
+    assert verify_preserver(mut, n_samples=1000, tol=1e-12, seed=0).spectrum.ok
     assert not report.additivity.ok
     # absolute commutator bound over seeded commuting pairs, one row of
     # normals from each seed's generator
@@ -157,9 +158,10 @@ def test_acceptance_symmetric_block_counterexample():
         dX, dfX = np.linalg.det(X), np.linalg.det(fX)
         assert abs(dfX - dX) < 1e-12 * max(1.0, abs(dX))
 
-    report = verify_preserver(mut, n_samples=1000, tol=1e-8, seed=0,
-                              spectrum_tol=1e-12, commutator_tol=1e-8)
-    assert report.spectrum.ok and report.commutativity.ok
+    report = verify_preserver(mut, n_samples=1000, tol=1e-8, seed=0)
+    assert report.commutativity.ok
+    # spectrum to 1e-12, on the same samples: the draws do not depend on tol
+    assert verify_preserver(mut, n_samples=1000, tol=1e-12, seed=0).spectrum.ok
 
     E12, E21 = matrix_unit(3, 1, 2), matrix_unit(3, 2, 1)
     assert np.allclose(mut.eval(E12), -E12)           # f(0) = -1

@@ -275,3 +275,26 @@ class TestBadInput:
         path = tmp_path / "q.json"
         path.write_text('{"n": 2}')
         assert ": missing key 'pairs'" in usage_error(capsys, "analyze", str(path))
+
+    def test_selftest_takes_no_options(self, capsys):
+        assert "unrecognized arguments: --pretty" in usage_error(capsys, "selftest", "--pretty")
+
+    @pytest.mark.parametrize("verb", [["embed"], ["recover", "--spec"], ["verify", "--spec"]])
+    @pytest.mark.parametrize("key, value, expected", [
+        pytest.param("transitive_map", "NaN", "finite and nonzero, got (nan+0j)", id="g NaN"),
+        pytest.param("transitive_map", "Infinity", "finite and nonzero, got (inf+0j)",
+                     id="g Infinity"),
+        pytest.param("s_matrix", "NaN", "S has a non-finite entry (nan+0j) at (1,1)",
+                     id="S NaN"),
+    ])
+    def test_non_finite_spec(self, capsys, tmp_path, spec_file, verb, key, value, expected):
+        # JSON's NaN and Infinity tokens load as floats
+        blob = json.loads(open(spec_file).read())
+        if key == "transitive_map":
+            blob[key]["pairs"][0][2] = [float(value), 0.0]
+        else:
+            blob[key]["entries"][0][0] = [float(value), 0.0]
+        path = tmp_path / "nonfinite.json"
+        path.write_text(json.dumps(blob))
+        assert value in path.read_text()
+        assert expected in usage_error(capsys, *verb, str(path))

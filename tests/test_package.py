@@ -1,5 +1,6 @@
 import ast
 import importlib
+import inspect
 import os
 import subprocess
 import sys
@@ -72,3 +73,64 @@ def test_public_names_have_callers():
             for layer, names in public.items()} == {layer: [] for layer in LAYERS}
     # and KEEP holds no name that is gone or has found a caller
     assert set(KEEP) <= {name for names in public.values() for name in names} - used
+
+
+# defaulted parameters that no layer and no bench script passes, each kept
+# for the reason given
+KEEP_PARAMS = {
+    "support.tol": "the absolute cutoff, against the default relative to the largest entry",
+    "rank_one_closure_member.tol": "the absolute cutoff, against the default relative one",
+    "verify_multiplicative.tol": "every sampled check takes one tol",
+    "verify_antimultiplicative.tol": "every sampled check takes one tol",
+}
+
+
+def _passed(paths):
+    """For each called name, the keywords and the largest number of
+    positional arguments that some call at `paths` passes it; an import alias
+    counts as the name it imports, and a starred argument passes every
+    position."""
+    keywords, positions = {}, {}
+    for path in paths:
+        tree = ast.parse(path.read_text())
+        alias = {a.asname: a.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                 for a in node.names if a.asname}
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            name = alias.get(name, name)
+            keywords.setdefault(name, set()).update(k.arg for k in node.keywords)
+            count = (float("inf") if any(isinstance(a, ast.Starred) for a in node.args)
+                     else len(node.args))
+            positions[name] = max(positions.get(name, 0), count)
+    return keywords, positions
+
+
+def test_defaulted_parameters_have_callers():
+    """Each defaulted parameter of a public function is passed, by keyword or
+    by position, by some call in a layer (`__init__` does not count) or a
+    bench script, or KEEP_PARAMS says why it stays: no tolerance, scale or
+    switch that only tests set."""
+    keywords, positions = _passed(
+        [p for p in (ROOT / "src" / "smalg").glob("*.py") if p.name != "__init__.py"]
+        + list((ROOT / "bench").glob("*.py")))
+    unused = set()
+    for layer in LAYERS:
+        module = importlib.import_module(f"smalg.{layer}")
+        for name in getattr(module, "__all__", []):
+            fn = getattr(module, name)
+            if not inspect.isfunction(fn):
+                continue
+            params = list(inspect.signature(fn).parameters.values())
+            for k, p in enumerate(params):
+                if p.default is inspect.Parameter.empty:
+                    continue
+                positional = p.kind is inspect.Parameter.POSITIONAL_OR_KEYWORD
+                if not (p.name in keywords.get(name, ())
+                        or positional and positions.get(name, 0) > k):
+                    unused.add(f"{name}.{p.name}")
+    assert sorted(unused - set(KEEP_PARAMS)) == []
+    # and KEEP_PARAMS holds no parameter that is gone or has found a caller
+    assert sorted(set(KEEP_PARAMS) - unused) == []

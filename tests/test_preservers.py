@@ -116,9 +116,9 @@ class TestCounterexample:
 
     def test_case1_spectrum_and_commutativity(self, sympair3):
         mut = counterexample(sympair3)
-        rep = verify_preserver(mut, n_samples=500, tol=1e-8, seed=0,
-                               spectrum_tol=1e-12)
-        assert rep.spectrum.ok and rep.commutativity.ok and rep.injectivity.ok
+        rep = verify_preserver(mut, n_samples=500, tol=1e-8, seed=0)
+        assert rep.commutativity.ok and rep.injectivity.ok
+        assert verify_preserver(mut, n_samples=500, tol=1e-12, seed=0).spectrum.ok
         assert not rep.additivity.ok and rep.additivity.witnesses
 
     def test_every_failing_preorder_n3(self):
@@ -265,7 +265,7 @@ class TestGallery:
     def test_det_twist_breaks_commutativity(self):
         t3 = QuasiOrder.upper_triangular(3)
         rep = verify_preserver(remark_gallery(t3, "det_twist"),
-                               n_samples=300, seed=0, sample_scale=0.5)
+                               n_samples=300, seed=0)
         assert rep.spectrum.ok
         assert not rep.commutativity.ok and rep.commutativity.witnesses
         assert rep.injectivity.ok
@@ -440,9 +440,6 @@ class TestSamplingInput:
     @pytest.mark.parametrize("kwargs", [
         {"n_samples": 0}, {"n_samples": -5},
         {"tol": float("nan")}, {"tol": float("inf")}, {"tol": 0.0}, {"tol": -1e-8},
-        {"spectrum_tol": float("nan")}, {"commutator_tol": -1.0},
-        {"sample_scale": 0.0}, {"sample_scale": -1.0},
-        {"sample_scale": float("nan")}, {"sample_scale": float("inf")},
     ])
     def test_vacuous_settings_rejected(self, fan4, kwargs):
         with pytest.raises(ValueError, match=next(iter(kwargs))):
