@@ -1,0 +1,33 @@
+"""The one rule for each kind of numeric argument of smalg's public API.
+
+Counts, sizes, 1-based indices and seeds go through `integer`, tolerances
+through `tolerance`.  Each raises ValueError naming the argument, so that bad
+input fails loudly instead of ending in a TypeError or a vacuous pass, and
+returns a plain Python int or float, so that no numpy scalar reaches a report.
+"""
+
+import sys
+
+import numpy as np
+
+
+def integer(value, name, least=None, most=None) -> int:
+    """`value` as an int: a Python or numpy integer, never a bool, within the
+    bounds given."""
+    if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
+            or least is not None and value < least):
+        rule = "an integer" if least is None else f">= {least} and an integer"
+        raise ValueError(f"{name} must be {rule}, got {value!r}")
+    if most is not None and value > most:
+        raise ValueError(f"{name} must be <= {most}, got {value!r}")
+    return int(value)
+
+
+def tolerance(value, name, zero_ok=False) -> float:
+    """`value` as a float: a finite real number, never a bool, that is > 0, or
+    >= 0 when `zero_ok`.  No error exceeds a NaN tolerance, every one is within
+    an infinite one, and even a zero error exceeds a negative one."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating))
+            or not (value >= 0 if zero_ok else value > 0) or not value <= sys.float_info.max):
+        raise ValueError(f"{name} must be finite and {'>=' if zero_ok else '>'} 0, got {value!r}")
+    return float(value)

@@ -39,7 +39,6 @@ from .jordan import (
 from .preservers import (
     GALLERY_KINDS,
     MapUnderTest,
-    _check_sampling,
     counterexample,
     identity_map,
     remark_gallery,
@@ -47,6 +46,7 @@ from .preservers import (
     verify_preserver,
 )
 from . import jsonio
+from ._checks import integer, tolerance
 from .jordan import recover_form, RecoveryError
 
 EXIT_OK = 0
@@ -340,25 +340,24 @@ def cmd_selftest(args):
     return EXIT_OK if not failures else EXIT_FAIL
 
 
-def _checked(convert, check):
-    """An argparse type: `convert`, then `check`; a ValueError is a usage error."""
+def _checked(convert, check, name, **bounds):
+    """An argparse type: `convert`, then `check` it as the argument `name`; a
+    ValueError is a usage error."""
     def parse(text):
         try:
-            value = convert(text)
-            check(value)
-            return value
+            return check(convert(text), name, **bounds)
         except ValueError as exc:
             raise argparse.ArgumentTypeError(str(exc)) from exc
     return parse
 
 
 def _add_common(p, samples_default=1000):
-    p.add_argument("--seed", type=_checked(int, lambda v: _check_sampling(1, v)), default=0,
+    p.add_argument("--seed", type=_checked(int, integer, "seed", least=0), default=0,
                    help="root seed for all sampling (>= 0)")
-    p.add_argument("--tol", type=_checked(float, lambda v: _check_sampling(1, tol=v)),
-                   default=1e-8, help="comparison tolerance (finite, > 0)")
-    p.add_argument("--samples", type=_checked(int, _check_sampling), default=samples_default,
-                   help="sample count (>= 1)")
+    p.add_argument("--tol", type=_checked(float, tolerance, "tol"), default=1e-8,
+                   help="comparison tolerance (finite, > 0)")
+    p.add_argument("--samples", type=_checked(int, integer, "n_samples", least=1),
+                   default=samples_default, help="sample count (>= 1)")
     p.add_argument("--pretty", action="store_true", help="indented human-oriented output")
 
 

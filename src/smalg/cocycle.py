@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._checks import tolerance
 from .quasiorder import QuasiOrder
 from .matalg import _in_sma_stack
 
@@ -88,6 +89,7 @@ def validate(g: TransitiveMap, tol: float = 1e-10):
     of Python's complex product and abs, so that each comparison is the one a
     loop over complex scalars makes.
     """
+    tol = tolerance(tol, "tol")
     G, mask = g.as_matrix(), g.rho.mask
     a, b = G.real, G.imag
     with np.errstate(all="ignore"):  # overflow reads inf or NaN, silently, as in Python

@@ -19,11 +19,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._checks import integer, tolerance
 from .quasiorder import QuasiOrder, components, condition_i
 from .matalg import _sma_stack, lambda_matrix
 from .cocycle import TransitiveMap, induced_auto, validate as validate_transitive
-from .preservers import (PreserverReport, _as_map, _check_sampling, _eval_stack, _grade,
-                         _norms, _stack_step, _unit_action, _units)
+from .preservers import (PreserverReport, _as_map, _eval_stack, _grade, _norms, _stack_step,
+                         _unit_action, _units)
 
 __all__ = [
     "CentralIdempotent",
@@ -194,7 +195,8 @@ def recover_form(phi, rho: QuasiOrder, tol: float = 1e-8,
     reuses the classifier's images of the first off-diagonal units, up to
     4 MB of them, so phi sees each of those units once.
     """
-    seed = _check_sampling(n_samples, seed, tol=tol)
+    n_samples = integer(n_samples, "n_samples", least=1)
+    tol, seed = tolerance(tol, "tol"), integer(seed, "seed", least=0)
     mut = _as_map(phi, rho)
     ok, witness = condition_i(rho)
     if not ok:

@@ -10,6 +10,7 @@ import json
 
 import numpy as np
 
+from ._checks import integer
 from .quasiorder import QuasiOrder, close_pairs
 from .matalg import entry_pairs
 from .cocycle import TransitiveMap
@@ -44,13 +45,6 @@ def dump_json(obj, pretty: bool = False) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"), check_circular=False)
 
 
-def _int(value, what):
-    """`value` if it is a JSON integer; floats, booleans and strings are rejected."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{what} must be an integer, got {value!r}")
-    return value
-
-
 def _complex(re, im, what):
     """complex(re, im), with an integer too large for a double rejected as bad input."""
     try:
@@ -75,10 +69,8 @@ def quasiorder_to_dict(rho: QuasiOrder) -> dict:
 def quasiorder_from_dict(d: dict):
     """Build the quasi-order, closing the listed pairs; returns (rho, added)
     where `added` lists the pairs the closure had to add."""
-    n = _int(d["n"], "n")
-    if n > MAX_N:
-        raise ValueError(f"n={n} exceeds the supported maximum {MAX_N}")
-    raw = {(_int(i, "index"), _int(j, "index")) for i, j in d["pairs"]}
+    n = integer(d["n"], "n", most=MAX_N)
+    raw = {(integer(i, "index"), integer(j, "index")) for i, j in d["pairs"]}
     closed = close_pairs(n, raw)
     added = sorted(closed - raw)
     return QuasiOrder(n, closed), added
@@ -94,7 +86,7 @@ def matrix_to_dict(A) -> dict:
 
 
 def matrix_from_dict(d: dict) -> np.ndarray:
-    n = _int(d["n"], "n")
+    n = integer(d["n"], "n")
     A = np.array([[_complex(re, im, "matrix entry") for re, im in row] for row in d["entries"]])
     if A.shape != (n, n):
         raise ValueError(f"entry grid is {A.shape}, expected ({n},{n})")
@@ -110,7 +102,7 @@ def transitive_map_to_dict(g: TransitiveMap) -> dict:
 def transitive_map_from_dict(d: dict, rho: QuasiOrder) -> TransitiveMap:
     values = {}
     for i, j, (re, im) in d["pairs"]:
-        values[(_int(i, "index"), _int(j, "index"))] = _complex(re, im, "transitive map value")
+        values[integer(i, "index"), integer(j, "index")] = _complex(re, im, "transitive map value")
     return TransitiveMap(rho, values)
 
 
@@ -129,7 +121,7 @@ def jordan_spec_from_dict(d: dict) -> JordanSpec:
         raise ValueError(f"spec quasi-order is not closed; missing pairs {added}")
     S = matrix_from_dict(d["s_matrix"])
     g = transitive_map_from_dict(d["transitive_map"], rho)
-    P = CentralIdempotent(tuple(_int(b, "idempotent bit") for b in d["idempotent_diag"]))
+    P = CentralIdempotent(tuple(integer(b, "idempotent bit") for b in d["idempotent_diag"]))
     return JordanSpec(rho, S, g, P)
 
 

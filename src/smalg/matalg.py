@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ._checks import integer, tolerance
 from .quasiorder import QuasiOrder
 
 __all__ = [
@@ -37,16 +38,9 @@ def _as_square(A):
     return A
 
 
-def _check_tol(tol):
-    # no entry exceeds a NaN cutoff (a vacuous pass), and even a zero exceeds -1
-    if tol is not None and not (np.isfinite(tol) and tol >= 0):
-        raise ValueError(f"tol must be finite and >= 0, got {tol}")
-
-
 def _abs_tol(A, tol):
-    _check_tol(tol)
     if tol is not None:
-        return tol
+        return tolerance(tol, "tol", zero_ok=True)
     top = np.max(np.abs(A)) if A.size else 0.0
     return DEFAULT_REL_TOL * top
 
@@ -66,14 +60,15 @@ def support(A, tol: float | None = None) -> frozenset:
 def in_sma(A, rho: QuasiOrder, tol: float | None = None) -> bool:
     """Whether supp(A) lies inside rho."""
     A = _as_square(A)
+    if tol is not None:
+        tol = tolerance(tol, "tol", zero_ok=True)
     return A.shape[0] == rho.n and bool(_in_sma_stack(A[None], rho, tol)[0])
 
 
 def _in_sma_stack(A, rho: QuasiOrder, tol: float | None = None) -> np.ndarray:
     """in_sma on each matrix of a (B, n, n) stack, each with its own default
-    cutoff; raises on non-finite entries.  A stack that is exactly zero off
-    rho, as one built in the algebra is, is in it under any cutoff >= 0."""
-    _check_tol(tol)
+    cutoff, or the checked cutoff `tol`; raises on non-finite entries.  A stack
+    that is exactly zero off rho, as one built in the algebra is, is in it."""
     if not np.all(np.isfinite(A)):
         raise ValueError("matrix has non-finite entries")
     if not np.any(A[:, ~rho.mask]):
@@ -87,10 +82,10 @@ def sharp(A, positions) -> np.ndarray:
     """Insert zero rows and columns so they land at the given 1-based positions
     of the enlarged matrix; inverse (on its range) of `flat` at the same set."""
     A = _as_square(A)
-    pos = sorted(set(positions))
+    pos = sorted({integer(p, "positions", least=1) for p in positions})
     m = A.shape[0] + len(pos)
-    if pos and not (1 <= pos[0] and pos[-1] <= m):
-        raise ValueError(f"insert positions must lie in [1,{m}]")
+    if pos:
+        integer(pos[-1], "positions", most=m)
     keep = [t for t in range(1, m + 1) if t not in set(pos)]
     out = np.zeros((m, m), dtype=complex)
     out[np.ix_([k - 1 for k in keep], [k - 1 for k in keep])] = A
@@ -101,9 +96,7 @@ def flat(A, positions) -> np.ndarray:
     """Delete the rows and columns at the given 1-based positions."""
     A = _as_square(A)
     n = A.shape[0]
-    pos = sorted(set(positions))
-    if pos and not (1 <= pos[0] and pos[-1] <= n):
-        raise ValueError(f"delete positions must lie in [1,{n}]")
+    pos = sorted({integer(p, "positions", least=1, most=n) for p in positions})
     if len(pos) == n:
         raise ValueError("cannot delete every row and column")
     keep = [k - 1 for k in range(1, n + 1) if k not in set(pos)]
@@ -119,14 +112,15 @@ def entry_pairs(A) -> list:
 
 
 def matrix_unit(n: int, i: int, j: int) -> np.ndarray:
+    n = integer(n, "n", least=1)
     E = np.zeros((n, n), dtype=complex)
-    E[i - 1, j - 1] = 1.0
+    E[integer(i, "i", least=1, most=n) - 1, integer(j, "j", least=1, most=n) - 1] = 1.0
     return E
 
 
 def lambda_matrix(n: int) -> np.ndarray:
     """diag(1, 2, ..., n)."""
-    return np.diag(np.arange(1, n + 1)).astype(complex)
+    return np.diag(np.arange(1, integer(n, "n", least=1) + 1)).astype(complex)
 
 
 def _sma_stack(rho: QuasiOrder, Z) -> np.ndarray:

@@ -12,13 +12,13 @@ harness that grades any black-box map on the algebra.
 from __future__ import annotations
 
 import functools
-import operator
 from dataclasses import dataclass, field
 from types import SimpleNamespace
 from typing import Callable
 
 import numpy as np
 
+from ._checks import integer, tolerance
 from .quasiorder import QuasiOrder, condition_i, image, is_symmetric, neighborhood, preimage
 from .matalg import _sma_stack, entry_pairs, lambda_matrix
 
@@ -549,19 +549,6 @@ _PROPERTIES = {
 }
 
 
-def _check_sampling(n_samples, seed=0, tol=1e-8):
-    """Reject inputs that would make a sampled verdict pass vacuously, and a
-    seed that is not an integer >= 0; return the seed as an int."""
-    if n_samples < 1:
-        raise ValueError(f"n_samples must be >= 1, got {n_samples}")
-    if not (np.isfinite(tol) and tol > 0):
-        raise ValueError(f"tol must be finite and > 0, got {tol}")
-    if (isinstance(seed, (bool, np.bool_)) or not hasattr(type(seed), "__index__")
-            or operator.index(seed) < 0):
-        raise ValueError(f"seed must be >= 0 and an integer, got {seed!r}")
-    return operator.index(seed)
-
-
 def _normals(generator, batch, counts):
     """One chunk's standard normals, drawn in sample order, each sample's from
     generator(b) of its batch b: draw(k, rows) hands each marked sample its
@@ -665,7 +652,8 @@ def _grade(mut: MapUnderTest, names, n_samples: int, tol: float, seed: int) -> P
     samplers run, phi maps all their input matrices in one stack, and each
     property's error function runs once, on the chunk's probe and sample
     cases together."""
-    seed = _check_sampling(n_samples, seed, tol)
+    n_samples = integer(n_samples, "n_samples", least=1)
+    tol, seed = tolerance(tol, "tol"), integer(seed, "seed", least=0)
     rho, n = mut.domain, mut.domain.n
     off = sorted(rho.off_diagonal)[:64]
     graded = {name: (prop, PropertyVerdict()) for name, prop in _PROPERTIES.items()
@@ -707,8 +695,8 @@ def verify_preserver(mut: MapUnderTest, n_samples: int = 1000, tol: float = 1e-8
     identity and diag(1..n) for spectrum, and per-pair unit combinations for
     injectivity and additivity.  The unit probes cover the first 64 off-diagonal pairs of rho
     in sorted order, so a structural failure at one of those pairs does not
-    depend on sampling luck; past 64 pairs (992 on full M_32) only the
-    samples reach the rest.
+    depend on sampling luck; past them, samples check additivity but not
+    injectivity, as each perturbs a pair of the cut (ROADMAP item 1).
 
     The probes and samples form one sequence of cases, graded a chunk of
     B = min(128, _stack_step(n)) units at a time, a unit being one probed

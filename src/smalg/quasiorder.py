@@ -18,6 +18,8 @@ from operator import index
 
 import numpy as np
 
+from ._checks import integer
+
 __all__ = [
     "QuasiOrder",
     "Partition",
@@ -49,6 +51,7 @@ def _members(mask) -> frozenset:
 
 def close_pairs(n: int, pairs) -> frozenset:
     """Smallest reflexive-transitive superset of `pairs`, via Warshall on bitmask rows."""
+    n = integer(n, "n", least=1)
     rows = [1 << i for i in range(n)]
     for i, j in pairs:
         if not (1 <= i <= n and 1 <= j <= n):
@@ -79,9 +82,8 @@ class QuasiOrder:
     cols: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        n = self.n
-        if n < 1:
-            raise ValueError("n must be a positive integer")
+        n = integer(self.n, "n", least=1)
+        object.__setattr__(self, "n", n)
         # plain ints, so that the bitmasks below are Python ints too
         object.__setattr__(self, "pairs", frozenset((index(i), index(j)) for i, j in self.pairs))
         rows, cols = [0] * n, [0] * n
@@ -127,14 +129,17 @@ class QuasiOrder:
 
     @classmethod
     def diagonal(cls, n: int) -> "QuasiOrder":
+        n = integer(n, "n", least=1)
         return cls(n, frozenset((i, i) for i in range(1, n + 1)))
 
     @classmethod
     def full(cls, n: int) -> "QuasiOrder":
+        n = integer(n, "n", least=1)
         return cls(n, frozenset(itertools.product(range(1, n + 1), repeat=2)))
 
     @classmethod
     def upper_triangular(cls, n: int) -> "QuasiOrder":
+        n = integer(n, "n", least=1)
         return cls(n, frozenset((i, j) for i in range(1, n + 1) for j in range(i, n + 1)))
 
 
@@ -146,6 +151,7 @@ class Partition:
     blocks: tuple
 
     def __post_init__(self):
+        object.__setattr__(self, "n", integer(self.n, "n", least=1))
         object.__setattr__(self, "blocks", tuple(frozenset(b) for b in self.blocks))
         seen = set()
         for b in self.blocks:
@@ -164,26 +170,21 @@ def closure(n: int, pairs) -> QuasiOrder:
     return QuasiOrder(n, close_pairs(n, pairs))
 
 
-def _check_index(rho, i):
-    if not (1 <= i <= rho.n):
-        raise ValueError(f"index {i} out of range for n={rho.n}")
-
-
 def image(rho: QuasiOrder, i: int) -> frozenset:
     """rho(i) = all j with (i,j) in rho."""
-    _check_index(rho, i)
+    i = integer(i, "i", least=1, most=rho.n)
     return _members(rho.rows[i - 1])
 
 
 def preimage(rho: QuasiOrder, i: int) -> frozenset:
     """rho^{-1}(i) = all j with (j,i) in rho."""
-    _check_index(rho, i)
+    i = integer(i, "i", least=1, most=rho.n)
     return _members(rho.cols[i - 1])
 
 
 def neighborhood(rho: QuasiOrder, i: int) -> frozenset:
     """rho(i) union rho^{-1}(i)."""
-    _check_index(rho, i)
+    i = integer(i, "i", least=1, most=rho.n)
     return _members(rho.rows[i - 1] | rho.cols[i - 1])
 
 
@@ -356,8 +357,7 @@ def all_preorders(n: int):
     the last level is held in memory (209527 row tuples at n=6); the count
     grows about 30x per point.
     """
-    if n < 1:
-        raise ValueError("n must be a positive integer")
+    n = integer(n, "n", least=1)
     level = [()]
     for m in range(n):
         level = [ext for rows in level for ext in _extensions(rows, m)]

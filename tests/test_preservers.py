@@ -460,6 +460,15 @@ class TestSamplingInput:
 
         assert report(np.int64(3)) == report(3)
 
+    def test_numpy_integer_sample_count_is_the_int_count(self, fan4):
+        from smalg import jsonio
+
+        def report(n_samples):
+            return jsonio.dump_json(verify_preserver(counterexample(fan4), n_samples=n_samples,
+                                                     seed=3).to_dict())
+
+        assert report(np.int64(3)) == report(3)
+
     @pytest.mark.parametrize("seed", [-1, 3.0, True, np.random.default_rng(3)],
                              ids=["negative", "float", "bool", "generator"])
     def test_bad_seed_rejected(self, fan4, seed):

@@ -419,5 +419,5 @@ class TestCensus:
 
     @pytest.mark.parametrize("n", [0, -1])
     def test_bad_n(self, n):
-        with pytest.raises(ValueError, match="positive"):
+        with pytest.raises(ValueError, match="n must be >= 1"):
             list(all_preorders(n))
