@@ -52,7 +52,7 @@ class CentralIdempotent:
     diag_bits: tuple
 
     def __post_init__(self):
-        bits = tuple(int(b) for b in self.diag_bits)
+        bits = tuple(integer(b, "idempotent bit") for b in self.diag_bits)
         if any(b not in (0, 1) for b in bits):
             raise ValueError("diagonal bits must be 0 or 1")
         object.__setattr__(self, "diag_bits", bits)
@@ -101,8 +101,7 @@ def validate_spec(spec: JordanSpec) -> None:
         raise ValueError("S is not (numerically) invertible")
     if spec.g.rho != spec.rho:
         raise ValueError("transitive map is defined on a different quasi-order")
-    # 1e-10 relative: a g transitive in exact arithmetic rounds by a few eps per product
-    ok, violation = validate_transitive(spec.g, tol=1e-10)
+    ok, violation = validate_transitive(spec.g)
     if not ok:
         raise ValueError(f"transitive map violates the cocycle law at {violation}")
     if len(spec.P.diag_bits) != n:
@@ -187,7 +186,10 @@ def recover_form(phi, rho: QuasiOrder, tol: float = 1e-8,
     S^{-1} phi(E_ij) S on the matrix units splits rho into the identity-like and
     transpose-like parts and yields g; P marks the indices touched by the
     identity-like part.  The rebuilt map is compared against phi on all matrix
-    units and on random samples, and the recovery fails loudly on mismatch.
+    units and on random samples, each by |rebuilt(X) - phi(X)|_F / max(1, |X|_F).
+    Bad arguments and a rho failing the criterion raise ValueError; past them,
+    every failure raises RecoveryError, with validate_spec's message when the
+    recovered (S, g, P) is rejected.
 
     phi is a callable or a MapUnderTest on rho.  Units and samples go through
     it a stack at a time when it sets `stacked`, and one matrix at a time
@@ -202,65 +204,51 @@ def recover_form(phi, rho: QuasiOrder, tol: float = 1e-8,
     if not ok:
         raise ValueError(f"quasi-order fails the neighborhood criterion at {witness}")
     n = rho.n
-
-    def images(A):  # phi's images of a stack; a broken map contract fails the recovery
-        try:
-            return _eval_stack(mut, A)
-        except ValueError as exc:
-            raise RecoveryError(str(exc)) from exc
-
-    M = images(lambda_matrix(n)[None])[0]
-    if not np.all(np.isfinite(M)):
-        raise RecoveryError("phi(diag(1..n)) is not finite")
-    w, V = np.linalg.eig(M)
-    cols = []
-    for k in range(1, n + 1):
-        err, a = min((abs(w[a] - k), a) for a in range(n) if a not in cols)
-        if err > 1e-6:
-            raise RecoveryError(
-                f"phi(diag(1..n)) has no eigenvalue near {k} (spectrum not preserved?)")
-        cols.append(a)
-    S = _gauge_columns(V[:, cols])
-    Sinv = np.linalg.inv(S)
-
-    # phi's images of the first off-diagonal units, up to 4 MB, are kept for
-    # the unit error below
-    off = sorted(rho.off_diagonal)
-    kept = np.empty((min(len(off), 2 ** 18 // (n * n)), n, n), dtype=complex)
     try:
-        rho_m, rho_a, gvals = _unit_action(mut, rho, frame=(Sinv, S), kept=kept)
-    except ValueError as exc:
+        M = _eval_stack(mut, lambda_matrix(n)[None])[0]
+        if not np.all(np.isfinite(M)):
+            raise RecoveryError("phi(diag(1..n)) is not finite")
+        w, V = np.linalg.eig(M)
+        cols = []
+        for k in range(1, n + 1):
+            err, a = min((abs(w[a] - k), a) for a in range(n) if a not in cols)
+            if err > 1e-6:
+                raise RecoveryError(
+                    f"phi(diag(1..n)) has no eigenvalue near {k} (spectrum not preserved?)")
+            cols.append(a)
+        S = _gauge_columns(V[:, cols])
+
+        # phi's images of the first off-diagonal units, up to 4 MB, are kept
+        # for the unit error below
+        off = sorted(rho.off_diagonal)
+        kept = np.empty((min(len(off), 2 ** 18 // (n * n)), n, n), dtype=complex)
+        rho_m, rho_a, gvals = _unit_action(mut, rho, frame=(np.linalg.inv(S), S), kept=kept)
+        touched = {k for pair in rho_m.off_diagonal for k in pair}
+        P = CentralIdempotent(tuple(int(k in touched) for k in range(1, n + 1)))
+        spec = JordanSpec(rho, S, TransitiveMap(rho, gvals), P)
+        rebuilt = build_embedding(spec)  # validate_spec checks the cocycle law
+
+        def error(A, images):  # the round-trip error on each matrix of a stack
+            return _norms(rebuilt(A) - images) / np.fmax(1.0, _norms(A))
+
+        # the error on every pair, the kept units' first: the max does not
+        # depend on the order
+        step = _stack_step(n)
+        reused = off[:len(kept)]
+        unit_errs = [error(_units(n, reused[lo:lo + step]), kept[lo:lo + step])
+                     for lo in range(0, len(reused), step)]
+        rest = sorted(rho.pairs - set(reused))
+        for lo in range(0, len(rest), step):
+            U = _units(n, rest[lo:lo + step])
+            unit_errs.append(error(U, _eval_stack(mut, U)))
+        rng = np.random.default_rng(seed)
+        sample_errs = []
+        for lo in range(0, n_samples, step):
+            # one block of normals, 2 n^2 per sample, in sample order
+            X = _sma_stack(rho, rng.standard_normal((min(step, n_samples - lo), 2 * n * n)))
+            sample_errs.append(error(X, _eval_stack(mut, X)))
+    except ValueError as exc:  # a broken map contract, LinAlgError, or a rejected spec
         raise RecoveryError(str(exc)) from exc
-    g = TransitiveMap(rho, gvals)
-    ok, violation = validate_transitive(g, tol=1e-6)
-    if not ok:
-        raise RecoveryError(f"recovered scalars violate the cocycle law at {violation}")
-
-    touched = {k for pair in rho_m.off_diagonal for k in pair}
-    P = CentralIdempotent(tuple(int(k in touched) for k in range(1, n + 1)))
-    spec = JordanSpec(rho, S, g, P)
-    try:
-        rebuilt = build_embedding(spec)
-    except ValueError as exc:
-        raise RecoveryError(f"recovered parameters are inconsistent: {exc}") from exc
-
-    def round_trip(A):  # the error on each matrix of a stack
-        return _norms(rebuilt(A) - images(A))
-
-    # the error on every pair, the kept units' first: the max does not depend
-    # on the order
-    step = _stack_step(n)
-    reused = off[:len(kept)]
-    unit_errs = [_norms(rebuilt(_units(n, reused[lo:lo + step])) - kept[lo:lo + step])
-                 for lo in range(0, len(reused), step)]
-    rest = sorted(rho.pairs - set(reused))
-    unit_errs += [round_trip(_units(n, rest[lo:lo + step])) for lo in range(0, len(rest), step)]
-    rng = np.random.default_rng(seed)
-    sample_errs = []
-    for lo in range(0, n_samples, step):
-        # one block of normals, 2 n^2 per sample, in sample order
-        X = _sma_stack(rho, rng.standard_normal((min(step, n_samples - lo), 2 * n * n)))
-        sample_errs.append(round_trip(X) / np.fmax(1.0, _norms(X)))
     # np.max keeps a NaN error, and a NaN error is not <= tol
     unit_err = float(np.max(np.concatenate(unit_errs)))
     sample_err = float(np.max(np.concatenate(sample_errs)))

@@ -121,8 +121,7 @@ def jordan_spec_from_dict(d: dict) -> JordanSpec:
         raise ValueError(f"spec quasi-order is not closed; missing pairs {added}")
     S = matrix_from_dict(d["s_matrix"])
     g = transitive_map_from_dict(d["transitive_map"], rho)
-    P = CentralIdempotent(tuple(integer(b, "idempotent bit") for b in d["idempotent_diag"]))
-    return JordanSpec(rho, S, g, P)
+    return JordanSpec(rho, S, g, CentralIdempotent(d["idempotent_diag"]))
 
 
 def load_jordan_spec(path) -> JordanSpec:

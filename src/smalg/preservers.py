@@ -482,9 +482,10 @@ def _separable(X, Y):
 
 
 def _injective_cases(s):
+    """(X, Y), and X against X with pair off[t % |off|] perturbed."""
     cases = [(s.X, s.Y)]
-    if s.off:
-        i, j = (np.array(s.off)[s.t % len(s.off)] - 1).T
+    if len(s.off):
+        i, j = s.off[s.t % len(s.off)].T
         XE = s.X.copy()
         XE[np.arange(len(s.t)), i, j] += s.draw(2).view(complex)[:, 0]
         cases.append((s.X, XE))
@@ -536,7 +537,7 @@ _PROPERTIES = {
     "commutativity": (_commuting_cases,
                       lambda s: 2 * s.rho.n ** 2 + np.where(s.t % 2 == 0, 4 * s.rho.n, 6),
                       _commutator_error, None),
-    "injectivity": (_injective_cases, lambda s: 2 if s.off else 0, _separation_error,
+    "injectivity": (_injective_cases, lambda s: 2 if len(s.off) else 0, _separation_error,
                     lambda s: [(_separable(s.P, s.F), (s.P, s.F))]),
     "additivity": (lambda s: [(None, (s.X, s.Y, s.X + s.Y))], None, _additive_error,
                    _additive_probe),
@@ -579,9 +580,10 @@ def _probe_cases(graded, rho: QuasiOrder, pairs, diagonals):
 
 def _sample_cases(graded, rho: QuasiOrder, off, t, generator):
     """The groups of each property on the samples t, indexed over the whole
-    run; the samplers see the index of each sample in its batch as s.t."""
+    run, which the samplers see as s.t; `off` holds rho's off-diagonal pairs,
+    0-based, as a (K, 2) array."""
     n = rho.n
-    s = SimpleNamespace(rho=rho, off=off, t=t % BATCH)
+    s = SimpleNamespace(rho=rho, off=off, t=t)
     counts = np.full(len(t), 4 * n * n)  # X and Y, then each sampler's draws
     counts += sum(draws(s) for (_, draws, *_), _ in graded.values() if draws)
     s.draw = _normals(generator, t // BATCH, counts)
@@ -655,12 +657,13 @@ def _grade(mut: MapUnderTest, names, n_samples: int, tol: float, seed: int) -> P
     n_samples = integer(n_samples, "n_samples", least=1)
     tol, seed = tolerance(tol, "tol"), integer(seed, "seed", least=0)
     rho, n = mut.domain, mut.domain.n
-    off = sorted(rho.off_diagonal)[:64]
+    off = sorted(rho.off_diagonal)
     graded = {name: (prop, PropertyVerdict()) for name, prop in _PROPERTIES.items()
               if name in names}
     rep = PreserverReport(mut.label, seed, n_samples,
                           **{name: verdict for name, (_, verdict) in graded.items()})
-    probed = off if any(probe for (*_, probe), _ in graded.values()) else []
+    probed = off[:64] if any(probe for (*_, probe), _ in graded.values()) else []
+    pairs = np.array(off, dtype=int).reshape(-1, 2) - 1
     units, step = len(probed) + n_samples, min(BATCH, _stack_step(n))
     diagonals = [(None, (np.stack([np.eye(n, dtype=complex), lambda_matrix(n)]),))]
 
@@ -674,7 +677,7 @@ def _grade(mut: MapUnderTest, names, n_samples: int, tol: float, seed: int) -> P
             parts.append(_probe_cases(graded, rho, probed[lo:hi], diagonals if lo == 0 else []))
         t = np.arange(max(lo, len(probed)), hi) - len(probed)  # the chunk's samples
         if len(t):
-            parts.append(_sample_cases(graded, rho, off, t, generator))
+            parts.append(_sample_cases(graded, rho, pairs, t, generator))
         _grade_chunk(mut, graded, tol, parts)
     return rep
 
@@ -693,10 +696,12 @@ def verify_preserver(mut: MapUnderTest, n_samples: int = 1000, tol: float = 1e-8
     function states, and a non-finite output fails every property it enters,
     and never raises.  Deterministic probes run before the samples: the
     identity and diag(1..n) for spectrum, and per-pair unit combinations for
-    injectivity and additivity.  The unit probes cover the first 64 off-diagonal pairs of rho
-    in sorted order, so a structural failure at one of those pairs does not
-    depend on sampling luck; past them, samples check additivity but not
-    injectivity, as each perturbs a pair of the cut (ROADMAP item 1).
+    injectivity and additivity.  The unit probes cover the first 64
+    off-diagonal pairs of rho in sorted order, so a structural failure at one
+    of those pairs does not depend on sampling luck.  Past them it is left to
+    the samples: for injectivity, sample t (counted over the run) compares its
+    X with X perturbed at pair t mod K of the K off-diagonal pairs in sorted
+    order, so n_samples >= K perturbs every pair.
 
     The probes and samples form one sequence of cases, graded a chunk of
     B = min(128, _stack_step(n)) units at a time, a unit being one probed

@@ -53,10 +53,15 @@ def close_pairs(n: int, pairs) -> frozenset:
     """Smallest reflexive-transitive superset of `pairs`, via Warshall on bitmask rows."""
     n = integer(n, "n", least=1)
     rows = [1 << i for i in range(n)]
-    for i, j in pairs:
-        if not (1 <= i <= n and 1 <= j <= n):
-            raise ValueError(f"pair ({i},{j}) out of range for n={n}")
-        rows[i - 1] |= 1 << (j - 1)
+    pair = pairs  # the pair being read when a TypeError ends the loop
+    try:
+        for pair in pairs:
+            i, j = pair
+            if not (1 <= i <= n and 1 <= j <= n):
+                raise ValueError(f"pair ({i},{j}) out of range for n={n}")
+            rows[i - 1] |= 1 << (j - 1)
+    except TypeError:  # an entry that is not an integer, or pairs not iterable
+        raise ValueError(f"pairs must be pairs of integers, got {pair!r}") from None
     for k in range(n):
         kbit = 1 << k
         krow = rows[k]
@@ -84,8 +89,12 @@ class QuasiOrder:
     def __post_init__(self):
         n = integer(self.n, "n", least=1)
         object.__setattr__(self, "n", n)
-        # plain ints, so that the bitmasks below are Python ints too
-        object.__setattr__(self, "pairs", frozenset((index(i), index(j)) for i, j in self.pairs))
+        try:  # plain ints, so that the bitmasks below are Python ints too
+            pairs = frozenset((index(i), index(j)) for i, j in self.pairs)
+        except TypeError:
+            close_pairs(n, self.pairs)  # which names the pair
+            raise
+        object.__setattr__(self, "pairs", pairs)
         rows, cols = [0] * n, [0] * n
         for i, j in self.pairs:
             if not (1 <= i <= n and 1 <= j <= n):
@@ -102,12 +111,6 @@ class QuasiOrder:
                 raise ValueError(f"not transitive: ({i},{j}),({j},{k}) but not ({i},{k})")
         object.__setattr__(self, "rows", tuple(rows))
         object.__setattr__(self, "cols", tuple(cols))
-
-    def __contains__(self, pair):
-        return tuple(pair) in self.pairs
-
-    def __len__(self):
-        return len(self.pairs)
 
     @property
     def off_diagonal(self) -> frozenset:

@@ -17,7 +17,7 @@ from smalg.quasiorder import (QuasiOrder, Partition, all_preorders, close_pairs,
                               neighborhood, preimage)
 from smalg.matalg import (flat, in_sma, lambda_matrix, matrix_unit, rank_one_closure_member,
                           sharp, support)
-from smalg.cocycle import TransitiveMap, validate
+from smalg.cocycle import TransitiveMap
 from smalg.jordan import (recover_form, verify_antimultiplicative, verify_jordan,
                           verify_multiplicative)
 from smalg.preservers import identity_map, verify_preserver
@@ -28,8 +28,6 @@ NUMERIC = {"n", "n_samples", "tol", "seed", "i", "j"}
 RECORDS = {"preservers.PreserverReport": "a report the harness fills with the checked seed"}
 
 T3 = QuasiOrder.upper_triangular(3)
-FULL3 = QuasiOrder.full(3)
-G = TransitiveMap(FULL3, {p: 5.0 if p == (1, 2) else 1.0 for p in FULL3.off_diagonal})
 IDENTITY = identity_map(T3)
 
 
@@ -67,7 +65,6 @@ TABLE = {
     "matalg.lambda_matrix.n": ("n", "size", lambda v: lambda_matrix(v)),
     "matalg.flat.positions": ("positions", "index", lambda v: flat(np.eye(3), [v])),
     "matalg.sharp.positions": ("positions", "index", lambda v: sharp(np.eye(2), [v])),
-    "cocycle.validate.tol": ("tol", "tol", lambda v: validate(G, tol=v)),
     **{f"preservers.{key}": entry for key, entry in sampled(verify_preserver, IDENTITY).items()},
     **{f"jordan.{key}": entry for check in (verify_jordan, verify_multiplicative,
                                             verify_antimultiplicative, recover_form)
@@ -127,13 +124,10 @@ def test_bad_value_raises_naming_the_argument(entry, data):
     ("preservers.verify_preserver.n_samples", "3"),
     ("preservers.verify_preserver.n_samples", True),
     ("jordan.recover_form.n_samples", 2.5),
-    ("cocycle.validate.tol", math.nan),
-    ("cocycle.validate.tol", math.inf),
-    ("cocycle.validate.tol", -1.0),
 ])
 def test_reported_bad_values(entry, value):
-    # each ended in a TypeError from range or <, ran one sample and reported
-    # "samples": true, passed vacuously, or reported a violation on the diagonal
+    # each ended in a TypeError from range or <, or ran one sample and
+    # reported "samples": true
     name, _, call = TABLE[entry]
     with pytest.raises(ValueError, match=f"^{name} must be "):
         call(value)

@@ -119,6 +119,14 @@ class TestVerify:
         assert props["spectrum"]["ok"] and props["injectivity"]["ok"]
         assert props["commutativity"]["ok"] is False
 
+    @pytest.mark.parametrize("kind", ["identity", "transpose"])
+    def test_builtin_isomorphisms_pass(self, capsys, kind):
+        # the fan is not symmetric, but the transpose keeps every graded property
+        code, out = run(capsys, "verify", "--kind", kind, "--quasiorder", golden("fan_2x2.json"),
+                        "--samples", "50")
+        report = json.loads(out)
+        assert code == 0 and report["all_pass"] is True and report["label"] == kind
+
     def test_missing_args_usage(self, capsys):
         code = main(["verify"])
         assert code == 1
@@ -163,6 +171,16 @@ class TestRecover:
         report = json.loads(out)
         assert report["recovered"]["idempotent_diag"] == [1, 1, 1, 0, 0, 0]
         assert report["max_unit_error"] <= 1e-8
+
+    def test_criterion_failing_spec_fails_with_one_line(self, capsys, tmp_path, fan4):
+        spec = JordanSpec(fan4, np.eye(4, dtype=complex), TransitiveMap.constant_one(fan4),
+                          CentralIdempotent((1, 1, 1, 1)))
+        path = tmp_path / "fan_spec.json"
+        path.write_text(jsonio.dump_json(jsonio.jordan_spec_to_dict(spec)))
+        code = main(["recover", "--spec", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == "error: quasi-order fails the neighborhood criterion at (1, 3)\n"
 
 
 class TestSelftest:

@@ -293,6 +293,20 @@ class TestGallery:
         from smalg.jordan import verify_jordan
         assert verify_jordan(mut.eval, t2, n_samples=200).jordan.ok
 
+    @pytest.mark.parametrize("n, place", [(11, 73), (14, 133)])
+    def test_noninjective_jordan_past_the_probes(self, n, place):
+        # full on {1..n-2} plus the strict pair (n-1, n), which truncation
+        # collapses: the last of the off-diagonal pairs, past the 64 probes
+        # and, at n = 14, past the 128 samples of a batch
+        rho = closure(n, {(i, j) for i in range(1, n - 1) for j in range(1, n - 1)}
+                      | {(n - 1, n)})
+        assert sorted(rho.off_diagonal).index((n - 1, n)) + 1 == place == len(rho.off_diagonal)
+        rep = verify_preserver(remark_gallery(rho, "noninjective_jordan"),
+                               n_samples=1000, seed=0)
+        assert not rep.injectivity.ok and not rep.all_pass
+        X, Y, _ = rep.injectivity.witnesses[0]
+        assert [tuple(p) for p in np.argwhere(X != Y) + 1] == [(n - 1, n)]
+
     @pytest.mark.parametrize("kind,rho_builder", [
         ("det_twist", lambda: QuasiOrder.diagonal(4)),
         ("diag_shift", lambda: QuasiOrder.upper_triangular(3)),
