@@ -1,57 +1,12 @@
 """Structural matrix algebras: quasi-order combinatorics, Jordan embeddings,
-and numerical experiments on commutativity-and-spectrum preservers."""
+and numerical experiments on commutativity-and-spectrum preservers.
 
-from .quasiorder import (
-    QuasiOrder,
-    Partition,
-    BlockTriangularization,
-    closure,
-    image,
-    preimage,
-    components,
-    is_two_free,
-    condition_i,
-    is_symmetric,
-    block_triangular_permutation,
-    rank_one_density,
-    all_preorders,
-)
-from .matalg import (
-    support,
-    in_sma,
-    sharp,
-    flat,
-    matrix_unit,
-    lambda_matrix,
-    rank_one_closure_member,
-)
-from .cocycle import (
-    TransitiveMap,
-    Trivial,
-    Nontrivial,
-    validate,
-    triviality,
-    induced_auto,
-)
-from .jordan import (
-    CentralIdempotent,
-    JordanSpec,
-    central_idempotents,
-    build_embedding,
-    verify_jordan,
-    verify_multiplicative,
-    verify_antimultiplicative,
-    recover_form,
-    RecoveryError,
-)
-from .preservers import (
-    MapUnderTest,
-    PreserverReport,
-    counterexample,
-    commutes_criterion,
-    classify_unit_action,
-    remark_gallery,
-    verify_preserver,
-)
+Each public name lives in one layer and is imported from it, for example
+``from smalg.quasiorder import QuasiOrder``: quasi-orders in `smalg.quasiorder`,
+the dense matrix layer in `smalg.matalg`, transitive maps in `smalg.cocycle`,
+Jordan embeddings and their recovery in `smalg.jordan`, preservers and the
+sampling harness in `smalg.preservers`, the JSON formats in `smalg.jsonio` and
+the verbs in `smalg.cli`.  Importing `smalg` itself loads no layer.
+"""
 
 __version__ = "0.1.0"

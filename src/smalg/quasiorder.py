@@ -3,10 +3,10 @@
 A quasi-order is a reflexive transitive relation rho on [1, n], stored as a
 frozen set of 1-based index pairs.  `QuasiOrder` is the one home of the data
 derived from rho: the constructor keeps the rows and columns as integer
-bitmasks, and the boolean support mask and the block triangularization are
-computed on first use and kept.  Everything in this module is pure: values are
-immutable after construction and safe to share across threads, because the
-cached data is immutable too and a race between threads only computes it twice.
+bitmasks, and the boolean support mask is computed on first use and kept.
+Everything in this module is pure: values are immutable after construction and
+safe to share across threads, because the cached mask is immutable too and a
+race between threads only computes it twice.
 """
 
 from __future__ import annotations
@@ -125,10 +125,6 @@ class QuasiOrder:
         mask[i, j] = True
         mask.flags.writeable = False
         return mask
-
-    @cached_property
-    def _block_form(self):
-        return _triangularize(self)
 
     @classmethod
     def diagonal(cls, n: int) -> "QuasiOrder":
@@ -265,13 +261,8 @@ def block_triangular_permutation(rho: QuasiOrder) -> BlockTriangularization:
     Each step places the class with the smallest member among those whose
     predecessors are all placed, so the output is deterministic.  Both
     sandwich inclusions are re-verified on the way; a failure there raises
-    RuntimeError (a bug, not bad input).  Computed once per `QuasiOrder` object,
-    which keeps it.
+    RuntimeError (a bug, not bad input).
     """
-    return rho._block_form
-
-
-def _triangularize(rho: QuasiOrder) -> BlockTriangularization:
     rows, cols = rho.rows, rho.cols
     classes = _mutual_masks(rho)
     perm, sizes, placed = [], [], 0

@@ -1,6 +1,7 @@
 import json
 import re
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -251,7 +252,7 @@ class TestBadInput:
 
     @pytest.fixture
     def noncentral_spec(self, tmp_path, spec_file):
-        blob = json.loads(open(spec_file).read())
+        blob = json.loads(Path(spec_file).read_text())
         blob["idempotent_diag"] = [1, 0, 0, 0, 0, 0]
         path = tmp_path / "noncentral.json"
         path.write_text(json.dumps(blob))
@@ -270,7 +271,7 @@ class TestBadInput:
         assert "must be an integer" in usage_error(capsys, "analyze", str(path))
 
     def test_embed_rejects_fractional_idempotent_bit(self, capsys, tmp_path, spec_file):
-        blob = json.loads(open(spec_file).read())
+        blob = json.loads(Path(spec_file).read_text())
         blob["idempotent_diag"][3] = 0.6
         path = tmp_path / "bit.json"
         path.write_text(json.dumps(blob))
@@ -307,7 +308,7 @@ class TestBadInput:
     ])
     def test_non_finite_spec(self, capsys, tmp_path, spec_file, verb, key, value, expected):
         # JSON's NaN and Infinity tokens load as floats
-        blob = json.loads(open(spec_file).read())
+        blob = json.loads(Path(spec_file).read_text())
         if key == "transitive_map":
             blob[key]["pairs"][0][2] = [float(value), 0.0]
         else:

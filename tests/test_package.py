@@ -47,6 +47,18 @@ def test_smalg_never_loads_scipy():
     assert out.splitlines()[-1] == "False"
 
 
+def test_package_namespace_holds_no_layer():
+    """Each public name is imported from its layer: `import smalg` binds no
+    public name and loads no layer."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    code = ("import sys, smalg\n"
+            "print(sorted(a for a in vars(smalg) if not a.startswith('_')))\n"
+            "print(sorted(m for m in sys.modules if m.startswith('smalg.')))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.splitlines() == ["[]", "[]"]
+
+
 def _referenced(paths):
     """Every name, attribute and imported name that the modules at `paths` use."""
     used = set()

@@ -563,17 +563,20 @@ class TestSamplingInput:
         assert rep.all_pass == (case != "fan4")
         assert len(calls) == chunks
 
-    def test_peak_memory_bounded_at_n32(self):
+    @pytest.mark.parametrize("stacked", [False, True], ids=["per_matrix", "stacked"])
+    def test_peak_memory_bounded_at_n32(self, stacked):
         # samples are graded 8 at a time at n = 32, the 2^13 entries of
         # _stack_step, so the spectrum check's shift stack is 4 MB and the
         # traced peak of a full-M_32 embedding stays below 8 MB over 100
-        # samples
+        # samples, whether the map takes one matrix per call or, as for
+        # `verify --spec`, a chunk's stack
         import tracemalloc
 
         rho, phi = large_embedding(32, "full")
+        mut = MapUnderTest(rho, phi, "embedding", stacked=stacked)
         tracemalloc.start()
         try:
-            rep = verify_preserver(MapUnderTest(rho, phi, "embedding"), n_samples=100, seed=0)
+            rep = verify_preserver(mut, n_samples=100, seed=0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
