@@ -401,8 +401,6 @@ def main(argv=None):
         # the verb's function is looked up per call, so a rebinding of it
         # takes effect although the parser is built once
         return globals()[f"cmd_{args.verb}"](args)
-    except SystemExit:
-        raise
     except BrokenPipeError:
         return EXIT_OK
 

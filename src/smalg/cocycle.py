@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._checks import integer
 from .quasiorder import QuasiOrder
 from .matalg import _in_sma_stack
 
@@ -35,7 +36,8 @@ class TransitiveMap:
     values: dict
 
     def __post_init__(self):
-        vals = {tuple(k): complex(v) for k, v in self.values.items()}
+        vals = {(integer(i, "index"), integer(j, "index")): complex(v)
+                for (i, j), v in self.values.items()}
         for i in range(1, self.rho.n + 1):
             vals.setdefault((i, i), 1.0 + 0.0j)
         if set(vals) != self.rho.pairs:

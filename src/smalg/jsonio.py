@@ -11,7 +11,7 @@ import json
 import numpy as np
 
 from ._checks import integer
-from .quasiorder import QuasiOrder, close_pairs
+from .quasiorder import QuasiOrder, closure
 from .matalg import entry_pairs
 from .cocycle import TransitiveMap
 from .jordan import CentralIdempotent, JordanSpec
@@ -45,12 +45,18 @@ def dump_json(obj, pretty: bool = False) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"), check_circular=False)
 
 
-def _complex(re, im, what):
-    """complex(re, im), with an integer too large for a double rejected as bad input."""
+def _complex(part, what):
+    """complex(re, im) of a JSON pair [re, im] of numbers: ints or floats, never
+    bools, and no int too large for a double."""
     try:
-        return complex(re, im)
+        re, im = part
+        if type(re) in (int, float) and type(im) in (int, float):
+            return complex(re, im)
     except OverflowError:
         raise ValueError(f"{what} is out of floating-point range") from None
+    except (TypeError, ValueError):  # not a 2-sequence
+        pass
+    raise ValueError(f"{what} must be a pair of numbers, got {part!r}")
 
 
 def _read(path):
@@ -69,11 +75,8 @@ def quasiorder_to_dict(rho: QuasiOrder) -> dict:
 def quasiorder_from_dict(d: dict):
     """Build the quasi-order, closing the listed pairs; returns (rho, added)
     where `added` lists the pairs the closure had to add."""
-    n = integer(d["n"], "n", most=MAX_N)
-    raw = {(integer(i, "index"), integer(j, "index")) for i, j in d["pairs"]}
-    closed = close_pairs(n, raw)
-    added = sorted(closed - raw)
-    return QuasiOrder(n, closed), added
+    rho = closure(integer(d["n"], "n", most=MAX_N), d["pairs"])
+    return rho, sorted(rho.pairs - set(map(tuple, d["pairs"])))
 
 
 def load_quasiorder(path):
@@ -87,7 +90,7 @@ def matrix_to_dict(A) -> dict:
 
 def matrix_from_dict(d: dict) -> np.ndarray:
     n = integer(d["n"], "n")
-    A = np.array([[_complex(re, im, "matrix entry") for re, im in row] for row in d["entries"]])
+    A = np.array([[_complex(z, "matrix entry") for z in row] for row in d["entries"]])
     if A.shape != (n, n):
         raise ValueError(f"entry grid is {A.shape}, expected ({n},{n})")
     return A
@@ -101,8 +104,8 @@ def transitive_map_to_dict(g: TransitiveMap) -> dict:
 
 def transitive_map_from_dict(d: dict, rho: QuasiOrder) -> TransitiveMap:
     values = {}
-    for i, j, (re, im) in d["pairs"]:
-        values[integer(i, "index"), integer(j, "index")] = _complex(re, im, "transitive map value")
+    for i, j, z in d["pairs"]:
+        values[integer(i, "index"), integer(j, "index")] = _complex(z, "transitive map value")
     return TransitiveMap(rho, values)
 
 

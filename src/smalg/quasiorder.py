@@ -14,7 +14,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
-from operator import index
 
 import numpy as np
 
@@ -25,7 +24,6 @@ __all__ = [
     "Partition",
     "BlockTriangularization",
     "closure",
-    "close_pairs",
     "image",
     "preimage",
     "neighborhood",
@@ -49,28 +47,27 @@ def _members(mask) -> frozenset:
     return frozenset(k + 1 for k in _bits(mask))
 
 
-def close_pairs(n: int, pairs) -> frozenset:
-    """Smallest reflexive-transitive superset of `pairs`, via Warshall on bitmask rows."""
-    n = integer(n, "n", least=1)
-    rows = [1 << i for i in range(n)]
-    pair = pairs  # the pair being read when a TypeError ends the loop
+def _read_pairs(n: int, pairs):
+    """The one reader of index pairs: `pairs` as a frozenset of Python-int pairs
+    in [1, n]^2, and the rows and columns they fill as bitmasks.  An entry that
+    is not a Python int must pass `integer`: numpy integers do, bools do not."""
+    read, rows, cols = set(), [0] * n, [0] * n
+    pair = pairs  # the pair being read when an error ends the loop
     try:
         for pair in pairs:
             i, j = pair
+            if type(i) is not int or type(j) is not int:
+                i, j = integer(i, "index"), integer(j, "index")
             if not (1 <= i <= n and 1 <= j <= n):
-                raise ValueError(f"pair ({i},{j}) out of range for n={n}")
+                break
+            read.add((i, j))
             rows[i - 1] |= 1 << (j - 1)
-    except TypeError:  # an entry that is not an integer, or pairs not iterable
+            cols[j - 1] |= 1 << (i - 1)
+        else:
+            return frozenset(read), rows, cols
+    except (TypeError, ValueError):  # a bad entry, a pair that is not a 2-sequence
         raise ValueError(f"pairs must be pairs of integers, got {pair!r}") from None
-    for k in range(n):
-        kbit = 1 << k
-        krow = rows[k]
-        for i in range(n):
-            if rows[i] & kbit:
-                rows[i] |= krow
-    return frozenset(
-        (i + 1, j + 1) for i in range(n) for j in range(n) if rows[i] >> j & 1
-    )
+    raise ValueError(f"pair ({i},{j}) out of range for n={n}")
 
 
 @dataclass(frozen=True)
@@ -89,22 +86,12 @@ class QuasiOrder:
     def __post_init__(self):
         n = integer(self.n, "n", least=1)
         object.__setattr__(self, "n", n)
-        try:  # plain ints, so that the bitmasks below are Python ints too
-            pairs = frozenset((index(i), index(j)) for i, j in self.pairs)
-        except TypeError:
-            close_pairs(n, self.pairs)  # which names the pair
-            raise
+        pairs, rows, cols = _read_pairs(n, self.pairs)
         object.__setattr__(self, "pairs", pairs)
-        rows, cols = [0] * n, [0] * n
-        for i, j in self.pairs:
-            if not (1 <= i <= n and 1 <= j <= n):
-                raise ValueError(f"pair ({i},{j}) out of range for n={n}")
-            rows[i - 1] |= 1 << (j - 1)
-            cols[j - 1] |= 1 << (i - 1)
         for i in range(n):
             if not rows[i] >> i & 1:
                 raise ValueError(f"not reflexive: missing ({i + 1},{i + 1})")
-        for i, j in self.pairs:
+        for i, j in pairs:
             # transitivity: row j must be contained in row i
             if gap := rows[j - 1] & ~rows[i - 1]:
                 k = gap.bit_length()
@@ -165,8 +152,15 @@ class Partition:
 
 
 def closure(n: int, pairs) -> QuasiOrder:
-    """Load arbitrary pairs into a valid quasi-order by reflexive-transitive closure."""
-    return QuasiOrder(n, close_pairs(n, pairs))
+    """The smallest quasi-order containing `pairs`, by Warshall on bitmask rows."""
+    n = integer(n, "n", least=1)
+    rows = [r | 1 << i for i, r in enumerate(_read_pairs(n, pairs)[1])]
+    for k in range(n):
+        for i in range(n):
+            if rows[i] >> k & 1:
+                rows[i] |= rows[k]
+    return QuasiOrder(n, frozenset(
+        (i + 1, j + 1) for i in range(n) for j in range(n) if rows[i] >> j & 1))
 
 
 def image(rho: QuasiOrder, i: int) -> frozenset:

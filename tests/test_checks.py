@@ -13,8 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from smalg import cli, jsonio
-from smalg.quasiorder import (QuasiOrder, Partition, all_preorders, close_pairs, closure, image,
-                              neighborhood, preimage)
+from smalg.quasiorder import (QuasiOrder, Partition, all_preorders, closure, image, neighborhood,
+                              preimage)
 from smalg.matalg import (flat, in_sma, lambda_matrix, matrix_unit, rank_one_closure_member,
                           sharp, support)
 from smalg.cocycle import TransitiveMap
@@ -44,13 +44,16 @@ def sampled(check, *args):
 # entry point -> (argument named in the message, kind of argument, call with the value)
 TABLE = {
     "quasiorder.QuasiOrder.n": ("n", "size", lambda v: QuasiOrder(v, frozenset())),
+    # pairs as lists, since a set merges (True, 2) into (1, 2)
+    "quasiorder.QuasiOrder.pairs": (
+        "pairs", "pair entry", lambda v: QuasiOrder(2, [(1, 1), (2, 2), (v, 2)])),
     "quasiorder.QuasiOrder.diagonal.n": ("n", "size", lambda v: QuasiOrder.diagonal(v)),
     "quasiorder.QuasiOrder.full.n": ("n", "size", lambda v: QuasiOrder.full(v)),
     "quasiorder.QuasiOrder.upper_triangular.n": ("n", "size",
                                                  lambda v: QuasiOrder.upper_triangular(v)),
     "quasiorder.Partition.n": ("n", "size", lambda v: Partition(v, ())),
     "quasiorder.closure.n": ("n", "size", lambda v: closure(v, set())),
-    "quasiorder.close_pairs.n": ("n", "size", lambda v: close_pairs(v, set())),
+    "quasiorder.closure.pairs": ("pairs", "pair entry", lambda v: closure(3, [(1, 2), (v, 2)])),
     "quasiorder.all_preorders.n": ("n", "size", lambda v: list(all_preorders(v))),
     "quasiorder.image.i": ("i", "index", lambda v: image(T3, v)),
     "quasiorder.preimage.i": ("i", "index", lambda v: preimage(T3, v)),
@@ -72,8 +75,8 @@ TABLE = {
     # the integers of the JSON formats
     "jsonio.quasiorder_from_dict.n": (
         "n", "json size", lambda v: jsonio.quasiorder_from_dict({"n": v, "pairs": []})),
-    "jsonio.quasiorder_from_dict.index": (
-        "index", "json", lambda v: jsonio.quasiorder_from_dict({"n": 3, "pairs": [[v, 1]]})),
+    "jsonio.quasiorder_from_dict.pairs": (
+        "pairs", "pair entry", lambda v: jsonio.quasiorder_from_dict({"n": 3, "pairs": [[v, 1]]})),
     "jsonio.matrix_from_dict.n": (
         "n", "json", lambda v: jsonio.matrix_from_dict({"n": v, "entries": [[[1.0, 0.0]]]})),
     "jsonio.transitive_map_from_dict.index": (
@@ -101,7 +104,8 @@ def bad_values(rule):
             st.floats(max_value=-5e-324 if zero_ok else 0.0).map(np.float64),
             st.integers(max_value=-1 if zero_ok else 0), st.integers(min_value=2 ** 1024))
     least, most = {"size": (1, None), "json size": (1, jsonio.MAX_N), "index": (1, 3),
-                   "count": (1, None), "seed": (0, None), "json": (None, None)}[rule]
+                   "count": (1, None), "seed": (0, None), "json": (None, None),
+                   "pair entry": (None, None)}[rule]
     return st.one_of(
         NOT_NUMBERS, NON_FINITE, st.none(), st.floats(), st.floats().map(np.float64),
         *([] if least is None else [st.integers(max_value=least - 1)]),
@@ -124,10 +128,13 @@ def test_bad_value_raises_naming_the_argument(entry, data):
     ("preservers.verify_preserver.n_samples", "3"),
     ("preservers.verify_preserver.n_samples", True),
     ("jordan.recover_form.n_samples", 2.5),
+    ("quasiorder.QuasiOrder.pairs", True),
+    ("quasiorder.closure.pairs", True),
+    ("jsonio.quasiorder_from_dict.pairs", True),
 ])
 def test_reported_bad_values(entry, value):
-    # each ended in a TypeError from range or <, or ran one sample and
-    # reported "samples": true
+    # each ended in a TypeError from range or <, ran one sample and reported
+    # "samples": true, or read a bool in a pair as index 1
     name, _, call = TABLE[entry]
     with pytest.raises(ValueError, match=f"^{name} must be "):
         call(value)

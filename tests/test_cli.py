@@ -184,6 +184,11 @@ class TestRecover:
         assert captured.err == "error: quasi-order fails the neighborhood criterion at (1, 3)\n"
 
 
+def zero_second_row(doc):
+    """Zero row 2 of the fan's rank-one matrix: E_13 + E_14 is in the rank-one closure."""
+    doc["entries"][1] = [[0.0, 0.0]] * 4
+
+
 class TestSelftest:
     def test_passes_and_prints_lines(self, capsys):
         import time
@@ -197,21 +202,46 @@ class TestSelftest:
         lines = [line for line in out.splitlines() if line.startswith("[PASS]")]
         assert all(re.search(r" \(\d+\.\d ms\)$", line) for line in lines)
 
-    def test_perturbed_golden_fails_with_diff(self, capsys, tmp_path, monkeypatch):
-        # copy the golden tree, drop one pair from the fan pattern, repoint the loader
+    @pytest.mark.parametrize("name, perturb, check, diff", [
+        pytest.param("fan_2x2.json", lambda d: d["pairs"].append([3, 4]), "fan pattern",
+                     "criterion verdict (True, None), expected (False, (1,3))", id="fan_2x2"),
+        pytest.param("fan_2x2_rank_one.json", zero_second_row, "fan pattern",
+                     "rank-one closure membership: got True, expected False",
+                     id="fan_2x2_rank_one"),
+        pytest.param("nontrivial_cocycle_7.json", lambda d: d["pairs"].remove([4, 5]),
+                     "7x7 pattern", "criterion should hold, got witness (2, 4)",
+                     id="nontrivial_cocycle_7"),
+        pytest.param("two_blocks_3x3.json", lambda d: d["pairs"].append([1, 4]),
+                     "two-block algebra",
+                     "closure added [(1, 5), (1, 6), (2, 4), (2, 5), (2, 6), (3, 4), (3, 5), "
+                     "(3, 6)], expected the file to be closed", id="two_blocks_3x3"),
+        pytest.param("symmetric_pair_3.json", lambda d: d["pairs"].remove([2, 1]),
+                     "symmetric pair", "counterexample shape (2, 1, 2), expected (1, 1, 2)",
+                     id="symmetric_pair_3"),
+    ])
+    def test_perturbed_golden_fails_with_diff(self, capsys, tmp_path, monkeypatch,
+                                              name, perturb, check, diff):
+        # copy the golden tree, perturb one file, repoint the loader: the
+        # check reading that file reports its own diff, every other check passes
         import shutil
         import smalg.cli as cli
 
         src = resources.files("smalg").joinpath("golden")
         dst = tmp_path / "golden"
         shutil.copytree(str(src), dst)
-        fan = json.loads((dst / "fan_2x2.json").read_text())
-        fan["pairs"] = [p for p in fan["pairs"] if p != [2, 4]]
-        (dst / "fan_2x2.json").write_text(json.dumps(fan))
+        doc = json.loads((dst / name).read_text())
+        perturb(doc)
+        (dst / name).write_text(json.dumps(doc))
         monkeypatch.setattr(cli, "_golden", lambda name: dst / name)
         code, out = run(capsys, "selftest")
         assert code == 2
-        assert "[FAIL]" in out and "fan" in out
+        lines = out.splitlines()
+        for label, _ in cli._selftest_checks():
+            status = "FAIL" if label.startswith(check) else "PASS"
+            [at] = [k for k, line in enumerate(lines) if line.startswith(f"[{status}] {label} (")]
+            if status == "FAIL":
+                assert lines[at + 1] == f"       {diff}"
+        assert lines[-1].startswith("selftest: 1 failure(s) in ")
 
 
 def usage_error(capsys, *argv):
@@ -262,13 +292,16 @@ class TestBadInput:
     def test_noncentral_spec(self, capsys, noncentral_spec, verb):
         assert "central" in usage_error(capsys, *verb, noncentral_spec)
 
-    @pytest.mark.parametrize("content", [
-        '{"n": 3, "pairs": [[1, 2.7]]}', '{"n": true, "pairs": []}', '{"n": 1e300, "pairs": []}',
+    @pytest.mark.parametrize("content, expected", [
+        pytest.param(content, expected, id=content) for content, expected in [
+            ('{"n": 3, "pairs": [[1, 2.7]]}', "pairs must be pairs of integers, got [1, 2.7]"),
+            ('{"n": true, "pairs": []}', "n must be an integer, got True"),
+            ('{"n": 1e300, "pairs": []}', "n must be an integer, got 1e+300")]
     ])
-    def test_analyze_rejects_non_integers(self, capsys, tmp_path, content):
+    def test_analyze_rejects_non_integers(self, capsys, tmp_path, content, expected):
         path = tmp_path / "q.json"
         path.write_text(content)
-        assert "must be an integer" in usage_error(capsys, "analyze", str(path))
+        assert usage_error(capsys, "analyze", str(path)).endswith(f": {expected}\n")
 
     def test_embed_rejects_fractional_idempotent_bit(self, capsys, tmp_path, spec_file):
         blob = json.loads(Path(spec_file).read_text())
@@ -305,14 +338,19 @@ class TestBadInput:
                      id="g Infinity"),
         pytest.param("s_matrix", "NaN", "S has a non-finite entry (nan+0j) at (1,1)",
                      id="S NaN"),
+        pytest.param("s_matrix", "true",
+                     "matrix entry must be a pair of numbers, got [True, 0.0]", id="S true"),
+        pytest.param("transitive_map", "false",
+                     "transitive map value must be a pair of numbers, got [False, 0.0]",
+                     id="g false"),
     ])
     def test_non_finite_spec(self, capsys, tmp_path, spec_file, verb, key, value, expected):
-        # JSON's NaN and Infinity tokens load as floats
+        # JSON's NaN and Infinity tokens load as floats, true and false as bools
         blob = json.loads(Path(spec_file).read_text())
         if key == "transitive_map":
-            blob[key]["pairs"][0][2] = [float(value), 0.0]
+            blob[key]["pairs"][0][2] = [json.loads(value), 0.0]
         else:
-            blob[key]["entries"][0][0] = [float(value), 0.0]
+            blob[key]["entries"][0][0] = [json.loads(value), 0.0]
         path = tmp_path / "nonfinite.json"
         path.write_text(json.dumps(blob))
         assert value in path.read_text()

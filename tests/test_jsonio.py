@@ -1,5 +1,6 @@
 import io
 import json
+import re
 from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
@@ -43,7 +44,11 @@ def test_loader_rejects_out_of_range():
     {"n": "3", "pairs": []},
 ])
 def test_loader_rejects_non_integers(blob):
-    with pytest.raises(ValueError, match="must be an integer"):
+    # a bad pair entry is named with its pair
+    pair = blob["pairs"][0] if blob["pairs"] else None
+    message = (f"^{re.escape(f'pairs must be pairs of integers, got {pair}')}$" if pair
+               else "^n must be an integer")
+    with pytest.raises(ValueError, match=message):
         jsonio.quasiorder_from_dict(blob)
 
 

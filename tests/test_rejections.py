@@ -11,6 +11,7 @@ from smalg.cocycle import TransitiveMap, coboundary
 from smalg.jordan import CentralIdempotent, JordanSpec, RecoveryError, recover_form, validate_spec
 from smalg.preservers import classify_unit_action
 
+T2 = QuasiOrder.upper_triangular(2)
 T3 = QuasiOrder.upper_triangular(3)
 FULL3 = QuasiOrder.full(3)
 ONES3 = CentralIdempotent((1, 1, 1))
@@ -47,12 +48,24 @@ CASES = {
     "quasiorder.closure_float_pair_entry": (
         lambda: closure(3, {(1.5, 2)}), ValueError,
         r"^pairs must be pairs of integers, got \(1\.5, 2\)$"),
+    "quasiorder.bool_pair_entry": (
+        lambda: QuasiOrder(2, {(True, True), (2, 2)}), ValueError,
+        r"^pairs must be pairs of integers, got \(True, True\)$"),
+    "quasiorder.pair_of_three": (
+        lambda: closure(3, [(1, 2, 3)]), ValueError,
+        r"^pairs must be pairs of integers, got \(1, 2, 3\)$"),
     "matalg.non_square_matrix": (
         lambda: support(np.ones((2, 3))), ValueError,
         r"^expected a square matrix, got shape \(2, 3\)$"),
     "matalg.rank_one_member_wrong_size": (
         lambda: rank_one_closure_member(matrix_unit(4, 1, 2), T3), ValueError,
         "^matrix size does not match the quasi-order$"),
+    "cocycle.bool_key": (
+        lambda: TransitiveMap(T2, {(True, 2): 3.0}), ValueError,
+        "^index must be an integer, got True$"),
+    "cocycle.float_key": (
+        lambda: TransitiveMap(T2, {(1.0, 2): 3.0}), ValueError,
+        "^index must be an integer, got 1.0$"),
     "cocycle.zero_separator": (
         lambda: coboundary(T3, {1: 1.0, 2: 0.0, 3: 1.0}), ValueError,
         "^separator values must be nonzero$"),
