@@ -183,8 +183,7 @@ def cmd_counterexample(args):
 def cmd_recover(args):
     mut = _spec_map(args.spec)
     try:
-        rec = recover_form(mut, mut.domain, tol=args.tol, n_samples=args.samples,
-                           seed=args.seed)
+        rec = recover_form(mut, tol=args.tol, n_samples=args.samples, seed=args.seed)
     except (RecoveryError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAIL
@@ -238,6 +237,11 @@ def _selftest_checks():
         holds, witness = condition_i(rho)
         if not holds:
             return f"criterion should hold, got witness {witness}"
+        want = ({(i, i) for i in range(1, 8)} | {(1, 3), (4, 5), (6, 7)}
+                | {(i, j) for i in (1, 2, 3) for j in range(4, 8)})
+        if rho.pairs != want:
+            return (f"pattern mismatch: missing pairs {sorted(want - rho.pairs)}, "
+                    f"extra pairs {sorted(rho.pairs - want)}")
         g = TransitiveMap(rho, {
             p: (2.0 if p in {(2, 4), (2, 5)} else 1.0) for p in rho.off_diagonal
         })
@@ -269,12 +273,12 @@ def _selftest_checks():
             return f"{len(ids)} central idempotents, expected 4"
         P = CentralIdempotent((1, 1, 1, 0, 0, 0))
         spec = JordanSpec(rho, np.eye(6, dtype=complex), TransitiveMap.constant_one(rho), P)
-        phi = build_embedding(spec)
-        ver = verify_jordan(phi, rho, n_samples=1000, tol=1e-8, seed=0)
+        mut = MapUnderTest(rho, build_embedding(spec), "embedding", stacked=True)
+        ver = verify_jordan(mut, n_samples=1000, tol=1e-8, seed=0)
         if not ver.all_pass:
             return f"block embedding failed the Jordan battery: {ver.to_dict()['properties']}"
-        mul = verify_multiplicative(phi, rho, n_samples=200, seed=0).multiplicative
-        anti = verify_antimultiplicative(phi, rho, n_samples=200, seed=0).antimultiplicative
+        mul = verify_multiplicative(mut, n_samples=200, seed=0).multiplicative
+        anti = verify_antimultiplicative(mut, n_samples=200, seed=0).antimultiplicative
         if mul.ok or anti.ok:
             return f"expected both product rules to fail (mult={mul.ok}, anti={anti.ok})"
         if not mul.witnesses or not anti.witnesses:

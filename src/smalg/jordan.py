@@ -23,8 +23,8 @@ from ._checks import integer, tolerance
 from .quasiorder import QuasiOrder, components, condition_i
 from .matalg import _sma_stack, lambda_matrix
 from .cocycle import TransitiveMap, induced_auto, validate as validate_transitive
-from .preservers import (PreserverReport, _as_map, _eval_stack, _grade, _norms, _stack_step,
-                         _unit_action, _units)
+from .preservers import (MapUnderTest, PreserverReport, _eval_stack, _grade, _norms,
+                         _stack_step, _unit_action, _units)
 
 __all__ = [
     "CentralIdempotent",
@@ -137,24 +137,23 @@ def build_embedding(spec: JordanSpec):
     return phi
 
 
-def verify_jordan(phi, rho: QuasiOrder, n_samples: int = 1000,
+def verify_jordan(mut: MapUnderTest, n_samples: int = 1000,
                   tol: float = 1e-8, seed: int = 0) -> PreserverReport:
     """Sample additivity, homogeneity, the square identity phi(X^2) = phi(X)^2,
     and pairwise output separation of distinct inputs."""
-    return _grade(_as_map(phi, rho),
-                  ("injectivity", "additivity", "homogeneity", "jordan"), n_samples, tol, seed)
+    return _grade(mut, ("injectivity", "additivity", "homogeneity", "jordan"), n_samples, tol, seed)
 
 
-def verify_multiplicative(phi, rho: QuasiOrder, n_samples: int = 200,
+def verify_multiplicative(mut: MapUnderTest, n_samples: int = 200,
                           tol: float = 1e-8, seed: int = 0) -> PreserverReport:
     """Sampled check of phi(XY) = phi(X)phi(Y)."""
-    return _grade(_as_map(phi, rho), ("multiplicative",), n_samples, tol, seed)
+    return _grade(mut, ("multiplicative",), n_samples, tol, seed)
 
 
-def verify_antimultiplicative(phi, rho: QuasiOrder, n_samples: int = 200,
+def verify_antimultiplicative(mut: MapUnderTest, n_samples: int = 200,
                               tol: float = 1e-8, seed: int = 0) -> PreserverReport:
     """Sampled check of phi(XY) = phi(Y)phi(X)."""
-    return _grade(_as_map(phi, rho), ("antimultiplicative",), n_samples, tol, seed)
+    return _grade(mut, ("antimultiplicative",), n_samples, tol, seed)
 
 
 @dataclass
@@ -177,7 +176,7 @@ def _gauge_columns(V):
     return W
 
 
-def recover_form(phi, rho: QuasiOrder, tol: float = 1e-8,
+def recover_form(mut: MapUnderTest, tol: float = 1e-8,
                  n_samples: int = 100, seed: int = 0) -> RecoveredForm:
     """Recover (S, g, P) from a black-box preserver on an algebra satisfying the
     neighborhood-intersection criterion.
@@ -191,15 +190,15 @@ def recover_form(phi, rho: QuasiOrder, tol: float = 1e-8,
     every failure raises RecoveryError, with validate_spec's message when the
     recovered (S, g, P) is rejected.
 
-    phi is a callable or a MapUnderTest on rho.  Units and samples go through
-    it a stack at a time when it sets `stacked`, and one matrix at a time
+    phi is `mut.eval` and rho is `mut.domain`.  Units and samples go through
+    phi a stack at a time when `mut` sets `stacked`, and one matrix at a time
     otherwise; either way the result is the same to the bit.  The unit error
     reuses the classifier's images of the first off-diagonal units, up to
     4 MB of them, so phi sees each of those units once.
     """
     n_samples = integer(n_samples, "n_samples", least=1)
     tol, seed = tolerance(tol, "tol"), integer(seed, "seed", least=0)
-    mut = _as_map(phi, rho)
+    rho = mut.domain
     ok, witness = condition_i(rho)
     if not ok:
         raise ValueError(f"quasi-order fails the neighborhood criterion at {witness}")
@@ -222,7 +221,7 @@ def recover_form(phi, rho: QuasiOrder, tol: float = 1e-8,
         # for the unit error below
         off = sorted(rho.off_diagonal)
         kept = np.empty((min(len(off), 2 ** 18 // (n * n)), n, n), dtype=complex)
-        rho_m, rho_a, gvals = _unit_action(mut, rho, frame=(np.linalg.inv(S), S), kept=kept)
+        rho_m, rho_a, gvals = _unit_action(mut, frame=(np.linalg.inv(S), S), kept=kept)
         touched = {k for pair in rho_m.off_diagonal for k in pair}
         P = CentralIdempotent(tuple(int(k in touched) for k in range(1, n + 1)))
         spec = JordanSpec(rho, S, TransitiveMap(rho, gvals), P)

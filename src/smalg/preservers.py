@@ -191,15 +191,6 @@ def commutes_criterion(X, Y, rho: QuasiOrder, r: int, s: int) -> bool:
     return bool(base and abs(lhs - rhs) <= limit)
 
 
-def _as_map(phi, rho: QuasiOrder) -> MapUnderTest:
-    """phi as a MapUnderTest on rho: a plain callable is a per-matrix map."""
-    if not isinstance(phi, MapUnderTest):
-        return MapUnderTest(rho, phi, "phi")
-    if phi.domain != rho:
-        raise ValueError("the map is defined on a different quasi-order")
-    return phi
-
-
 def _image(mut: MapUnderTest, A):
     """mut.eval(A), which must have the shape of A: numpy would broadcast a
     scalar or a row into a full image."""
@@ -238,7 +229,7 @@ def _stack_step(n: int) -> int:
     return max(1, 2 ** 13 // (n * n))
 
 
-def _unit_action(phi, rho: QuasiOrder, frame=None, kept=None):
+def _unit_action(mut: MapUnderTest, frame=None, kept=None):
     """classify_unit_action, plus the dominant scalar of each unit's image.
     With frame = (T, U), each finite image A is read as T A U.  A (K, n, n)
     array `kept` receives the images of the first K units, as phi gave them.
@@ -246,8 +237,8 @@ def _unit_action(phi, rho: QuasiOrder, frame=None, kept=None):
     An image is zero when its top entry is at most 1e-7, and parallel to no unit
     when its second exceeds 1e-7 times its top: in the frame of S, a Jordan
     embedding's E_ij image is g(i,j) plus rounding of about eps cond(S)^2 |g(i,j)|."""
-    mut, n = _as_map(phi, rho), rho.n
-    units = sorted(rho.off_diagonal)
+    n = mut.domain.n
+    units = sorted(mut.domain.off_diagonal)
     parts = (set(), set())  # pairs mapped parallel to the unit, to its flip
     scalars = {}
     step = _stack_step(n)
@@ -292,17 +283,15 @@ def _unit_action(phi, rho: QuasiOrder, frame=None, kept=None):
     return rho_m, rho_a, scalars
 
 
-def classify_unit_action(phi, rho: QuasiOrder):
-    """Split rho into the pairs whose matrix unit maps parallel to itself versus
-    to its transpose; both parts are returned as (verified) quasi-orders.
-    phi is a callable or a MapUnderTest on rho; the units go through it a
-    stack at a time when it sets `stacked`.
+def classify_unit_action(mut: MapUnderTest):
+    """Split mut.domain into the pairs whose matrix unit maps parallel to itself
+    versus to its transpose; both parts are returned as (verified) quasi-orders.
 
     Raises ValueError with a witness, the first failing unit in sorted order,
     when some image is not finite, numerically zero, or parallel to neither
     the unit nor its flip, at the cutoffs of `_unit_action`.
     """
-    return _unit_action(phi, rho)[:2]
+    return _unit_action(mut)[:2]
 
 
 def remark_gallery(rho: QuasiOrder, kind: str) -> MapUnderTest:

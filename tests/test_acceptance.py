@@ -36,7 +36,7 @@ from smalg.jordan import (
     verify_jordan,
     verify_multiplicative,
 )
-from smalg.preservers import _commuting_pairs, counterexample, verify_preserver
+from smalg.preservers import MapUnderTest, _commuting_pairs, counterexample, verify_preserver
 from smalg import jsonio
 
 from generators import random_invertible, random_preorder, random_transitive
@@ -104,10 +104,11 @@ def test_acceptance_two_block_embedding():
     P = CentralIdempotent((1, 1, 1, 0, 0, 0))
     phi = build_embedding(JordanSpec(rho, np.eye(6, dtype=complex),
                                      TransitiveMap.constant_one(rho), P))
-    report = verify_jordan(phi, rho, n_samples=1000, tol=1e-8, seed=0)
+    mut = MapUnderTest(rho, phi, "phi")
+    report = verify_jordan(mut, n_samples=1000, tol=1e-8, seed=0)
     assert report.all_pass
-    mul = verify_multiplicative(phi, rho, n_samples=300, seed=1).multiplicative
-    anti = verify_antimultiplicative(phi, rho, n_samples=300, seed=2).antimultiplicative
+    mul = verify_multiplicative(mut, n_samples=300, seed=1).multiplicative
+    anti = verify_antimultiplicative(mut, n_samples=300, seed=2).antimultiplicative
     assert mul.ok is False and mul.witnesses[0] is not None
     assert anti.ok is False and anti.witnesses[0] is not None
     X, Y, _ = mul.witnesses[0]
@@ -237,7 +238,8 @@ def test_acceptance_recovery_round_trip():
                 random_transitive(rho, seed),
                 idems[int(srng.integers(0, len(idems)))],
             )
-            recovered = recover_form(build_embedding(spec), rho, tol=1e-8, seed=seed)
+            mut = MapUnderTest(rho, build_embedding(spec), "phi")
+            recovered = recover_form(mut, tol=1e-8, seed=seed)
             worst_unit = max(worst_unit, recovered.max_unit_error)
             worst_sample = max(worst_sample, recovered.max_sample_error)
             trips += 1

@@ -20,7 +20,7 @@ from smalg.matalg import (flat, in_sma, lambda_matrix, matrix_unit, rank_one_clo
 from smalg.cocycle import TransitiveMap
 from smalg.jordan import (recover_form, verify_antimultiplicative, verify_jordan,
                           verify_multiplicative)
-from smalg.preservers import identity_map, verify_preserver
+from smalg.preservers import MapUnderTest, identity_map, verify_preserver
 
 LAYERS = ("quasiorder", "matalg", "cocycle", "preservers", "jordan", "jsonio")
 NUMERIC = {"n", "n_samples", "tol", "seed", "i", "j"}
@@ -71,7 +71,7 @@ TABLE = {
     **{f"preservers.{key}": entry for key, entry in sampled(verify_preserver, IDENTITY).items()},
     **{f"jordan.{key}": entry for check in (verify_jordan, verify_multiplicative,
                                             verify_antimultiplicative, recover_form)
-       for key, entry in sampled(check, same, T3).items()},
+       for key, entry in sampled(check, MapUnderTest(T3, same, "same")).items()},
     # the integers of the JSON formats
     "jsonio.quasiorder_from_dict.n": (
         "n", "json size", lambda v: jsonio.quasiorder_from_dict({"n": v, "pairs": []})),

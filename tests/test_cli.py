@@ -10,7 +10,7 @@ from smalg.cli import main
 from smalg import jsonio
 from smalg.cocycle import TransitiveMap
 from smalg.jordan import CentralIdempotent, JordanSpec
-from smalg.quasiorder import closure
+from smalg.quasiorder import QuasiOrder, closure
 
 
 def golden(name):
@@ -208,9 +208,16 @@ class TestSelftest:
         pytest.param("fan_2x2_rank_one.json", zero_second_row, "fan pattern",
                      "rank-one closure membership: got True, expected False",
                      id="fan_2x2_rank_one"),
+        # a check that raises is reported as the exception, not a crash
+        pytest.param("fan_2x2_rank_one.json", lambda d: d.update(n="4"), "fan pattern",
+                     """exception: ValueError("n must be an integer, got '4'")""",
+                     id="fan_2x2_rank_one-string-n"),
         pytest.param("nontrivial_cocycle_7.json", lambda d: d["pairs"].remove([4, 5]),
                      "7x7 pattern", "criterion should hold, got witness (2, 4)",
                      id="nontrivial_cocycle_7"),
+        pytest.param("nontrivial_cocycle_7.json", lambda d: d["pairs"].remove([1, 3]),
+                     "7x7 pattern", "pattern mismatch: missing pairs [(1, 3)], extra pairs []",
+                     id="nontrivial_cocycle_7-drop-1-3"),
         pytest.param("two_blocks_3x3.json", lambda d: d["pairs"].append([1, 4]),
                      "two-block algebra",
                      "closure added [(1, 5), (1, 6), (2, 4), (2, 5), (2, 6), (3, 4), (3, 5), "
@@ -291,6 +298,19 @@ class TestBadInput:
     @pytest.mark.parametrize("verb", [["embed"], ["recover", "--spec"], ["verify", "--spec"]])
     def test_noncentral_spec(self, capsys, noncentral_spec, verb):
         assert "central" in usage_error(capsys, *verb, noncentral_spec)
+
+    @pytest.mark.parametrize("verb", [["embed"], ["recover", "--spec"], ["verify", "--spec"]])
+    def test_unclosed_spec_order(self, capsys, tmp_path, verb):
+        t3 = QuasiOrder.upper_triangular(3)
+        blob = json.loads(jsonio.dump_json(jsonio.jordan_spec_to_dict(JordanSpec(
+            t3, np.eye(3, dtype=complex), TransitiveMap.constant_one(t3),
+            CentralIdempotent((1, 1, 1))))))
+        blob["quasiorder"]["pairs"].remove([1, 3])
+        path = tmp_path / "unclosed.json"
+        path.write_text(json.dumps(blob))
+        assert usage_error(capsys, *verb, str(path)) == (
+            f"error: cannot load spec from {path}: spec quasi-order is not closed; "
+            "missing pairs [(1, 3)]\n")
 
     @pytest.mark.parametrize("content, expected", [
         pytest.param(content, expected, id=content) for content, expected in [

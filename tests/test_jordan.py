@@ -142,42 +142,39 @@ class TestBuildEmbedding:
 
 class TestVerification:
     def test_identity_passes(self, fan4):
-        rep = verify_jordan(lambda X: np.array(X), fan4, n_samples=200)
+        rep = verify_jordan(MapUnderTest(fan4, lambda X: np.array(X), "phi"), n_samples=200)
         assert rep.all_pass and not any(v.witnesses for v in rep._verdicts().values())
 
     def test_two_block_jordan_but_no_product_rule(self, two_blocks6):
-        phi = build_embedding(block_spec(two_blocks6))
-        rep = verify_jordan(phi, two_blocks6, n_samples=300, tol=1e-8, seed=0)
+        mut = MapUnderTest(two_blocks6, build_embedding(block_spec(two_blocks6)), "phi")
+        rep = verify_jordan(mut, n_samples=300, tol=1e-8, seed=0)
         assert rep.all_pass
-        mul = verify_multiplicative(phi, two_blocks6, seed=1).multiplicative
-        anti = verify_antimultiplicative(phi, two_blocks6, seed=2).antimultiplicative
+        mul = verify_multiplicative(mut, seed=1).multiplicative
+        anti = verify_antimultiplicative(mut, seed=2).antimultiplicative
         assert not mul.ok and mul.witnesses[0] is not None
         assert not anti.ok and anti.witnesses[0] is not None
 
     def test_identity_is_multiplicative(self, fan4):
-        assert verify_multiplicative(lambda X: np.array(X), fan4).multiplicative.ok
+        mut = MapUnderTest(fan4, lambda X: np.array(X), "phi")
+        assert verify_multiplicative(mut).multiplicative.ok
 
     def test_transpose_is_antimultiplicative(self):
-        full = QuasiOrder.full(4)
-        assert verify_antimultiplicative(lambda X: np.array(X).T, full).antimultiplicative.ok
-        assert not verify_multiplicative(lambda X: np.array(X).T, full).multiplicative.ok
+        mut = MapUnderTest(QuasiOrder.full(4), lambda X: np.array(X).T, "phi")
+        assert verify_antimultiplicative(mut).antimultiplicative.ok
+        assert not verify_multiplicative(mut).multiplicative.ok
 
     def test_stacked_map_grades_like_its_callable(self, two_blocks6):
         phi = build_embedding(block_spec(two_blocks6))
         mut = MapUnderTest(two_blocks6, phi, "phi", stacked=True)
+        per_matrix = MapUnderTest(two_blocks6, phi, "phi")
         for check in (verify_jordan, verify_multiplicative, verify_antimultiplicative):
-            assert check(mut, two_blocks6, n_samples=50).to_dict() == \
-                check(phi, two_blocks6, n_samples=50).to_dict()
-
-    def test_map_on_another_order_rejected(self, two_blocks6, fan4):
-        with pytest.raises(ValueError, match="different quasi-order"):
-            verify_jordan(MapUnderTest(fan4, np.array, "phi"), two_blocks6)
+            assert check(mut, n_samples=50).to_dict() == check(per_matrix, n_samples=50).to_dict()
 
     def test_kink_map_fails_additivity_with_witness(self, fan4):
         from smalg.preservers import counterexample
 
         mut = counterexample(fan4)
-        rep = verify_jordan(mut.eval, fan4, n_samples=300, seed=0)
+        rep = verify_jordan(mut, n_samples=300, seed=0)
         assert not rep.additivity.ok
         assert rep.additivity.witnesses
         # the canonical broken sum
@@ -189,7 +186,7 @@ class TestVerification:
 
 class TestRecovery:
     def test_identity_recovers_cleanly(self, two_blocks6):
-        rec = recover_form(lambda X: np.array(X), two_blocks6)
+        rec = recover_form(MapUnderTest(two_blocks6, lambda X: np.array(X), "phi"))
         assert np.allclose(rec.spec.S, np.eye(6), atol=1e-10)
         assert all(np.isclose(v, 1.0) for v in rec.spec.g.values.values())
         assert rec.spec.P.diag_bits == (1,) * 6
@@ -197,7 +194,7 @@ class TestRecovery:
 
     def test_two_block_split(self, two_blocks6):
         phi = build_embedding(block_spec(two_blocks6))
-        rec = recover_form(phi, two_blocks6)
+        rec = recover_form(MapUnderTest(two_blocks6, phi, "phi"))
         assert rec.spec.P.diag_bits == (1, 1, 1, 0, 0, 0)
         assert {p for p in rec.rho_a.off_diagonal} == {
             (i, j) for i in range(4, 7) for j in range(4, 7) if i != j}
@@ -209,22 +206,22 @@ class TestRecovery:
             g = random_transitive(cocycle7, seed)
             P = CentralIdempotent((1,) * 7 if seed % 2 else (0,) * 7)
             phi = build_embedding(JordanSpec(cocycle7, S, g, P))
-            rec = recover_form(phi, cocycle7, seed=seed)
+            rec = recover_form(MapUnderTest(cocycle7, phi, "phi"), seed=seed)
             assert rec.max_unit_error < 1e-8
             assert rec.max_sample_error < 1e-8
 
     def test_requires_criterion(self, fan4):
         with pytest.raises(ValueError, match="criterion"):
-            recover_form(lambda X: np.array(X), fan4)
+            recover_form(MapUnderTest(fan4, lambda X: np.array(X), "phi"))
 
     def test_spectrum_violation_reported(self, two_blocks6):
         with pytest.raises(RecoveryError, match="eigenvalue"):
-            recover_form(lambda X: np.eye(6, dtype=complex), two_blocks6)
+            recover_form(MapUnderTest(two_blocks6, lambda X: np.eye(6, dtype=complex), "phi"))
 
     def test_degenerate_unit_image_reported(self, two_blocks6):
         # keeping only the diagonal kills every off-diagonal unit
         with pytest.raises(RecoveryError, match="zero"):
-            recover_form(lambda X: np.diag(np.diag(X)), two_blocks6)
+            recover_form(MapUnderTest(two_blocks6, lambda X: np.diag(np.diag(X)), "phi"))
 
 
     @pytest.mark.parametrize("stacked", [False, True])
@@ -239,9 +236,9 @@ class TestRecovery:
             out[bad] = np.nan
             return out
 
-        mut = MapUnderTest(full3, phi, "phi", stacked=True) if stacked else phi
+        mut = MapUnderTest(full3, phi, "phi", stacked=stacked)
         with pytest.raises(RecoveryError, match="sample error nan"):
-            recover_form(mut, full3, seed=0)
+            recover_form(mut, seed=0)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_unit_image_reported(self, bad):
@@ -257,7 +254,7 @@ class TestRecovery:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(RecoveryError, match=r"phi\(E_12\) is not finite"):
-                recover_form(phi, full3)
+                recover_form(MapUnderTest(full3, phi, "phi"))
 
     @pytest.mark.parametrize("stacked", [False, True])
     def test_non_finite_diagonal_image_reported(self, stacked):
@@ -271,11 +268,7 @@ class TestRecovery:
 
         mut = MapUnderTest(full3, phi, "phi", stacked=stacked)
         with pytest.raises(RecoveryError, match=r"phi\(diag\(1..n\)\) is not finite"):
-            recover_form(mut, full3)
-
-    def test_map_on_another_order_rejected(self, two_blocks6):
-        with pytest.raises(ValueError, match="different quasi-order"):
-            recover_form(MapUnderTest(QuasiOrder.full(6), np.array, "phi"), two_blocks6)
+            recover_form(mut)
 
 
 def bits(A):
@@ -289,7 +282,7 @@ def random_spec(rho, seed, P):
 
 
 class TestStackedRecovery:
-    """recover_form reads a stacked map a stack at a time and a callable one
+    """recover_form reads a stacked map a stack at a time and any other one
     matrix at a time, to the same bits."""
 
     def assert_same_recovery(self, spec):
@@ -304,8 +297,8 @@ class TestStackedRecovery:
             stacks.append(np.shape(X))
             return phi(X)
 
-        a = recover_form(MapUnderTest(spec.rho, stacked, "phi", stacked=True), spec.rho, seed=3)
-        b = recover_form(per_matrix, spec.rho, seed=3)
+        a = recover_form(MapUnderTest(spec.rho, stacked, "phi", stacked=True), seed=3)
+        b = recover_form(MapUnderTest(spec.rho, per_matrix, "phi"), seed=3)
         assert np.array_equal(bits(a.spec.S), bits(b.spec.S))
         pairs = sorted(spec.rho.off_diagonal)
         assert np.array_equal(bits([a.spec.g.values[p] for p in pairs]),
@@ -348,7 +341,7 @@ class TestStackedRecovery:
         mut = MapUnderTest(spec.rho, build_embedding(spec), "embedding", stacked=True)
         tracemalloc.start()
         try:
-            rec = recover_form(mut, spec.rho)
+            rec = recover_form(mut)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -430,4 +423,4 @@ class TestSamplingInput:
     ])
     def test_recovery_rejects_vacuous_settings(self, two_blocks6, kwargs):
         with pytest.raises(ValueError, match="n_samples|tol"):
-            recover_form(lambda X: np.array(X), two_blocks6, **kwargs)
+            recover_form(MapUnderTest(two_blocks6, lambda X: np.array(X), "phi"), **kwargs)

@@ -59,6 +59,18 @@ def test_package_namespace_holds_no_layer():
     assert out.splitlines() == ["[]", "[]"]
 
 
+def test_map_entry_points_take_one_map():
+    """The entry points that grade, classify or recover a map take it as one
+    MapUnderTest, first; its domain is the quasi-order, so none takes a rho."""
+    from smalg import jordan, preservers
+
+    for fn in (preservers.verify_preserver, preservers.classify_unit_action,
+               jordan.verify_jordan, jordan.verify_multiplicative,
+               jordan.verify_antimultiplicative, jordan.recover_form):
+        params = list(inspect.signature(fn).parameters)
+        assert params[0] == "mut" and "rho" not in params, fn.__name__
+
+
 def _referenced(paths):
     """Every name, attribute and imported name that the modules at `paths` use."""
     used = set()

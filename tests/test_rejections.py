@@ -9,7 +9,7 @@ from smalg.quasiorder import QuasiOrder, closure
 from smalg.matalg import matrix_unit, rank_one_closure_member, support
 from smalg.cocycle import TransitiveMap, coboundary
 from smalg.jordan import CentralIdempotent, JordanSpec, RecoveryError, recover_form, validate_spec
-from smalg.preservers import classify_unit_action
+from smalg.preservers import MapUnderTest, classify_unit_action
 
 T2 = QuasiOrder.upper_triangular(2)
 T3 = QuasiOrder.upper_triangular(3)
@@ -57,6 +57,9 @@ CASES = {
     "matalg.non_square_matrix": (
         lambda: support(np.ones((2, 3))), ValueError,
         r"^expected a square matrix, got shape \(2, 3\)$"),
+    "matalg.rank_one_member_outside_the_algebra": (
+        lambda: rank_one_closure_member(matrix_unit(3, 2, 1), T3), ValueError,
+        "^matrix is not in the algebra of rho$"),
     "matalg.rank_one_member_wrong_size": (
         lambda: rank_one_closure_member(matrix_unit(4, 1, 2), T3), ValueError,
         "^matrix size does not match the quasi-order$"),
@@ -70,7 +73,7 @@ CASES = {
         lambda: coboundary(T3, {1: 1.0, 2: 0.0, 3: 1.0}), ValueError,
         "^separator values must be nonzero$"),
     "preservers.classification_not_a_quasiorder": (
-        lambda: classify_unit_action(swap_13, FULL3), ValueError,
+        lambda: classify_unit_action(MapUnderTest(FULL3, swap_13, "swap-13")), ValueError,
         r"^unit classification is not a quasi-order: not transitive"),
     "jordan.idempotent_fractional_bit": (
         lambda: CentralIdempotent((0.6, 1.9)), ValueError,
@@ -87,7 +90,7 @@ CASES = {
         lambda: validate_spec(spec(P=CentralIdempotent((1, 1)))), ValueError,
         "^idempotent has the wrong length$"),
     "jordan.recovered_g_breaks_the_law": (
-        lambda: recover_form(doubled_12, FULL3), RecoveryError,
+        lambda: recover_form(MapUnderTest(FULL3, doubled_12, "doubled-12")), RecoveryError,
         r"^transitive map violates the cocycle law at \(\(1, 2\), \(2, 1\)\)$"),
 }
 
