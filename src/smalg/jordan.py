@@ -21,7 +21,7 @@ import numpy as np
 
 from ._checks import integer, tolerance
 from .quasiorder import QuasiOrder, components, condition_i
-from .matalg import _sma_stack, lambda_matrix
+from .matalg import _sma_stack
 from .cocycle import TransitiveMap, induced_auto, validate as validate_transitive
 from .preservers import (MapUnderTest, PreserverReport, _eval_stack, _grade, _norms,
                          _stack_step, _unit_action, _units)
@@ -165,27 +165,21 @@ class RecoveredForm:
     max_sample_error: float
 
 
-def _gauge_columns(V):
-    """Rotate each column so its first significant entry is positive real."""
-    W = V.copy()
-    for k in range(W.shape[1]):
-        col = W[:, k]
-        idx = np.nonzero(np.abs(col) > 1e-8 * np.max(np.abs(col)))[0]
-        z = col[idx[0]]
-        W[:, k] = col * (abs(z) / z)
-    return W
-
-
 def recover_form(mut: MapUnderTest, tol: float = 1e-8,
                  n_samples: int = 100, seed: int = 0) -> RecoveredForm:
     """Recover (S, g, P) from a black-box preserver on an algebra satisfying the
     neighborhood-intersection criterion.
 
-    S diagonalizes phi(diag(1..n)) with eigenvalue k in column k; reading
+    As E_kk^t = E_kk and g(k,k) = 1, phi(E_kk) = S E_kk S^{-1}: its trace is 1
+    and its largest column, scaled to unit 2-norm, is column k of S.  Reading
     S^{-1} phi(E_ij) S on the matrix units splits rho into the identity-like and
     transpose-like parts and yields g; P marks the indices touched by the
     identity-like part.  The rebuilt map is compared against phi on all matrix
-    units and on random samples, each by |rebuilt(X) - phi(X)|_F / max(1, |X|_F).
+    units and on random samples, each by |rebuilt(X) - phi(X)|_F / max(1, |phi(X)|_F),
+    and the traces are held to 1 within tol max(1, |phi(E_kk)|_F): a computed
+    product AB errs by up to about n eps |A||B| (Higham, Accuracy and Stability
+    of Numerical Algorithms, 2002, ch. 3), so phi's own rounding follows the
+    size of its image, which reaches cond(S) on a unit, not the size of X.
     Bad arguments and a rho failing the criterion raise ValueError; past them,
     every failure raises RecoveryError, with validate_spec's message when the
     recovered (S, g, P) is rejected.
@@ -193,8 +187,8 @@ def recover_form(mut: MapUnderTest, tol: float = 1e-8,
     phi is `mut.eval` and rho is `mut.domain`.  Units and samples go through
     phi a stack at a time when `mut` sets `stacked`, and one matrix at a time
     otherwise; either way the result is the same to the bit.  The unit error
-    reuses the classifier's images of the first off-diagonal units, up to
-    4 MB of them, so phi sees each of those units once.
+    reuses the diagonal units' images and the classifier's images of the first
+    off-diagonal units, up to 4 MB of them, so phi sees each of those once.
     """
     n_samples = integer(n_samples, "n_samples", least=1)
     tol, seed = tolerance(tol, "tol"), integer(seed, "seed", least=0)
@@ -204,21 +198,23 @@ def recover_form(mut: MapUnderTest, tol: float = 1e-8,
         raise ValueError(f"quasi-order fails the neighborhood criterion at {witness}")
     n = rho.n
     try:
-        M = _eval_stack(mut, lambda_matrix(n)[None])[0]
-        if not np.all(np.isfinite(M)):
-            raise RecoveryError("phi(diag(1..n)) is not finite")
-        w, V = np.linalg.eig(M)
-        cols = []
-        for k in range(1, n + 1):
-            err, a = min((abs(w[a] - k), a) for a in range(n) if a not in cols)
-            if err > 1e-6:
+        diag = [(k, k) for k in range(1, n + 1)]
+        D = _eval_stack(mut, _units(n, diag))
+        for k, A in enumerate(D, 1):
+            if not np.all(np.isfinite(A)):
+                raise RecoveryError(f"phi(E_{k}{k}) is not finite")
+            t = np.trace(A)
+            if not abs(t - 1) <= tol * max(1.0, np.linalg.norm(A)):
                 raise RecoveryError(
-                    f"phi(diag(1..n)) has no eigenvalue near {k} (spectrum not preserved?)")
-            cols.append(a)
-        S = _gauge_columns(V[:, cols])
+                    f"phi(E_{k}{k}) has trace {t:.6g}, not 1 (spectrum not preserved?)")
+        # column k of S: the largest column of phi(E_kk), scaled to unit 2-norm
+        # and turned so that its first significant entry is positive real
+        V = D[np.arange(n), :, np.argmax(np.linalg.norm(D, axis=1), axis=1)]  # row k
+        first = np.argmax(np.abs(V) > 1e-8 * np.abs(V).max(axis=1, keepdims=True), axis=1)
+        z = V[np.arange(n), first]
+        S = (V * (np.abs(z) / z / np.linalg.norm(V, axis=1))[:, None]).T
 
-        # phi's images of the first off-diagonal units, up to 4 MB, are kept
-        # for the unit error below
+        # the unit error reuses phi's images of the first off-diagonal units, up to 4 MB
         off = sorted(rho.off_diagonal)
         kept = np.empty((min(len(off), 2 ** 18 // (n * n)), n, n), dtype=complex)
         rho_m, rho_a, gvals = _unit_action(mut, frame=(np.linalg.inv(S), S), kept=kept)
@@ -227,16 +223,16 @@ def recover_form(mut: MapUnderTest, tol: float = 1e-8,
         spec = JordanSpec(rho, S, TransitiveMap(rho, gvals), P)
         rebuilt = build_embedding(spec)  # validate_spec checks the cocycle law
 
-        def error(A, images):  # the round-trip error on each matrix of a stack
-            return _norms(rebuilt(A) - images) / np.fmax(1.0, _norms(A))
+        def error(A, images):  # per matrix of a stack; an infinite image's error is inf
+            return _norms(rebuilt(A) - images) / np.fmax(1.0, np.nan_to_num(_norms(images)))
 
-        # the error on every pair, the kept units' first: the max does not
-        # depend on the order
+        # the error on every pair, the diagonal and kept units' first: the max
+        # does not depend on the order
         step = _stack_step(n)
-        reused = off[:len(kept)]
-        unit_errs = [error(_units(n, reused[lo:lo + step]), kept[lo:lo + step])
-                     for lo in range(0, len(reused), step)]
-        rest = sorted(rho.pairs - set(reused))
+        reused, rest = off[:len(kept)], off[len(kept):]
+        unit_errs = [error(_units(n, pairs[lo:lo + step]), images[lo:lo + step])
+                     for pairs, images in ((diag, D), (reused, kept))
+                     for lo in range(0, len(pairs), step)]
         for lo in range(0, len(rest), step):
             U = _units(n, rest[lo:lo + step])
             unit_errs.append(error(U, _eval_stack(mut, U)))

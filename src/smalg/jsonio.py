@@ -105,7 +105,10 @@ def transitive_map_to_dict(g: TransitiveMap) -> dict:
 def transitive_map_from_dict(d: dict, rho: QuasiOrder) -> TransitiveMap:
     values = {}
     for i, j, z in d["pairs"]:
-        values[integer(i, "index"), integer(j, "index")] = _complex(z, "transitive map value")
+        pair = integer(i, "index"), integer(j, "index")
+        if pair in values:
+            raise ValueError(f"transitive map lists pair ({i},{j}) twice")
+        values[pair] = _complex(z, "transitive map value")
     return TransitiveMap(rho, values)
 
 

@@ -312,6 +312,17 @@ class TestBadInput:
             f"error: cannot load spec from {path}: spec quasi-order is not closed; "
             "missing pairs [(1, 3)]\n")
 
+    @pytest.mark.parametrize("verb", [["embed"], ["recover", "--spec"], ["verify", "--spec"]])
+    def test_duplicate_transitive_map_pair(self, capsys, tmp_path, spec_file, verb):
+        # the second value would silently replace the first
+        blob = json.loads(Path(spec_file).read_text())
+        pairs = blob["transitive_map"]["pairs"]
+        pairs.append([*pairs[0][:2], [2.0, 0.0]])
+        path = tmp_path / "duplicate.json"
+        path.write_text(json.dumps(blob))
+        assert usage_error(capsys, *verb, str(path)) == (
+            f"error: cannot load spec from {path}: transitive map lists pair (1,2) twice\n")
+
     @pytest.mark.parametrize("content, expected", [
         pytest.param(content, expected, id=content) for content, expected in [
             ('{"n": 3, "pairs": [[1, 2.7]]}', "pairs must be pairs of integers, got [1, 2.7]"),

@@ -5,7 +5,7 @@ import pytest
 
 from smalg.quasiorder import QuasiOrder, closure
 from smalg.matalg import _sma_stack, matrix_unit
-from smalg.cocycle import TransitiveMap, coboundary, induced_auto
+from smalg.cocycle import TransitiveMap, Trivial, coboundary, induced_auto, triviality
 from smalg.jordan import (
     CentralIdempotent,
     JordanSpec,
@@ -20,6 +20,7 @@ from smalg.jordan import (
 )
 from smalg.preservers import MapUnderTest, _units
 from generators import random_invertible, random_preorder, random_transitive
+from test_preservers import unitary
 from test_spec_verbs import SHAPES, seeded_spec
 
 
@@ -210,12 +211,43 @@ class TestRecovery:
             assert rec.max_unit_error < 1e-8
             assert rec.max_sample_error < 1e-8
 
+    # the recovered g is off by about eps cond(S)^2, and validate_spec holds it
+    # to the cocycle law at 1e-10: at c = 1e4 its residual is 0.24 to 1.31 of
+    # that tolerance over the OpenBLAS kernels, and at c = 1e5 far above it
+    @pytest.mark.parametrize("c", [
+        1e3, 3e3,
+        pytest.param(1e4, marks=pytest.mark.xfail(
+            raises=RecoveryError, strict=False,
+            reason="at the edge of the cocycle law, which rejects the recovered g "
+                   "on full M_8 under the Sandybridge and Nehalem kernels")),
+        pytest.param(1e5, marks=pytest.mark.xfail(
+            raises=RecoveryError, strict=True,
+            reason="validate_spec rejects the recovered g at the cocycle law")),
+    ])
+    @pytest.mark.parametrize("n", [8, 16])
+    @pytest.mark.parametrize("shape", ["full", "upper"])
+    def test_ill_conditioned_s_recovers(self, c, n, shape):
+        # S = U diag(geomspace(1, 1/c)) V, cond(S) = c: full M_n with P = I, T_n with P = 0
+        rng = np.random.default_rng(7)
+        S = unitary(rng, n) @ np.diag(np.geomspace(1.0, 1.0 / c, n)) @ unitary(rng, n)
+        full = shape == "full"
+        rho = QuasiOrder.full(n) if full else QuasiOrder.upper_triangular(n)
+        P = CentralIdempotent((int(full),) * n)
+        phi = build_embedding(JordanSpec(rho, S, TransitiveMap.constant_one(rho), P))
+        rec = recover_form(MapUnderTest(rho, phi, "phi", stacked=True))
+        assert rec.max_unit_error <= 1e-8 and rec.max_sample_error <= 1e-8
+        diag = QuasiOrder.diagonal(n)
+        assert rec.spec.P == P
+        assert (rec.rho_m, rec.rho_a) == ((rho, diag) if full else (diag, rho))
+        assert isinstance(triviality(rec.spec.g), Trivial)
+
     def test_requires_criterion(self, fan4):
         with pytest.raises(ValueError, match="criterion"):
             recover_form(MapUnderTest(fan4, lambda X: np.array(X), "phi"))
 
     def test_spectrum_violation_reported(self, two_blocks6):
-        with pytest.raises(RecoveryError, match="eigenvalue"):
+        with pytest.raises(RecoveryError, match=r"phi\(E_11\) has trace 6\+0j, not 1 "
+                                                r"\(spectrum not preserved\?\)"):
             recover_form(MapUnderTest(two_blocks6, lambda X: np.eye(6, dtype=complex), "phi"))
 
     def test_degenerate_unit_image_reported(self, two_blocks6):
@@ -226,8 +258,8 @@ class TestRecovery:
 
     @pytest.mark.parametrize("stacked", [False, True])
     def test_nan_on_samples_fails(self, stacked):
-        # exact on the units and on diag(1..n), NaN on about a third of the
-        # samples: a NaN round-trip error must fail the recovery
+        # exact on the units, NaN on about a third of the samples: a NaN
+        # round-trip error must fail the recovery
         full3 = QuasiOrder.full(3)
 
         def phi(X):
@@ -239,6 +271,21 @@ class TestRecovery:
         mut = MapUnderTest(full3, phi, "phi", stacked=stacked)
         with pytest.raises(RecoveryError, match="sample error nan"):
             recover_form(mut, seed=0)
+
+    def test_infinite_samples_fail_without_warning(self):
+        # exact on the units, infinite on some samples: the error divides by
+        # the image's norm, and inf / inf would be NaN with a RuntimeWarning
+        full3 = QuasiOrder.full(3)
+
+        def phi(X):
+            out = np.array(X, dtype=complex)
+            out[(np.abs(out[..., 0, 0]) > 1.5) & (np.count_nonzero(out, axis=(-2, -1)) > 3)] = np.inf
+            return out
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(RecoveryError, match="sample error inf"):
+                recover_form(MapUnderTest(full3, phi, "phi", stacked=True))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_unit_image_reported(self, bad):
@@ -258,16 +305,17 @@ class TestRecovery:
 
     @pytest.mark.parametrize("stacked", [False, True])
     def test_non_finite_diagonal_image_reported(self, stacked):
-        # checked before the eigendecomposition, which would raise LinAlgError
+        # checked before S is formed from the images of the diagonal units,
+        # where the NaN would spread into S
         full3 = QuasiOrder.full(3)
 
         def phi(X):
             out = np.array(X, dtype=complex)
-            out[np.all(out == np.diag([1, 2, 3]), axis=(-2, -1)), 0, 0] = np.nan
+            out[np.all(out == np.diag([0, 1, 0]), axis=(-2, -1)), 0, 0] = np.nan
             return out
 
         mut = MapUnderTest(full3, phi, "phi", stacked=stacked)
-        with pytest.raises(RecoveryError, match=r"phi\(diag\(1..n\)\) is not finite"):
+        with pytest.raises(RecoveryError, match=r"phi\(E_22\) is not finite"):
             recover_form(mut)
 
 
@@ -306,14 +354,14 @@ class TestStackedRecovery:
         assert a.spec.P == b.spec.P and (a.rho_m, a.rho_a) == (b.rho_m, b.rho_a)
         errs = np.array([[r.max_unit_error, r.max_sample_error] for r in (a, b)])
         assert np.array_equal(errs[0].view(np.uint64), errs[1].view(np.uint64))
-        # one call per matrix: on diag(1..n), on each off-diagonal unit, on
-        # each pair whose image the classifier did not keep (it keeps up to
-        # 4 MB), and on each sample; never more than
-        # 1 + |off-diagonal| + |pairs| + n_samples
+        # one call per matrix: on each diagonal unit, on each off-diagonal
+        # unit, on each off-diagonal unit whose image the classifier did not
+        # keep (it keeps up to 4 MB), and on each sample; never more than
+        # n + 2 |off-diagonal| + n_samples
         rho, off = spec.rho, len(spec.rho.off_diagonal)
         reused = min(off, 2 ** 18 // rho.n ** 2)
         assert set(calls) == {2}
-        assert len(calls) == 1 + off + len(rho.pairs) - reused + 100
+        assert len(calls) == rho.n + off + (off - reused) + 100
         # the stacked map sees the same matrices, in fewer calls
         assert {len(shape) for shape in stacks} == {3}
         assert sum(shape[0] for shape in stacks) == len(calls) > len(stacks)
