@@ -113,15 +113,33 @@ def cmd_analyze(args):
     return EXIT_OK
 
 
+def _unit_images(spec, phi):
+    """((i, j), phi(E_ij)) over rho's pairs in sorted order.  An image that
+    overflows raises ValueError naming its unit, with no numpy warning."""
+    n = spec.rho.n
+    for i, j in sorted(spec.rho.pairs):
+        with np.errstate(all="ignore"):
+            A = phi(matrix_unit(n, i, j))
+        if not np.isfinite(A).all():
+            raise ValueError(f"phi(E_{{{i},{j}}}) is not finite")
+        yield (i, j), A
+
+
 def cmd_embed(args):
     spec, phi = _load_spec(args.spec)
-    table = []
-    for i, j in sorted(spec.rho.pairs):
-        table.append({
-            "unit": [i, j],
-            "image": jsonio.matrix_to_dict(phi(matrix_unit(spec.rho.n, i, j))),
-        })
-    _emit({"n": spec.rho.n, "units": table}, args.pretty)
+    n, images = spec.rho.n, _unit_images(spec, phi)
+    # the whole report is rendered before a byte of it is printed
+    try:
+        if args.pretty:
+            table = [{"unit": [i, j], "image": jsonio.matrix_to_dict(A)}
+                     for (i, j), A in images]
+            report = jsonio.dump_json({"n": n, "units": table}, pretty=True)
+        else:
+            report = jsonio._compact_embed_report(n, images)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    print(report)
     return EXIT_OK
 
 

@@ -202,11 +202,11 @@ def recover_form(mut: MapUnderTest, tol: float = 1e-8,
         D = _eval_stack(mut, _units(n, diag))
         for k, A in enumerate(D, 1):
             if not np.all(np.isfinite(A)):
-                raise RecoveryError(f"phi(E_{k}{k}) is not finite")
+                raise RecoveryError(f"phi(E_{{{k},{k}}}) is not finite")
             t = np.trace(A)
             if not abs(t - 1) <= tol * max(1.0, np.linalg.norm(A)):
                 raise RecoveryError(
-                    f"phi(E_{k}{k}) has trace {t:.6g}, not 1 (spectrum not preserved?)")
+                    f"phi(E_{{{k},{k}}}) has trace {t:.6g}, not 1 (spectrum not preserved?)")
         # column k of S: the largest column of phi(E_kk), scaled to unit 2-norm
         # and turned so that its first significant entry is positive real
         V = D[np.arange(n), :, np.argmax(np.linalg.norm(D, axis=1), axis=1)]  # row k

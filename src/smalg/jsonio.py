@@ -45,6 +45,48 @@ def dump_json(obj, pretty: bool = False) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"), check_circular=False)
 
 
+# entries per piece of the compact embed report: 8 [re, im] pairs and their
+# punctuation stay under about 420 chars, so each piece is a small object of
+# Python's allocator, and freeing the pieces leaves no glibc heap behind
+_PIECE_ENTRIES = 8
+
+
+def _image_templates(n):
+    """(template, start, stop) over the 2 n^2 floats of an n x n image viewed
+    as float64: each template renders floats start..stop as at most
+    _PIECE_ENTRIES "[re,im]" pairs, with the row brackets and commas."""
+    plan = []
+    for r in range(n):
+        for lo in range(0, n, _PIECE_ENTRIES):
+            hi = min(lo + _PIECE_ENTRIES, n)
+            head = "," if lo else ",[" if r else "["
+            tail = "]" if hi == n else ""
+            tpl = head + ",".join(["[%r,%r]"] * (hi - lo)) + tail
+            plan.append((tpl, 2 * (r * n + lo), 2 * (r * n + hi)))
+    return plan
+
+
+def _compact_embed_report(n, images) -> str:
+    """dump_json({"n": n, "units": [{"unit": [i, j], "image":
+    matrix_to_dict(A)}, ...]}) for ((i, j), A) in `images`, byte for byte
+    when every A is finite, with no table built.  A finite float's repr is
+    its JSON token, so the entries go through %r templates of at most
+    _PIECE_ENTRIES entries each; the pieces and the punctuation are joined
+    once."""
+    plan = _image_templates(n)
+    tail = '],"n":%d},"unit":[%%d,%%d]}' % n
+    parts = ['{"n":%d,"units":[' % n]
+    head = '{"image":{"entries":['
+    for (i, j), A in images:
+        parts.append(head)
+        floats = np.ascontiguousarray(A, dtype=complex).view(float).ravel().tolist()
+        parts += [tpl % tuple(floats[lo:hi]) for tpl, lo, hi in plan]
+        parts.append(tail % (i, j))
+        head = ',{"image":{"entries":['
+    parts.append("]}")
+    return "".join(parts)
+
+
 def _complex(part, what):
     """complex(re, im) of a JSON pair [re, im] of numbers: ints or floats, never
     bools, and no int too large for a double."""

@@ -259,12 +259,12 @@ def _unit_action(mut: MapUnderTest, frame=None, kept=None):
         (i, j), (p, q) = (np.array(chunk) - 1).T, np.divmod(k, n)
         flipped = (p == j) & (q == i)
         checks = (
-            (~finite, "phi(E_{i}{j}) is not finite"),
-            (top <= 1e-7, "phi(E_{i}{j}) is numerically zero"),
-            (second > 1e-7 * top, "phi(E_{i}{j}) is parallel to no matrix unit "
+            (~finite, "phi(E_{{{i},{j}}}) is not finite"),
+            (top <= 1e-7, "phi(E_{{{i},{j}}}) is numerically zero"),
+            (second > 1e-7 * top, "phi(E_{{{i},{j}}}) is parallel to no matrix unit "
                                   "(dominant at {at})"),
             (~(((p == i) & (q == j)) | flipped),
-             "phi(E_{i}{j}) concentrates at {at}, not at ({i},{j}) or ({j},{i})"),
+             "phi(E_{{{i},{j}}}) concentrates at {at}, not at ({i},{j}) or ({j},{i})"),
         )
         failed = np.any([bad for bad, _ in checks], axis=0)
         if failed.any():

@@ -1,5 +1,6 @@
 import json
 import re
+import warnings
 from importlib import resources
 from pathlib import Path
 
@@ -91,6 +92,25 @@ class TestEmbed:
         # block-2 units land transposed
         img = jsonio.matrix_from_dict(units[(4, 5)])
         assert img[4, 3] == 1 and img[3, 4] == 0
+
+    @pytest.mark.parametrize("flags", [[], ["--pretty"]])
+    def test_overflowing_image_is_an_error(self, capsys, tmp_path, flags):
+        # a valid spec whose image of E_12, 1.7e308 S E_12 S^-1, overflows:
+        # nothing is printed, rather than Infinity and NaN tokens
+        path = tmp_path / "overflow.json"
+        path.write_text(json.dumps({
+            "quasiorder": {"n": 2, "pairs": [[1, 1], [1, 2], [2, 2]]},
+            "s_matrix": {"n": 2, "entries": [[[1.0, 0.0], [0.0, 0.0]],
+                                             [[0.0, 0.0], [0.25, 0.0]]]},
+            "transitive_map": {"pairs": [[1, 2, [1.7e308, 0.0]]]},
+            "idempotent_diag": [1, 1],
+        }))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["embed", str(path), *flags])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err == "error: phi(E_{1,2}) is not finite\n"
 
 
 class TestVerify:

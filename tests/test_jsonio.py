@@ -105,6 +105,40 @@ def test_dump_json_is_deterministic():
     assert jsonio.dump_json(obj) == jsonio.dump_json(json.loads(jsonio.dump_json(obj)))
 
 
+# signed zeros, subnormals, the largest doubles, integral floats and the
+# floats whose repr takes an exponent
+edge_floats = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                               1.7976931348623157e308, -1.7976931348623157e308,
+                               1.0, -3.0, 1e16, 1e-05, 123456789.0, 0.1])
+finite_floats = st.floats(allow_nan=False, allow_infinity=False) | edge_floats
+
+
+@st.composite
+def unit_images(draw):
+    """n in 1..11, so that rows split after 8 entries and n is sometimes not a
+    multiple of 8, and a few units with finite complex n x n images.  Each
+    image's real and imaginary parts are drawn, seeded, from a small pool of
+    drawn floats, which keeps a draw cheap at n = 11."""
+    n = draw(st.integers(1, 11))
+    pool = np.array(draw(st.lists(finite_floats, min_size=1, max_size=24)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32)))
+    index = st.integers(1, n)
+    units = []
+    for _ in range(draw(st.integers(1, 3))):
+        A = rng.choice(pool, 2 * n * n).view(complex).reshape(n, n)
+        units.append(((draw(index), draw(index)), A))
+    return n, units
+
+
+@given(case=unit_images())
+@settings(max_examples=200)
+def test_compact_embed_report_is_dump_json_of_the_table(case):
+    n, units = case
+    table = [{"unit": [i, j], "image": jsonio.matrix_to_dict(A)} for (i, j), A in units]
+    assert jsonio._compact_embed_report(n, iter(units)) == \
+        jsonio.dump_json({"n": n, "units": table})
+
+
 # Fuzzing the loaders: every document either loads or raises one of these.
 LOADER_ERRORS = (ValueError, KeyError, TypeError)
 
@@ -193,11 +227,15 @@ def run_cli(*argv):
     return code, out.getvalue(), err.getvalue()
 
 
+def non_standard_token(token):
+    raise AssertionError(f"report holds {token}, which is not JSON")
+
+
 def assert_clean_exit(code, out, err):
     """Exit 0 with a JSON report, or exit 1 with one `error:` line and no traceback."""
     if code == 0:
         assert err == ""
-        json.loads(out)
+        json.loads(out, parse_constant=non_standard_token)
     else:
         assert code == 1 and out == ""
         lines = err.splitlines()

@@ -225,7 +225,7 @@ class TestClassifyUnits:
                 out[0, 1] = bad
             return out
 
-        with pytest.raises(ValueError, match=r"phi\(E_12\) is not finite"):
+        with pytest.raises(ValueError, match=r"phi\(E_\{1,2\}\) is not finite"):
             classify_unit_action(MapUnderTest(QuasiOrder.full(3), phi, "phi"))
 
     @pytest.mark.parametrize("stacked", [False, True])
@@ -239,7 +239,7 @@ class TestClassifyUnits:
             return out
 
         mut = MapUnderTest(QuasiOrder.full(3), phi, "phi", stacked=stacked)
-        with pytest.raises(ValueError, match=r"phi\(E_12\) concentrates at \(3, 2\)"):
+        with pytest.raises(ValueError, match=r"phi\(E_\{1,2\}\) concentrates at \(3, 2\)"):
             classify_unit_action(mut)
 
     def test_misplaced_image_names_plain_indices(self, fan4):

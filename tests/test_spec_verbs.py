@@ -1,7 +1,9 @@
 """The spec verbs `embed`, `verify --spec` and `recover --spec` end to end:
 pinned stdout bytes on seeded specs, and embeddings whose S is huge."""
 
+import contextlib
 import hashlib
+import io
 import json
 
 import numpy as np
@@ -273,3 +275,24 @@ def test_huge_s_is_the_identity(capsys, tmp_path):
         i, j = unit["unit"]
         img = jsonio.matrix_from_dict(unit["image"])
         assert np.abs(img - np.eye(4)[:, [i - 1]] @ np.eye(4)[[j - 1]]).max() <= 1e-15
+
+
+def test_compact_embed_peak_memory_bounded_at_n16(tmp_path):
+    # the compact report is rendered as pieces of at most 8 entries and joined
+    # once, with no table of [re, im] lists beside it, so the traced peak stays
+    # below 3 times the report's length (a table dumped by json.dumps peaks
+    # at about 5 times)
+    import tracemalloc
+
+    path = write_spec(tmp_path, seeded_spec(16, "full"))
+    out = io.StringIO()
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(out):
+            code = main(["embed", path])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = len(out.getvalue())
+    assert code == 0
+    assert peak < 3 * size, f"peak {peak / size:.2f} times the report's {size} chars"
