@@ -346,7 +346,7 @@ def _selftest_checks():
 
 def cmd_selftest(args):
     failures = []
-    t0 = time.time()
+    t0 = time.perf_counter()
     for name, check in _selftest_checks():
         t = time.perf_counter()
         try:
@@ -358,7 +358,7 @@ def cmd_selftest(args):
         if diff is not None:
             print(f"       {diff}")
             failures.append(name)
-    print(f"selftest: {len(failures)} failure(s) in {time.time() - t0:.1f}s")
+    print(f"selftest: {len(failures)} failure(s) in {time.perf_counter() - t0:.1f}s")
     return EXIT_OK if not failures else EXIT_FAIL
 
 

@@ -1,24 +1,21 @@
 """Dense complex matrix layer for structural matrix algebras.
 
 Matrices are plain complex128 numpy arrays.  The algebra of a quasi-order rho
-is the set of matrices supported in rho; membership, the row/column deletion
-and insertion operators, stacks of members built from given normals and the
-rank-one closure test live here.
+is the set of matrices supported in rho; membership, stacks of members built
+from given normals, the JSON entry pairs and the rank-one closure test live
+here.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ._checks import integer, tolerance
+from ._checks import integer
 from .quasiorder import QuasiOrder
 
 __all__ = [
     "DEFAULT_REL_TOL",
-    "support",
     "in_sma",
-    "sharp",
-    "flat",
     "entry_pairs",
     "matrix_unit",
     "lambda_matrix",
@@ -38,36 +35,16 @@ def _as_square(A):
     return A
 
 
-def _abs_tol(A, tol):
-    if tol is not None:
-        return tolerance(tol, "tol", zero_ok=True)
-    top = np.max(np.abs(A)) if A.size else 0.0
-    return DEFAULT_REL_TOL * top
-
-
-def support(A, tol: float | None = None) -> frozenset:
-    """Index pairs (1-based) where |A_ij| exceeds tol.
-
-    tol=None applies the default cutoff relative to the largest entry; pass
-    tol=0.0 for exact nonzero support.
-    """
+def in_sma(A, rho: QuasiOrder) -> bool:
+    """Whether A is zero off rho, each entry against DEFAULT_REL_TOL times
+    the largest entry magnitude."""
     A = _as_square(A)
-    cut = _abs_tol(A, tol)
-    ii, jj = np.nonzero(np.abs(A) > cut)
-    return frozenset(zip((ii + 1).tolist(), (jj + 1).tolist()))
-
-
-def in_sma(A, rho: QuasiOrder, tol: float | None = None) -> bool:
-    """Whether supp(A) lies inside rho."""
-    A = _as_square(A)
-    if tol is not None:
-        tol = tolerance(tol, "tol", zero_ok=True)
-    return A.shape[0] == rho.n and bool(_in_sma_stack(A[None], rho, tol)[0])
+    return A.shape[0] == rho.n and bool(_in_sma_stack(A[None], rho)[0])
 
 
 def _in_sma_stack(A, rho: QuasiOrder, tol: float | None = None) -> np.ndarray:
     """in_sma on each matrix of a (B, n, n) stack, each with its own default
-    cutoff, or the checked cutoff `tol`; raises on non-finite entries.  A stack
+    cutoff, or the absolute cutoff `tol`; raises on non-finite entries.  A stack
     that is exactly zero off rho, as one built in the algebra is, is in it."""
     if not np.all(np.isfinite(A)):
         raise ValueError("matrix has non-finite entries")
@@ -76,31 +53,6 @@ def _in_sma_stack(A, rho: QuasiOrder, tol: float | None = None) -> np.ndarray:
     absA = np.abs(A)
     cut = DEFAULT_REL_TOL * absA.max(axis=(1, 2), initial=0.0) if tol is None else tol
     return ~np.any(np.where(rho.mask, 0.0, absA) > np.reshape(cut, (-1, 1, 1)), axis=(1, 2))
-
-
-def sharp(A, positions) -> np.ndarray:
-    """Insert zero rows and columns so they land at the given 1-based positions
-    of the enlarged matrix; inverse (on its range) of `flat` at the same set."""
-    A = _as_square(A)
-    pos = sorted({integer(p, "positions", least=1) for p in positions})
-    m = A.shape[0] + len(pos)
-    if pos:
-        integer(pos[-1], "positions", most=m)
-    keep = [t for t in range(1, m + 1) if t not in set(pos)]
-    out = np.zeros((m, m), dtype=complex)
-    out[np.ix_([k - 1 for k in keep], [k - 1 for k in keep])] = A
-    return out
-
-
-def flat(A, positions) -> np.ndarray:
-    """Delete the rows and columns at the given 1-based positions."""
-    A = _as_square(A)
-    n = A.shape[0]
-    pos = sorted({integer(p, "positions", least=1, most=n) for p in positions})
-    if len(pos) == n:
-        raise ValueError("cannot delete every row and column")
-    keep = [k - 1 for k in range(1, n + 1) if k not in set(pos)]
-    return A[np.ix_(keep, keep)]
 
 
 def entry_pairs(A) -> list:
@@ -132,10 +84,11 @@ def _sma_stack(rho: QuasiOrder, Z) -> np.ndarray:
     return np.where(rho.mask, re + 1j * im, 0.0)
 
 
-def rank_one_closure_member(A, rho: QuasiOrder, tol: float | None = None):
+def rank_one_closure_member(A, rho: QuasiOrder):
     """Whether a rank-one member A of the algebra lies in the closure of the
     rank-one non-nilpotents, i.e. whether A = ab* admits a pivot index k with
-    a e_k* and e_k b* both supported in rho.
+    a e_k* and e_k b* both supported in rho.  Membership, and A = 0, are read
+    at the cutoff DEFAULT_REL_TOL * max|A_ij|.
 
     Returns (verdict, k) with k the first admissible pivot, or (verdict, None).
     Raises ValueError when A has rank greater than one.
@@ -144,10 +97,10 @@ def rank_one_closure_member(A, rho: QuasiOrder, tol: float | None = None):
     n = rho.n
     if A.shape[0] != n:
         raise ValueError("matrix size does not match the quasi-order")
-    if not in_sma(A, rho, tol):
+    if not in_sma(A, rho):
         raise ValueError("matrix is not in the algebra of rho")
     sv = np.linalg.svd(A, compute_uv=False)
-    cut = _abs_tol(A, tol)
+    cut = DEFAULT_REL_TOL * (np.max(np.abs(A)) if A.size else 0.0)
     if sv[0] <= cut:
         return True, None
     if n > 1 and sv[1] > max(cut, 1e-12 * sv[0]):

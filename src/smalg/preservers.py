@@ -30,9 +30,6 @@ __all__ = [
     "identity_map",
     "transpose_map",
     "counterexample",
-    "case2_kink",
-    "commutes_criterion",
-    "classify_unit_action",
     "remark_gallery",
     "verify_preserver",
     "GALLERY_KINDS",
@@ -119,14 +116,6 @@ def _commuting_pairs(rho: QuasiOrder, Z):
     return XY[:, 0], XY[:, 1]
 
 
-def case2_kink(u: complex, v: complex) -> complex:
-    """Continuous homogeneous map with injective sections: v when |u| <= |v|,
-    else v |v/u|."""
-    if abs(u) <= abs(v):
-        return v
-    return v * abs(v / u)
-
-
 def counterexample(rho: QuasiOrder) -> CounterexampleMap:
     """A continuous injective commutativity and spectrum preserver on the
     algebra of rho that fails additivity; only exists (and is only built) when
@@ -134,7 +123,9 @@ def counterexample(rho: QuasiOrder) -> CounterexampleMap:
 
     The witness pair is the lexicographically first violating (r,s); the map is
     the 2x2-block twist when (s,r) also lies in rho, else the strict-pair kink
-    phi(X) = X off (r,s), with X_rs redrawn through case2_kink(X_ss - X_rr, X_rs).
+    phi(X) = X off (r,s), with X_rs redrawn as f(X_ss - X_rr, X_rs), where
+    f(u, v) = v when |u| <= |v|, else v |v/u|: continuous, homogeneous and
+    injective in v.
     """
     ok, witness = condition_i(rho)
     if ok:
@@ -163,7 +154,7 @@ def counterexample(rho: QuasiOrder) -> CounterexampleMap:
         raise RuntimeError("violating strict pair does not isolate row r / column s")
 
     def eval_case2(X):
-        # case2_kink(X_ss - X_rr, X_rs) in place of X_rs
+        # f(X_ss - X_rr, X_rs) in place of X_rs
         out = np.array(X, dtype=complex)
         u = out[..., s - 1, s - 1] - out[..., r - 1, r - 1]
         v = out[..., r - 1, s - 1]  # a view into out
@@ -172,23 +163,6 @@ def counterexample(rho: QuasiOrder) -> CounterexampleMap:
         return out
 
     return CounterexampleMap(rho, eval_case2, f"case2-kink({r},{s})", r, s, 2, stacked=True)
-
-
-def commutes_criterion(X, Y, rho: QuasiOrder, r: int, s: int) -> bool:
-    """Commutation test specialized to the strict-pair geometry: X and Y commute
-    iff their (r,s)-punctured parts commute and
-    (X_ss - X_rr) Y_rs = (Y_ss - Y_rr) X_rs, each to 1e-9 max(1, |X|_F |Y|_F),
-    far above the n eps |X|_F |Y|_F rounding of a commuting pair's products."""
-    if preimage(rho, r) != {r} or image(rho, s) != {s}:
-        raise ValueError("pair (r,s) does not isolate row r / column s in rho")
-    X, Y = np.asarray(X, dtype=complex), np.asarray(Y, dtype=complex)
-    X0, Y0 = X.copy(), Y.copy()
-    X0[r - 1, s - 1] = Y0[r - 1, s - 1] = 0.0
-    limit = 1e-9 * max(1.0, float(np.linalg.norm(X)) * float(np.linalg.norm(Y)))
-    base = np.linalg.norm(X0 @ Y0 - Y0 @ X0) <= limit
-    lhs = (X[s - 1, s - 1] - X[r - 1, r - 1]) * Y[r - 1, s - 1]
-    rhs = (Y[s - 1, s - 1] - Y[r - 1, r - 1]) * X[r - 1, s - 1]
-    return bool(base and abs(lhs - rhs) <= limit)
 
 
 def _image(mut: MapUnderTest, A):
@@ -230,9 +204,12 @@ def _stack_step(n: int) -> int:
 
 
 def _unit_action(mut: MapUnderTest, frame=None, kept=None):
-    """classify_unit_action, plus the dominant scalar of each unit's image.
-    With frame = (T, U), each finite image A is read as T A U.  A (K, n, n)
-    array `kept` receives the images of the first K units, as phi gave them.
+    """mut.domain split into the pairs whose unit maps parallel to itself and
+    those whose unit maps parallel to its flip, as two quasi-orders, plus the
+    dominant scalar of each unit's image.  The first failing unit in sorted
+    order raises ValueError.  With frame = (T, U), each finite image A is read
+    as T A U.  A (K, n, n) array `kept` receives the images of the first K
+    units, as phi gave them.
 
     An image is zero when its top entry is at most 1e-7, and parallel to no unit
     when its second exceeds 1e-7 times its top: in the frame of S, a Jordan
@@ -281,17 +258,6 @@ def _unit_action(mut: MapUnderTest, frame=None, kept=None):
     except ValueError as exc:
         raise ValueError(f"unit classification is not a quasi-order: {exc}") from exc
     return rho_m, rho_a, scalars
-
-
-def classify_unit_action(mut: MapUnderTest):
-    """Split mut.domain into the pairs whose matrix unit maps parallel to itself
-    versus to its transpose; both parts are returned as (verified) quasi-orders.
-
-    Raises ValueError with a witness, the first failing unit in sorted order,
-    when some image is not finite, numerically zero, or parallel to neither
-    the unit nor its flip, at the cutoffs of `_unit_action`.
-    """
-    return _unit_action(mut)[:2]
 
 
 def remark_gallery(rho: QuasiOrder, kind: str) -> MapUnderTest:

@@ -123,11 +123,6 @@ class QuasiOrder:
         n = integer(n, "n", least=1)
         return cls(n, frozenset(itertools.product(range(1, n + 1), repeat=2)))
 
-    @classmethod
-    def upper_triangular(cls, n: int) -> "QuasiOrder":
-        n = integer(n, "n", least=1)
-        return cls(n, frozenset((i, j) for i in range(1, n + 1) for j in range(i, n + 1)))
-
 
 @dataclass(frozen=True)
 class Partition:

@@ -1,0 +1,94 @@
+"""The paper's lemma-level helpers that only the tests call: the upper
+triangular quasi-order, supp(A), the zero row and column insertion and
+deletion laws, the strict-pair kink f(u, v) as a scalar, the strict-pair
+commutation criterion and the unit-action split.  A helper module, not a test
+module: the tests import it, and pytest does not collect it.
+"""
+
+import numpy as np
+
+from smalg._checks import integer, tolerance
+from smalg.matalg import DEFAULT_REL_TOL, _as_square
+from smalg.preservers import MapUnderTest, _unit_action
+from smalg.quasiorder import QuasiOrder, image, preimage
+
+
+def upper_triangular(n: int) -> QuasiOrder:
+    n = integer(n, "n", least=1)
+    return QuasiOrder(n, frozenset((i, j) for i in range(1, n + 1) for j in range(i, n + 1)))
+
+
+def support(A, tol: float | None = None) -> frozenset:
+    """Index pairs (1-based) where |A_ij| exceeds tol.
+
+    tol=None applies the default cutoff relative to the largest entry; pass
+    tol=0.0 for exact nonzero support.
+    """
+    A = _as_square(A)
+    if tol is not None:
+        cut = tolerance(tol, "tol", zero_ok=True)
+    else:
+        cut = DEFAULT_REL_TOL * (np.max(np.abs(A)) if A.size else 0.0)
+    ii, jj = np.nonzero(np.abs(A) > cut)
+    return frozenset(zip((ii + 1).tolist(), (jj + 1).tolist()))
+
+
+def sharp(A, positions) -> np.ndarray:
+    """Insert zero rows and columns so they land at the given 1-based positions
+    of the enlarged matrix; inverse (on its range) of `flat` at the same set."""
+    A = _as_square(A)
+    pos = sorted({integer(p, "positions", least=1) for p in positions})
+    m = A.shape[0] + len(pos)
+    if pos:
+        integer(pos[-1], "positions", most=m)
+    keep = [t for t in range(1, m + 1) if t not in set(pos)]
+    out = np.zeros((m, m), dtype=complex)
+    out[np.ix_([k - 1 for k in keep], [k - 1 for k in keep])] = A
+    return out
+
+
+def flat(A, positions) -> np.ndarray:
+    """Delete the rows and columns at the given 1-based positions."""
+    A = _as_square(A)
+    n = A.shape[0]
+    pos = sorted({integer(p, "positions", least=1, most=n) for p in positions})
+    if len(pos) == n:
+        raise ValueError("cannot delete every row and column")
+    keep = [k - 1 for k in range(1, n + 1) if k not in set(pos)]
+    return A[np.ix_(keep, keep)]
+
+
+def case2_kink(u: complex, v: complex) -> complex:
+    """Continuous homogeneous map with injective sections: v when |u| <= |v|,
+    else v |v/u|.  The scalar reference of the strict-pair counterexample."""
+    if abs(u) <= abs(v):
+        return v
+    return v * abs(v / u)
+
+
+def commutes_criterion(X, Y, rho: QuasiOrder, r: int, s: int) -> bool:
+    """Commutation test specialized to the strict-pair geometry: X and Y commute
+    iff their (r,s)-punctured parts commute and
+    (X_ss - X_rr) Y_rs = (Y_ss - Y_rr) X_rs, each to 1e-9 max(1, |X|_F |Y|_F),
+    far above the n eps |X|_F |Y|_F rounding of a commuting pair's products."""
+    if preimage(rho, r) != {r} or image(rho, s) != {s}:
+        raise ValueError("pair (r,s) does not isolate row r / column s in rho")
+    X, Y = np.asarray(X, dtype=complex), np.asarray(Y, dtype=complex)
+    X0, Y0 = X.copy(), Y.copy()
+    X0[r - 1, s - 1] = Y0[r - 1, s - 1] = 0.0
+    limit = 1e-9 * max(1.0, float(np.linalg.norm(X)) * float(np.linalg.norm(Y)))
+    base = np.linalg.norm(X0 @ Y0 - Y0 @ X0) <= limit
+    lhs = (X[s - 1, s - 1] - X[r - 1, r - 1]) * Y[r - 1, s - 1]
+    rhs = (Y[s - 1, s - 1] - Y[r - 1, r - 1]) * X[r - 1, s - 1]
+    return bool(base and abs(lhs - rhs) <= limit)
+
+
+def classify_unit_action(mut: MapUnderTest):
+    """Split mut.domain into the pairs whose matrix unit maps parallel to itself
+    versus to its transpose; both parts are returned as (verified) quasi-orders.
+
+    Raises ValueError with a witness, the first failing unit in sorted order,
+    when some image is not finite, numerically zero, or parallel to neither
+    the unit nor its flip, at the cutoffs of `_unit_action`.
+    """
+    return _unit_action(mut)[:2]

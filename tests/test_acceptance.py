@@ -17,14 +17,7 @@ from smalg.quasiorder import (
     condition_i,
     is_two_free,
 )
-from smalg.matalg import (
-    _sma_stack,
-    flat,
-    in_sma,
-    matrix_unit,
-    rank_one_closure_member,
-    sharp,
-)
+from smalg.matalg import _sma_stack, in_sma, matrix_unit, rank_one_closure_member
 from smalg.cocycle import Nontrivial, TransitiveMap, induced_auto, triviality, validate
 from smalg.jordan import (
     CentralIdempotent,
@@ -40,6 +33,7 @@ from smalg.preservers import MapUnderTest, _commuting_pairs, counterexample, ver
 from smalg import jsonio
 
 from generators import random_invertible, random_preorder, random_transitive
+from lemmas import flat, sharp
 
 
 def announce(name, t0, failed=False):

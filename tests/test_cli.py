@@ -11,7 +11,9 @@ from smalg.cli import main
 from smalg import jsonio
 from smalg.cocycle import TransitiveMap
 from smalg.jordan import CentralIdempotent, JordanSpec
-from smalg.quasiorder import QuasiOrder, closure
+from smalg.quasiorder import closure
+
+from lemmas import upper_triangular
 
 
 def golden(name):
@@ -321,7 +323,7 @@ class TestBadInput:
 
     @pytest.mark.parametrize("verb", [["embed"], ["recover", "--spec"], ["verify", "--spec"]])
     def test_unclosed_spec_order(self, capsys, tmp_path, verb):
-        t3 = QuasiOrder.upper_triangular(3)
+        t3 = upper_triangular(3)
         blob = json.loads(jsonio.dump_json(jsonio.jordan_spec_to_dict(JordanSpec(
             t3, np.eye(3, dtype=complex), TransitiveMap.constant_one(t3),
             CentralIdempotent((1, 1, 1))))))

@@ -23,6 +23,7 @@ from smalg.cocycle import (
 
 import generators
 from generators import random_preorder, random_transitive
+from lemmas import upper_triangular
 
 
 def cocycle7_map(rho):
@@ -179,7 +180,7 @@ class TestRandomTransitive:
         assert isinstance(triviality(g), Nontrivial)
 
     def test_block_upper_triangular_has_none(self):
-        t3 = QuasiOrder.upper_triangular(3)
+        t3 = upper_triangular(3)
         assert random_transitive(t3, 0, want_nontrivial=True) is None
 
     def test_outputs_always_validate(self, rng):
@@ -235,7 +236,7 @@ class TestRandomTransitive:
 
     def test_values_match_full_svd_nullspace(self, cocycle7, monkeypatch):
         rng = np.random.default_rng(3)
-        rhos = [QuasiOrder.full(8), QuasiOrder.upper_triangular(3), cocycle7]
+        rhos = [QuasiOrder.full(8), upper_triangular(3), cocycle7]
         rhos += [random_preorder(6, rng, p=0.3) for _ in range(6)]
         args = [(0, False), (1, True)]
         got = [random_transitive(rho, seed, nt) for rho in rhos for seed, nt in args]

@@ -20,6 +20,7 @@ from smalg.jordan import (
 )
 from smalg.preservers import MapUnderTest, _units
 from generators import random_invertible, random_preorder, random_transitive
+from lemmas import upper_triangular
 from test_preservers import unitary
 from test_spec_verbs import SHAPES, seeded_spec
 
@@ -231,7 +232,7 @@ class TestRecovery:
         rng = np.random.default_rng(7)
         S = unitary(rng, n) @ np.diag(np.geomspace(1.0, 1.0 / c, n)) @ unitary(rng, n)
         full = shape == "full"
-        rho = QuasiOrder.full(n) if full else QuasiOrder.upper_triangular(n)
+        rho = QuasiOrder.full(n) if full else upper_triangular(n)
         P = CentralIdempotent((int(full),) * n)
         phi = build_embedding(JordanSpec(rho, S, TransitiveMap.constant_one(rho), P))
         rec = recover_form(MapUnderTest(rho, phi, "phi", stacked=True))

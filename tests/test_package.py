@@ -2,8 +2,11 @@ import ast
 import importlib
 import inspect
 import os
+import re
 import subprocess
+import symtable
 import sys
+from functools import cached_property
 from pathlib import Path
 
 import pytest
@@ -11,16 +14,9 @@ import pytest
 LAYERS = ("quasiorder", "matalg", "cocycle", "jordan", "preservers", "jsonio", "cli")
 ROOT = Path(__file__).resolve().parents[1]
 
-# public names that no layer and no bench script uses, each kept because it
-# states a fact of the paper that a test pins, or serves as a reference
-KEEP = {
-    "case2_kink": "the strict-pair kink f(u, v), the scalar reference of the stacked case-2 map",
-    "commutes_criterion": "the commutation criterion of the strict-pair geometry",
-    "classify_unit_action": "the split of rho into the unit-parallel and unit-flipping pairs",
-    "support": "supp(A), by which membership in the algebra of rho is defined",
-    "sharp": "zero row and column insertion, the inverse of `flat` on its range",
-    "flat": "row and column deletion, in the insertion and deletion laws",
-}
+# public names and methods that no layer and no bench script uses, each kept
+# for the reason given; the paper's lemma-only helpers live in tests/lemmas.py
+KEEP = {}
 
 
 @pytest.mark.parametrize("layer", LAYERS)
@@ -64,46 +60,142 @@ def test_map_entry_points_take_one_map():
     MapUnderTest, first; its domain is the quasi-order, so none takes a rho."""
     from smalg import jordan, preservers
 
-    for fn in (preservers.verify_preserver, preservers.classify_unit_action,
-               jordan.verify_jordan, jordan.verify_multiplicative,
+    for fn in (preservers.verify_preserver, jordan.verify_jordan, jordan.verify_multiplicative,
                jordan.verify_antimultiplicative, jordan.recover_form):
         params = list(inspect.signature(fn).parameters)
         assert params[0] == "mut" and "rho" not in params, fn.__name__
 
 
+def _dotted(node):
+    """`a.b.c` for a chain of attributes on a name, else None."""
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        head = _dotted(node.value)
+        return head and f"{head}.{node.attr}"
+    return None
+
+
+def _globals_read(table):
+    """The names that some scope of a symbol table reads as module-level
+    names: a parameter or local variable of the same name shadows them."""
+    names = {s.get_name() for s in table.get_symbols() if s.is_referenced() and s.is_global()}
+    for child in table.get_children():
+        names |= _globals_read(child)
+    return names
+
+
 def _referenced(paths):
-    """Every name, attribute and imported name that the modules at `paths` use."""
-    used = set()
+    """`layer.name` for each name of a smalg layer that the modules at `paths`
+    use, and the set of every attribute they read.  A name is used when it is
+    imported from its layer, read as an attribute of an imported layer
+    module, or read unshadowed in its own layer (a module in a `smalg`
+    directory); a local variable or parameter of the same name is no use."""
+    used, attrs = set(), set()
     for path in paths:
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
-                used.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                used.add(node.attr)
-            elif isinstance(node, ast.ImportFrom):
-                used.update(alias.name for alias in node.names)
-    return used
+        text = path.read_text()
+        own = path.stem if path.parent.name == "smalg" else None
+        nodes = list(ast.walk(ast.parse(text)))
+        modules = {}  # dotted local name -> layer, for each imported layer module
+        for node in nodes:
+            if isinstance(node, ast.ImportFrom):
+                package = node.module == "smalg" or node.level == 1 and node.module is None
+                if package:
+                    modules.update({a.asname or a.name: a.name for a in node.names})
+                elif node.module and (node.level == 1 or node.module.startswith("smalg.")):
+                    layer = node.module.rsplit(".", 1)[-1]
+                    used.update(f"{layer}.{a.name}" for a in node.names)
+            elif isinstance(node, ast.Import):
+                modules.update({a.asname or a.name: a.name.rsplit(".", 1)[-1]
+                                for a in node.names if a.name.startswith("smalg.")})
+        # a second pass, so that an import inside a function counts for an
+        # attribute read that the walk reaches first
+        for node in nodes:
+            if isinstance(node, ast.Attribute):
+                attrs.add(node.attr)
+                if _dotted(node.value) in modules:
+                    used.add(f"{modules[_dotted(node.value)]}.{node.attr}")
+        if own:
+            used.update(f"{own}.{name}"
+                        for name in _globals_read(symtable.symtable(text, str(path), "exec")))
+    return used, attrs
+
+
+def _public_methods(cls):
+    """The public methods, class methods and properties that `cls` defines;
+    dunder methods are called by protocol (`len`, `==`), so none is listed."""
+    kinds = (staticmethod, classmethod, property, cached_property)
+    return [name for name, value in vars(cls).items()
+            if not name.startswith("_") and (inspect.isfunction(value) or isinstance(value, kinds))]
 
 
 def test_public_names_have_callers():
-    """Each name in a layer's `__all__` is used by a layer (`__init__` does not
-    count) or a bench script, or KEEP says why it stays: the public API holds
-    no test scaffolding and no dead code."""
-    used = _referenced(p for p in (ROOT / "src" / "smalg").glob("*.py") if p.name != "__init__.py")
-    used |= _referenced((ROOT / "bench").glob("*.py"))
-    public = {layer: getattr(importlib.import_module(f"smalg.{layer}"), "__all__", [])
-              for layer in LAYERS}
-    assert {layer: [name for name in names if name not in used and name not in KEEP]
-            for layer, names in public.items()} == {layer: [] for layer in LAYERS}
+    """Each name in a layer's `__all__`, and each public method of a class
+    there, is used by a layer (`__init__` does not count) or a bench script,
+    or KEEP says why it stays: the public API holds no test scaffolding and
+    no dead code."""
+    used, attrs = _referenced(
+        [p for p in (ROOT / "src" / "smalg").glob("*.py") if p.name != "__init__.py"]
+        + list((ROOT / "bench").glob("*.py")))
+    unused = {layer: [] for layer in LAYERS}
+    for layer in LAYERS:
+        module = importlib.import_module(f"smalg.{layer}")
+        for name in getattr(module, "__all__", []):
+            if f"{layer}.{name}" not in used:
+                unused[layer].append(name)
+            obj = getattr(module, name)
+            if inspect.isclass(obj):
+                unused[layer] += [f"{name}.{m}" for m in _public_methods(obj) if m not in attrs]
+    assert {layer: [name for name in names if name not in KEEP]
+            for layer, names in unused.items()} == {layer: [] for layer in LAYERS}
     # and KEEP holds no name that is gone or has found a caller
-    assert set(KEEP) <= {name for names in public.values() for name in names} - used
+    assert set(KEEP) <= {name for names in unused.values() for name in names}
+
+
+def test_referenced_ignores_shadowing_names(tmp_path):
+    """A local variable or parameter named like a public name is no caller;
+    an import, an attribute of an imported layer and an unshadowed read in
+    the name's own layer are."""
+    (tmp_path / "smalg").mkdir()
+    files = {
+        "local.py": "def f(A):\n    flat = A[0]\n    return flat\n",
+        "smalg/matalg.py": ("def flat(A):\n    return A\n\n"
+                            "def g(A, flat):\n    return flat(A)\n"),
+        "calls.py": ("from smalg.matalg import flat\n\n"
+                     "flat(preservers.counterexample(smalg.jordan.recover_form))\n\n"
+                     "def f():\n    import smalg.jordan\n    from smalg import preservers\n"),
+        "smalg/cli.py": "def main():\n    return [main for _ in ()]\n",
+    }
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    assert _referenced([tmp_path / "local.py", tmp_path / "smalg" / "matalg.py"])[0] == set()
+    assert _referenced([tmp_path / "calls.py", tmp_path / "smalg" / "cli.py"])[0] == {
+        "matalg.flat", "preservers.counterexample", "jordan.recover_form", "cli.main"}
+
+
+def test_ci_node_ids_exist():
+    """Each `tests/...py[::...]` node id the CI workflow names is a file, and
+    its classes and functions exist: a moved or renamed test fails here, not
+    only on CI."""
+    text = (ROOT / ".github" / "workflows" / "tests.yml").read_text()
+    ids = re.findall(r"tests/[\w/]+\.py(?:::\w+)*", text)
+    assert ids
+    missing = []
+    for node_id in ids:
+        path, *names = node_id.split("::")
+        body = ast.parse((ROOT / path).read_text()).body if (ROOT / path).is_file() else None
+        for name in names:
+            body = next((node.body for node in body or ()
+                         if isinstance(node, (ast.ClassDef, ast.FunctionDef))
+                         and node.name == name), None)
+        if body is None:
+            missing.append(node_id)
+    assert missing == []
 
 
 # defaulted parameters that no layer and no bench script passes, each kept
 # for the reason given
 KEEP_PARAMS = {
-    "support.tol": "the absolute cutoff, against the default relative to the largest entry",
-    "rank_one_closure_member.tol": "the absolute cutoff, against the default relative one",
     "verify_multiplicative.tol": "every sampled check takes one tol",
     "verify_antimultiplicative.tol": "every sampled check takes one tol",
 }

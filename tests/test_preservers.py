@@ -6,16 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from smalg.quasiorder import QuasiOrder, all_preorders, closure, condition_i
-from smalg.matalg import _sma_stack, in_sma, matrix_unit
+from smalg.matalg import _in_sma_stack, _sma_stack, matrix_unit
 from smalg.cocycle import TransitiveMap, coboundary
 from smalg.jordan import CentralIdempotent, JordanSpec, RecoveryError, build_embedding, recover_form
 from smalg.preservers import (
     GALLERY_KINDS,
     CounterexampleMap,
     MapUnderTest,
-    case2_kink,
-    classify_unit_action,
-    commutes_criterion,
     counterexample,
     identity_map,
     remark_gallery,
@@ -25,6 +22,7 @@ from smalg.preservers import (
 )
 
 from generators import random_invertible, random_preorder, random_transitive
+from lemmas import case2_kink, classify_unit_action, commutes_criterion, upper_triangular
 
 complexes = st.complex_numbers(allow_nan=False, allow_infinity=False,
                                min_magnitude=0.0, max_magnitude=1e6)
@@ -43,8 +41,8 @@ class TestCommutingPairs:
         Z = np.concatenate([np.random.default_rng(seed).standard_normal((1, 2 * 49 + 4 * 7))
                             for seed in range(200)])
         for X, Y in zip(*_commuting_pairs(cocycle7, Z)):
-            assert in_sma(X, cocycle7, tol=0.0)
-            assert in_sma(Y, cocycle7, tol=0.0)
+            assert _in_sma_stack(X[None], cocycle7, 0.0)[0]
+            assert _in_sma_stack(Y[None], cocycle7, 0.0)[0]
             scale = max(1.0, float(np.linalg.norm(X)) * float(np.linalg.norm(Y)))
             assert np.linalg.norm(X @ Y - Y @ X) < 1e-10 * scale
 
@@ -260,7 +258,7 @@ class TestGallery:
         assert rep.additivity.ok and rep.homogeneity.ok
 
     def test_det_twist_breaks_commutativity(self):
-        t3 = QuasiOrder.upper_triangular(3)
+        t3 = upper_triangular(3)
         rep = verify_preserver(remark_gallery(t3, "det_twist"),
                                n_samples=300, seed=0)
         assert rep.spectrum.ok
@@ -280,7 +278,7 @@ class TestGallery:
         assert np.linalg.norm(mut.eval(X @ X) - fX @ fX) > 0.1
 
     def test_noninjective_jordan_on_t2(self):
-        t2 = QuasiOrder.upper_triangular(2)
+        t2 = upper_triangular(2)
         mut = remark_gallery(t2, "noninjective_jordan")
         assert not np.any(mut.eval(matrix_unit(2, 1, 2)))
         rep = verify_preserver(mut, n_samples=300, seed=0)
@@ -306,7 +304,7 @@ class TestGallery:
 
     @pytest.mark.parametrize("kind,rho_builder", [
         ("det_twist", lambda: QuasiOrder.diagonal(4)),
-        ("diag_shift", lambda: QuasiOrder.upper_triangular(3)),
+        ("diag_shift", lambda: upper_triangular(3)),
         ("noninjective_jordan", lambda: QuasiOrder.full(3)),
     ])
     def test_inapplicable_kinds_raise(self, kind, rho_builder):
@@ -401,7 +399,7 @@ def large_embedding(n, shape):
     """A Jordan embedding with cond(S) <= 50: an automorphism of the full
     algebra, or an anti-automorphism of the upper-triangular one."""
     rng = np.random.default_rng(n)
-    rho = QuasiOrder.full(n) if shape == "full" else QuasiOrder.upper_triangular(n)
+    rho = QuasiOrder.full(n) if shape == "full" else upper_triangular(n)
     sigma = np.exp(rng.uniform(0.0, np.log(50.0), n))
     S = unitary(rng, n) @ np.diag(sigma) @ unitary(rng, n)
     assert np.linalg.cond(S) <= 50.0 + 1e-9
@@ -425,7 +423,7 @@ class TestSpectrumOracle:
     def test_large_image_cannot_hide_a_spectrum_change(self, c):
         # phi(X) = 2X + c E_14 doubles every eigenvalue on T_4; a circle whose
         # radius followed |phi(X)|_F would shrink the error to about 1/c
-        t4 = QuasiOrder.upper_triangular(4)
+        t4 = upper_triangular(4)
         E14 = matrix_unit(4, 1, 4)
         mut = MapUnderTest(t4, lambda X: 2.0 * X + c * E14, "doubling-shift")
         rep = verify_preserver(mut, n_samples=50, seed=0)
@@ -489,7 +487,7 @@ class TestSamplingInput:
         with pytest.raises(ValueError, match="^seed must be >= 0 and an integer"):
             verify_preserver(counterexample(fan4), n_samples=10, seed=seed)
         with pytest.raises(ValueError, match="^seed must be >= 0 and an integer"):
-            recover_form(identity_map(QuasiOrder.upper_triangular(4)), seed=seed)
+            recover_form(identity_map(upper_triangular(4)), seed=seed)
 
     def test_unchecked_verdict_is_not_ok(self):
         from smalg.preservers import PropertyVerdict
@@ -631,14 +629,14 @@ class TestStacks:
 # every map smalg builds, on a rho it applies to; the embeddings are the ones
 # `cli._build_map` wraps
 STACKED_MAPS = {
-    "identity": lambda: identity_map(QuasiOrder.upper_triangular(4)),
+    "identity": lambda: identity_map(upper_triangular(4)),
     "transpose": lambda: transpose_map(closure(4, {(1, 2), (2, 1), (3, 4), (4, 3)})),
     "case1": lambda: counterexample(closure(3, {(1, 2), (2, 1)})),
     "case2": lambda: counterexample(closure(4, {(1, 3), (1, 4), (2, 3), (2, 4)})),
     "scaling": lambda: remark_gallery(QuasiOrder.full(4), "scaling"),
-    "det_twist": lambda: remark_gallery(QuasiOrder.upper_triangular(4), "det_twist"),
+    "det_twist": lambda: remark_gallery(upper_triangular(4), "det_twist"),
     "diag_shift": lambda: remark_gallery(QuasiOrder.diagonal(4), "diag_shift"),
-    "truncation": lambda: remark_gallery(QuasiOrder.upper_triangular(4), "noninjective_jordan"),
+    "truncation": lambda: remark_gallery(upper_triangular(4), "noninjective_jordan"),
     "embedding-8": lambda: MapUnderTest(*large_embedding(8, "full"), "embedding", stacked=True),
     "embedding-32": lambda: MapUnderTest(*large_embedding(32, "upper"), "embedding",
                                          stacked=True),

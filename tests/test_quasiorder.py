@@ -27,6 +27,7 @@ from smalg.quasiorder import (
 )
 
 from generators import random_preorder
+from lemmas import upper_triangular
 
 
 @st.composite
@@ -311,7 +312,7 @@ class TestBlockTriangular:
         assert bt.sizes == (3,) and bt.upper_exact
 
     def test_upper_triangular_exact(self):
-        assert block_triangular_permutation(QuasiOrder.upper_triangular(4)).upper_exact
+        assert block_triangular_permutation(upper_triangular(4)).upper_exact
 
     @given(preorders())
     @settings(max_examples=60)
@@ -327,7 +328,7 @@ class TestRankOneDensity:
         assert rank_one_density(QuasiOrder.full(5))
 
     def test_upper_triangular_holds(self):
-        assert rank_one_density(QuasiOrder.upper_triangular(3))
+        assert rank_one_density(upper_triangular(3))
 
     def test_reduction_matches_naive_scan(self):
         for rho in all_preorders(4):
@@ -365,7 +366,7 @@ class TestRankOneDensity:
 
     @pytest.mark.parametrize("rho, dense", [
         (QuasiOrder.full(24), True),
-        (QuasiOrder.upper_triangular(24), True),
+        (upper_triangular(24), True),
         (crown(12), False),
     ], ids=["full", "upper", "crown"])
     def test_n24_under_one_second(self, rho, dense):

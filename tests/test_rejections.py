@@ -6,13 +6,15 @@ import numpy as np
 import pytest
 
 from smalg.quasiorder import QuasiOrder, closure
-from smalg.matalg import matrix_unit, rank_one_closure_member, support
+from smalg.matalg import in_sma, matrix_unit, rank_one_closure_member
 from smalg.cocycle import TransitiveMap, coboundary
 from smalg.jordan import CentralIdempotent, JordanSpec, RecoveryError, recover_form, validate_spec
-from smalg.preservers import MapUnderTest, classify_unit_action
+from smalg.preservers import MapUnderTest
 
-T2 = QuasiOrder.upper_triangular(2)
-T3 = QuasiOrder.upper_triangular(3)
+from lemmas import classify_unit_action, upper_triangular
+
+T2 = upper_triangular(2)
+T3 = upper_triangular(3)
 FULL3 = QuasiOrder.full(3)
 ONES3 = CentralIdempotent((1, 1, 1))
 G5 = TransitiveMap(FULL3, {p: 5.0 if p == (1, 2) else 1.0 for p in FULL3.off_diagonal})
@@ -55,7 +57,7 @@ CASES = {
         lambda: closure(3, [(1, 2, 3)]), ValueError,
         r"^pairs must be pairs of integers, got \(1, 2, 3\)$"),
     "matalg.non_square_matrix": (
-        lambda: support(np.ones((2, 3))), ValueError,
+        lambda: in_sma(np.ones((2, 3)), T3), ValueError,
         r"^expected a square matrix, got shape \(2, 3\)$"),
     "matalg.rank_one_member_outside_the_algebra": (
         lambda: rank_one_closure_member(matrix_unit(3, 2, 1), T3), ValueError,

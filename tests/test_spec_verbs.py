@@ -15,6 +15,8 @@ from smalg.cocycle import coboundary
 from smalg.jordan import CentralIdempotent, JordanSpec
 from smalg.quasiorder import QuasiOrder, components
 
+from lemmas import upper_triangular
+
 SHAPES = ("full", "upper", "block4", "sum2")
 
 
@@ -254,7 +256,7 @@ def test_spec_verb_stdout_pinned(capsys, tmp_path, verb, shape, n):
 def test_huge_s_is_the_identity(capsys, tmp_path):
     # phi does not change under S -> cS, so S = 1.5e308 I gives the identity;
     # unscaled, S X overflows and S^-1 is subnormal
-    rho = QuasiOrder.upper_triangular(4)
+    rho = upper_triangular(4)
     spec = JordanSpec(rho, 1.5e308 * np.eye(4, dtype=complex),
                       coboundary(rho, {i: 1.0 for i in range(1, 5)}),
                       CentralIdempotent((1, 1, 1, 1)))
