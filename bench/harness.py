@@ -18,7 +18,7 @@ is measured as its own CLI runs.  For each map, `fixed_ms` is the time of a
 (t(N) - t(1)) / (N - 1).  Each time is the median of REPEATS calls; the JSON
 gives the median and quartiles over rounds.  BLAS runs on one thread.  The
 result goes to BENCH_harness.json; `--smoke` measures n = 4 for one round
-and writes to a temporary file.
+and writes no file.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ import platform
 import statistics
 import subprocess
 import sys
-import tempfile
 import time
 from pathlib import Path
 
@@ -111,7 +110,7 @@ def main():
     parser.add_argument("--rounds", type=int, default=3)
     parser.add_argument("--out", type=Path, default=ROOT / "BENCH_harness.json")
     parser.add_argument("--smoke", action="store_true",
-                        help="n = 4 only, one round, output to a temporary file")
+                        help="n = 4 only, one round, no file written")
     parser.add_argument("--worker", type=Path, help=argparse.SUPPRESS)
     args = parser.parse_args()
     if args.worker:
@@ -119,12 +118,7 @@ def main():
     if args.rounds < 1:
         parser.error("--rounds must be >= 1")
     trees = source_trees(parser, args.src, ROOT)
-    rounds, out = args.rounds, args.out
-    if args.smoke:
-        rounds = 1
-        fd, out = tempfile.mkstemp(prefix="BENCH_harness.", suffix=".json")
-        os.close(fd)
-        out = Path(out)
+    rounds = 1 if args.smoke else args.rounds
 
     runs = {label: [] for label, _ in trees}
     for r in range(rounds):
@@ -156,12 +150,14 @@ def main():
                     "blas_threads": os.environ["OPENBLAS_NUM_THREADS"]},
         "results": results,
     }
-    out.write_text(json.dumps(report, indent=1) + "\n")
+    if not args.smoke:
+        args.out.write_text(json.dumps(report, indent=1) + "\n")
     for label, cases in results.items():
         for case, m in cases.items():
             print(f"{label:>8} {case:>21}  fixed {m['fixed_ms']['median']:8.2f} ms"
                   f"  {m['us_per_sample']['median']:9.1f} us/sample")
-    print(f"wrote {out}", file=sys.stderr)
+    if not args.smoke:
+        print(f"wrote {args.out}", file=sys.stderr)
 
 
 if __name__ == "__main__":

@@ -18,7 +18,7 @@ included; `maxrss_mb` is the process's ru_maxrss.  The JSON gives the median
 and quartiles over rounds.  BLAS threads follow the environment (set
 OPENBLAS_NUM_THREADS=1 for stable figures).  The result goes to
 BENCH_spec_verbs.json; `--smoke` measures both shapes at n = 8 for one round
-and writes to a temporary file.
+and writes no file.
 """
 
 from __future__ import annotations
@@ -97,7 +97,7 @@ def main():
     parser.add_argument("--rounds", type=int, default=3)
     parser.add_argument("--out", type=Path, default=ROOT / "BENCH_spec_verbs.json")
     parser.add_argument("--smoke", action="store_true",
-                        help="both shapes at n = 8, one round, output to a temporary file")
+                        help="both shapes at n = 8, one round, no file written")
     parser.add_argument("--worker", nargs=argparse.REMAINDER, help=argparse.SUPPRESS)
     args = parser.parse_args()
     if args.worker:
@@ -106,11 +106,6 @@ def main():
         parser.error("--rounds must be >= 1")
     trees = source_trees(parser, args.src, ROOT)
     sizes, rounds = ((8,), 1) if args.smoke else (SIZES, args.rounds)
-    out = args.out
-    if args.smoke:
-        fd, out = tempfile.mkstemp(prefix="BENCH_spec_verbs.", suffix=".json")
-        os.close(fd)
-        out = Path(out)
 
     runs = {label: {} for label, _ in trees}
     with tempfile.TemporaryDirectory() as tmp:
@@ -149,12 +144,14 @@ def main():
                     "blas_threads": os.environ.get("OPENBLAS_NUM_THREADS", "default")},
         "results": results,
     }
-    out.write_text(json.dumps(report, indent=1) + "\n")
+    if not args.smoke:
+        args.out.write_text(json.dumps(report, indent=1) + "\n")
     for label, cases in results.items():
         for case, m in cases.items():
             print(f"{label:>8} {case:>14}  cpu {m['cpu_s']['median']:8.3f} s"
                   f"  maxrss {m['maxrss_mb']['median']:7.1f} MB")
-    print(f"wrote {out}", file=sys.stderr)
+    if not args.smoke:
+        print(f"wrote {args.out}", file=sys.stderr)
 
 
 if __name__ == "__main__":

@@ -23,11 +23,11 @@ def integer(value, name, least=None, most=None) -> int:
     return int(value)
 
 
-def tolerance(value, name, zero_ok=False) -> float:
-    """`value` as a float: a finite real number, never a bool, that is > 0, or
-    >= 0 when `zero_ok`.  No error exceeds a NaN tolerance, every one is within
-    an infinite one, and even a zero error exceeds a negative one."""
+def tolerance(value, name) -> float:
+    """`value` as a float: a finite real number > 0, never a bool.  No error
+    exceeds a NaN tolerance, every one is within an infinite one, and even a
+    zero error exceeds a negative one."""
     if (isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating))
-            or not (value >= 0 if zero_ok else value > 0) or not value <= sys.float_info.max):
-        raise ValueError(f"{name} must be finite and {'>=' if zero_ok else '>'} 0, got {value!r}")
+            or not 0 < value <= sys.float_info.max):
+        raise ValueError(f"{name} must be finite and > 0, got {value!r}")
     return float(value)

@@ -86,7 +86,7 @@ _LAW_TOL = 1e-10  # a g transitive in exact arithmetic rounds by a few eps per p
 
 def validate(g: TransitiveMap):
     """Check the multiplicative law on every composable pair of pairs, to
-    _LAW_TOL relative to max(|g(i,k)|, 1).
+    _LAW_TOL relative to |g(i,k)|, which is never 0.
 
     Returns (True, None) or (False, ((i,j),(j,k))) with the first violation in
     lexicographic (i, j, k) order.  Row i compares g(i,j) g(j,k) with g(i,k)
@@ -100,7 +100,7 @@ def validate(g: TransitiveMap):
         for i in range(g.rho.n):
             re = a[i, :, None] * a - b[i, :, None] * b - a[i]
             im = a[i, :, None] * b + b[i, :, None] * a - b[i]
-            err = np.hypot(re, im) > _LAW_TOL * np.maximum(np.hypot(a[i], b[i]), 1.0)
+            err = np.hypot(re, im) > _LAW_TOL * np.hypot(a[i], b[i])
             bad = mask[i, :, None] & mask & err
             if bad.any():
                 j, k = divmod(int(np.argmax(bad)), g.rho.n)

@@ -9,8 +9,8 @@ the part cut out by the complement of a central idempotent P:
 This module constructs such maps from their (S, g, P) data and recovers the
 (S, g, P) data from a black-box preserver.  `verify_jordan` and the two
 product-rule checks are selections of properties graded by the one sampling
-harness in `smalg.preservers`; recovery reads the matrix units through that
-module's unit classifier.
+harness in `smalg.preservers`; recovery reads S^{-1} and g from phi's images
+of the matrix units, fitted as rank-one matrices.
 """
 
 from __future__ import annotations
@@ -23,8 +23,8 @@ from ._checks import integer, tolerance
 from .quasiorder import QuasiOrder, components, condition_i
 from .matalg import _sma_stack
 from .cocycle import TransitiveMap, induced_auto, validate as validate_transitive
-from .preservers import (MapUnderTest, PreserverReport, _eval_stack, _grade, _norms,
-                         _stack_step, _unit_action, _units)
+from .preservers import (MapUnderTest, PreserverReport, _cabs, _cmul, _eval_stack, _grade,
+                         _norms, _stack_step, _units)
 
 __all__ = [
     "CentralIdempotent",
@@ -170,25 +170,34 @@ def recover_form(mut: MapUnderTest, tol: float = 1e-8,
     """Recover (S, g, P) from a black-box preserver on an algebra satisfying the
     neighborhood-intersection criterion.
 
-    As E_kk^t = E_kk and g(k,k) = 1, phi(E_kk) = S E_kk S^{-1}: its trace is 1
-    and its largest column, scaled to unit 2-norm, is column k of S.  Reading
-    S^{-1} phi(E_ij) S on the matrix units splits rho into the identity-like and
-    transpose-like parts and yields g; P marks the indices touched by the
-    identity-like part.  The rebuilt map is compared against phi on all matrix
-    units and on random samples, each by |rebuilt(X) - phi(X)|_F / max(1, |phi(X)|_F),
-    and the traces are held to 1 within tol max(1, |phi(E_kk)|_F): a computed
-    product AB errs by up to about n eps |A||B| (Higham, Accuracy and Stability
-    of Numerical Algorithms, 2002, ch. 3), so phi's own rounding follows the
-    size of its image, which reaches cond(S) on a unit, not the size of X.
-    Bad arguments and a rho failing the criterion raise ValueError; past them,
-    every failure raises RecoveryError, with validate_spec's message when the
-    recovered (S, g, P) is rejected.
+    Write T = S^{-1}, S_k for column k of S and T_k for row k of T.  As
+    E_kk^t = E_kk and g(k,k) = 1, phi(E_kk) = S_k T_k: its trace is 1, its
+    largest column, scaled to unit 2-norm, is S_k, and T_k is its row where
+    S_k is largest, divided by that entry.  An off-diagonal unit's image is
+    g(i,j) S_a T_b, with (a, b) = (i, j) where phi keeps the unit in place and
+    (j, i) where it transposes it.  Both orientations are fitted, with g read
+    at the top entry of S_a T_b, and the one with the smaller residual is
+    kept: that splits rho into the identity-like and transpose-like parts and
+    yields g, and P marks the indices touched by the identity-like part.  No
+    inverse and no conjugation is formed, so phi's rounding is not multiplied
+    by cond(S).
+
+    A unit's error is |g S_a T_b - phi(E_ij)|_F / max(1, |phi(E_ij)|_F), with
+    g = 1 on the diagonal, and a sample's is |rebuilt(X) - phi(X)|_F /
+    max(1, |phi(X)|_F); the traces are held to 1 within tol max(1, |phi(E_kk)|_F).
+    A computed product AB errs by up to about n eps |A||B| (Higham, Accuracy
+    and Stability of Numerical Algorithms, 2002, ch. 3), so phi's own rounding
+    follows the size of its image, which reaches cond(S) on a unit, not the
+    size of X.  Bad arguments and a rho failing the criterion raise
+    ValueError; past them, every failure raises RecoveryError: the first unit
+    in sorted order whose image is not finite, is zero or errs by more than
+    tol is named, and a recovered (S, g, P) that validate_spec rejects gets
+    its message.
 
     phi is `mut.eval` and rho is `mut.domain`.  Units and samples go through
     phi a stack at a time when `mut` sets `stacked`, and one matrix at a time
-    otherwise; either way the result is the same to the bit.  The unit error
-    reuses the diagonal units' images and the classifier's images of the first
-    off-diagonal units, up to 4 MB of them, so phi sees each of those once.
+    otherwise; either way the result is the same to the bit.  phi sees each
+    unit and each sample once.
     """
     n_samples = integer(n_samples, "n_samples", least=1)
     tol, seed = tolerance(tol, "tol"), integer(seed, "seed", least=0)
@@ -197,6 +206,17 @@ def recover_form(mut: MapUnderTest, tol: float = 1e-8,
     if not ok:
         raise ValueError(f"quasi-order fails the neighborhood criterion at {witness}")
     n = rho.n
+
+    def check(pairs, A, err):  # names the first failing unit of a stack
+        checks = ((~np.all(np.isfinite(A), axis=(1, 2)), "is not finite"),
+                  (~np.any(A, axis=(1, 2)), "is zero"),
+                  (~(err <= tol), "fits neither orientation (unit error {:.3e})"))
+        failed = np.any([bad for bad, _ in checks], axis=0)
+        if failed.any():
+            b = int(np.argmax(failed))
+            what = next(what for bad, what in checks if bad[b])
+            raise RecoveryError(f"phi(E_{{{pairs[b][0]},{pairs[b][1]}}}) " + what.format(err[b]))
+
     try:
         diag = [(k, k) for k in range(1, n + 1)]
         D = _eval_stack(mut, _units(n, diag))
@@ -213,41 +233,55 @@ def recover_form(mut: MapUnderTest, tol: float = 1e-8,
         first = np.argmax(np.abs(V) > 1e-8 * np.abs(V).max(axis=1, keepdims=True), axis=1)
         z = V[np.arange(n), first]
         S = (V * (np.abs(z) / z / np.linalg.norm(V, axis=1))[:, None]).T
+        # row k of T: row p of phi(E_kk) = S_k T_k over S[p, k], at the top entry
+        # of S_k; _cabs and _cmul round alike on every CPU numpy dispatches to
+        p = np.argmax(_cabs(S), axis=0)
+        T = D[np.arange(n), p] / S[p, np.arange(n)][:, None]
+        q = np.argmax(_cabs(T), axis=1)  # so the top entry of S_a T_b is (p[a], q[b])
 
-        # the unit error reuses phi's images of the first off-diagonal units, up to 4 MB
-        off = sorted(rho.off_diagonal)
-        kept = np.empty((min(len(off), 2 ** 18 // (n * n)), n, n), dtype=complex)
-        rho_m, rho_a, gvals = _unit_action(mut, frame=(np.linalg.inv(S), S), kept=kept)
+        def fit(a, b, A):  # g read at the top entry of S_a T_b, and |g S_a T_b - A|_F
+            g = A[np.arange(len(A)), p[a], q[b]] / _cmul(S[p[a], a], T[b, q[b]])
+            return g, _norms(_cmul(_cmul(g[:, None], S[:, a].T)[:, :, None], T[b][:, None, :]) - A)
+
+        unit_errs = [_norms(_cmul(S.T[:, :, None], T[:, None, :]) - D) / np.fmax(1.0, _norms(D))]
+        check(diag, D, unit_errs[0])
+        parts, gvals = (set(), set()), {}  # pairs mapped to the unit, to its flip
+        off, step = sorted(rho.off_diagonal), _stack_step(n)
+        for lo in range(0, len(off), step):
+            chunk = off[lo:lo + step]
+            A = _eval_stack(mut, _units(n, chunk))
+            i, j = (np.array(chunk) - 1).T
+            with np.errstate(all="ignore"):  # a non-finite image is named by check
+                (g, res), (g_t, res_t) = fit(i, j, A), fit(j, i, A)
+                flipped = res_t < res
+                unit_errs.append(np.where(flipped, res_t, res) / np.fmax(1.0, _norms(A)))
+            check(chunk, A, unit_errs[-1])
+            for b, pair in enumerate(chunk):
+                parts[bool(flipped[b])].add(pair)
+                gvals[pair] = g_t[b] if flipped[b] else g[b]
+        try:
+            rho_m, rho_a = (QuasiOrder(n, frozenset(diag) | part) for part in parts)
+        except ValueError as exc:
+            raise RecoveryError(f"unit classification is not a quasi-order: {exc}") from exc
         touched = {k for pair in rho_m.off_diagonal for k in pair}
         P = CentralIdempotent(tuple(int(k in touched) for k in range(1, n + 1)))
         spec = JordanSpec(rho, S, TransitiveMap(rho, gvals), P)
         rebuilt = build_embedding(spec)  # validate_spec checks the cocycle law
-
-        def error(A, images):  # per matrix of a stack; an infinite image's error is inf
-            return _norms(rebuilt(A) - images) / np.fmax(1.0, np.nan_to_num(_norms(images)))
-
-        # the error on every pair, the diagonal and kept units' first: the max
-        # does not depend on the order
-        step = _stack_step(n)
-        reused, rest = off[:len(kept)], off[len(kept):]
-        unit_errs = [error(_units(n, pairs[lo:lo + step]), images[lo:lo + step])
-                     for pairs, images in ((diag, D), (reused, kept))
-                     for lo in range(0, len(pairs), step)]
-        for lo in range(0, len(rest), step):
-            U = _units(n, rest[lo:lo + step])
-            unit_errs.append(error(U, _eval_stack(mut, U)))
         rng = np.random.default_rng(seed)
         sample_errs = []
         for lo in range(0, n_samples, step):
             # one block of normals, 2 n^2 per sample, in sample order
             X = _sma_stack(rho, rng.standard_normal((min(step, n_samples - lo), 2 * n * n)))
-            sample_errs.append(error(X, _eval_stack(mut, X)))
+            images = _eval_stack(mut, X)
+            # an infinite image's error is inf
+            sample_errs.append(_norms(rebuilt(X) - images)
+                               / np.fmax(1.0, np.nan_to_num(_norms(images))))
     except ValueError as exc:  # a broken map contract, LinAlgError, or a rejected spec
         raise RecoveryError(str(exc)) from exc
     # np.max keeps a NaN error, and a NaN error is not <= tol
     unit_err = float(np.max(np.concatenate(unit_errs)))
     sample_err = float(np.max(np.concatenate(sample_errs)))
-    if not (unit_err <= tol and sample_err <= tol):
+    if not sample_err <= tol:
         raise RecoveryError(
             f"rebuilt map disagrees with phi (unit error {unit_err:.3e}, "
             f"sample error {sample_err:.3e})")

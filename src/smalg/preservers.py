@@ -80,8 +80,8 @@ def _cabs(z):
 
 
 def _cmul(a, b):
-    """a * b for complex arrays of one shape."""
-    out = np.empty_like(a)
+    """a * b for complex arrays that broadcast together."""
+    out = np.empty(np.broadcast_shapes(np.shape(a), np.shape(b)), dtype=complex)
     out.real = a.real * b.real - a.imag * b.imag
     out.imag = a.real * b.imag + a.imag * b.real
     return out
@@ -201,63 +201,6 @@ def _stack_step(n: int) -> int:
     units and samples this many at a time, and the sampling harness its
     samples and probes, at most BATCH of them."""
     return max(1, 2 ** 13 // (n * n))
-
-
-def _unit_action(mut: MapUnderTest, frame=None, kept=None):
-    """mut.domain split into the pairs whose unit maps parallel to itself and
-    those whose unit maps parallel to its flip, as two quasi-orders, plus the
-    dominant scalar of each unit's image.  The first failing unit in sorted
-    order raises ValueError.  With frame = (T, U), each finite image A is read
-    as T A U.  A (K, n, n) array `kept` receives the images of the first K
-    units, as phi gave them.
-
-    An image is zero when its top entry is at most 1e-7, and parallel to no unit
-    when its second exceeds 1e-7 times its top: in the frame of S, a Jordan
-    embedding's E_ij image is g(i,j) plus rounding of about eps cond(S)^2 |g(i,j)|."""
-    n = mut.domain.n
-    units = sorted(mut.domain.off_diagonal)
-    parts = (set(), set())  # pairs mapped parallel to the unit, to its flip
-    scalars = {}
-    step = _stack_step(n)
-    for lo in range(0, len(units), step):
-        chunk = units[lo:lo + step]
-        A = _eval_stack(mut, _units(n, chunk))
-        if kept is not None and lo < len(kept):
-            kept[lo:lo + step] = A[:len(kept) - lo]
-        finite = np.all(np.isfinite(A), axis=(1, 2))
-        if frame is not None:
-            A = A.copy()  # phi's own output is left as it is
-            A[finite] = frame[0] @ A[finite] @ frame[1]
-        absA = np.abs(A).reshape(len(A), n * n)
-        k = np.argmax(absA, axis=1)
-        vals = A.reshape(len(A), n * n)[np.arange(len(A)), k]
-        top = _cabs(vals)
-        second = np.partition(absA, -2, axis=1)[:, -2]
-        (i, j), (p, q) = (np.array(chunk) - 1).T, np.divmod(k, n)
-        flipped = (p == j) & (q == i)
-        checks = (
-            (~finite, "phi(E_{{{i},{j}}}) is not finite"),
-            (top <= 1e-7, "phi(E_{{{i},{j}}}) is numerically zero"),
-            (second > 1e-7 * top, "phi(E_{{{i},{j}}}) is parallel to no matrix unit "
-                                  "(dominant at {at})"),
-            (~(((p == i) & (q == j)) | flipped),
-             "phi(E_{{{i},{j}}}) concentrates at {at}, not at ({i},{j}) or ({j},{i})"),
-        )
-        failed = np.any([bad for bad, _ in checks], axis=0)
-        if failed.any():
-            b = int(np.argmax(failed))
-            msg = next(msg for bad, msg in checks if bad[b])
-            raise ValueError(msg.format(i=chunk[b][0], j=chunk[b][1],
-                                        at=(int(p[b]) + 1, int(q[b]) + 1)))
-        for b, pair in enumerate(chunk):
-            parts[bool(flipped[b])].add(pair)
-            scalars[pair] = vals[b]
-    diag = frozenset((i, i) for i in range(1, n + 1))
-    try:
-        rho_m, rho_a = (QuasiOrder(n, diag | frozenset(part)) for part in parts)
-    except ValueError as exc:
-        raise ValueError(f"unit classification is not a quasi-order: {exc}") from exc
-    return rho_m, rho_a, scalars
 
 
 def remark_gallery(rho: QuasiOrder, kind: str) -> MapUnderTest:

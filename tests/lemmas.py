@@ -5,11 +5,13 @@ commutation criterion and the unit-action split.  A helper module, not a test
 module: the tests import it, and pytest does not collect it.
 """
 
+import sys
+
 import numpy as np
 
-from smalg._checks import integer, tolerance
+from smalg._checks import integer
 from smalg.matalg import DEFAULT_REL_TOL, _as_square
-from smalg.preservers import MapUnderTest, _unit_action
+from smalg.preservers import MapUnderTest, _cabs, _eval_stack, _stack_step, _units
 from smalg.quasiorder import QuasiOrder, image, preimage
 
 
@@ -26,7 +28,10 @@ def support(A, tol: float | None = None) -> frozenset:
     """
     A = _as_square(A)
     if tol is not None:
-        cut = tolerance(tol, "tol", zero_ok=True)
+        if (isinstance(tol, bool) or not isinstance(tol, (int, float, np.integer, np.floating))
+                or not 0 <= tol <= sys.float_info.max):
+            raise ValueError(f"tol must be finite and >= 0, got {tol!r}")
+        cut = float(tol)
     else:
         cut = DEFAULT_REL_TOL * (np.max(np.abs(A)) if A.size else 0.0)
     ii, jj = np.nonzero(np.abs(A) > cut)
@@ -89,6 +94,41 @@ def classify_unit_action(mut: MapUnderTest):
 
     Raises ValueError with a witness, the first failing unit in sorted order,
     when some image is not finite, numerically zero, or parallel to neither
-    the unit nor its flip, at the cutoffs of `_unit_action`.
+    the unit nor its flip.  An image is zero when its top entry is at most
+    1e-7, and parallel to no unit when its second exceeds 1e-7 times its top.
     """
-    return _unit_action(mut)[:2]
+    n = mut.domain.n
+    units = sorted(mut.domain.off_diagonal)
+    parts = (set(), set())  # pairs mapped parallel to the unit, to its flip
+    step = _stack_step(n)
+    for lo in range(0, len(units), step):
+        chunk = units[lo:lo + step]
+        A = _eval_stack(mut, _units(n, chunk))
+        finite = np.all(np.isfinite(A), axis=(1, 2))
+        absA = np.abs(A).reshape(len(A), n * n)
+        k = np.argmax(absA, axis=1)
+        top = _cabs(A.reshape(len(A), n * n)[np.arange(len(A)), k])
+        second = np.partition(absA, -2, axis=1)[:, -2]
+        (i, j), (p, q) = (np.array(chunk) - 1).T, np.divmod(k, n)
+        flipped = (p == j) & (q == i)
+        checks = (
+            (~finite, "phi(E_{{{i},{j}}}) is not finite"),
+            (top <= 1e-7, "phi(E_{{{i},{j}}}) is numerically zero"),
+            (second > 1e-7 * top, "phi(E_{{{i},{j}}}) is parallel to no matrix unit "
+                                  "(dominant at {at})"),
+            (~(((p == i) & (q == j)) | flipped),
+             "phi(E_{{{i},{j}}}) concentrates at {at}, not at ({i},{j}) or ({j},{i})"),
+        )
+        failed = np.any([bad for bad, _ in checks], axis=0)
+        if failed.any():
+            b = int(np.argmax(failed))
+            msg = next(msg for bad, msg in checks if bad[b])
+            raise ValueError(msg.format(i=chunk[b][0], j=chunk[b][1],
+                                        at=(int(p[b]) + 1, int(q[b]) + 1)))
+        for b, pair in enumerate(chunk):
+            parts[bool(flipped[b])].add(pair)
+    diag = frozenset((i, i) for i in range(1, n + 1))
+    try:
+        return tuple(QuasiOrder(n, diag | frozenset(part)) for part in parts)
+    except ValueError as exc:
+        raise ValueError(f"unit classification is not a quasi-order: {exc}") from exc

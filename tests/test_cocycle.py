@@ -57,7 +57,7 @@ def validate_loop(g):
         for k in by_first.get(j, ()):
             lhs = g(i, j) * g(j, k)
             rhs = g(i, k)
-            if abs(lhs - rhs) > _LAW_TOL * max(abs(rhs), 1.0):
+            if abs(lhs - rhs) > _LAW_TOL * abs(rhs):
                 return False, ((i, j), (j, k))
     return True, None
 

@@ -257,6 +257,25 @@ class TestPredicates:
         assert not is_symmetric(closure(2, {(1, 2)}))
         assert not is_symmetric(cocycle7)  # (1,3) in, (3,1) out
 
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_condition_holds_over_t_n(self, n):
+        # the earlier theorems as special cases: every preorder containing the
+        # total order T_n is T_n closed with some of the pairs (i+1, i), and
+        # the criterion holds on each of the 2^(n-1), as Petek and Semrl need
+        # n >= 3
+        steps = [(i + 1, i) for i in range(1, n)]
+        seen = set()
+        for picked in itertools.product((False, True), repeat=n - 1):
+            rho = closure(n, upper_triangular(n).pairs
+                          | {p for p, on in zip(steps, picked) if on})
+            assert condition_i(rho) == (True, None), sorted(rho.off_diagonal)
+            seen.add(rho.pairs)
+        assert len(seen) == 2 ** (n - 1)
+
+    @pytest.mark.parametrize("rho", [QuasiOrder.full(2), upper_triangular(2)], ids=["M2", "T2"])
+    def test_condition_fails_on_two_points(self, rho):
+        assert condition_i(rho) == (False, (1, 2))
+
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_condition_implies_two_free(self, n):
         for rho in all_preorders(n):

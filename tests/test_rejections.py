@@ -88,6 +88,10 @@ CASES = {
     "jordan.spec_cocycle_violation": (
         lambda: validate_spec(spec(g=G5, rho=FULL3)), ValueError,
         r"^transitive map violates the cocycle law at \(\(1, 2\), \(2, 1\)\)$"),
+    "jordan.spec_small_g_breaks_the_law": (
+        lambda: validate_spec(spec(g=TransitiveMap(T3, {(1, 2): 1e-6, (2, 3): 1e-6,
+                                                        (1, 3): 2e-12}))), ValueError,
+        r"^transitive map violates the cocycle law at \(\(1, 2\), \(2, 3\)\)$"),
     "jordan.spec_idempotent_wrong_length": (
         lambda: validate_spec(spec(P=CentralIdempotent((1, 1)))), ValueError,
         "^idempotent has the wrong length$"),
