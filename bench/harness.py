@@ -9,16 +9,20 @@ this checkout's `src`).  Every round measures each tree once, in a fresh
 process, alternating which tree goes first.  Two maps are graded on the full
 algebra M_n: `identity`, whose phi is one copy, so the time is the harness's
 own, and `embedding`, a Jordan embedding X -> S X S^-1 with cond(S) <= 50.
-At n = 4 a third map is graded: `counterexample`, smalg's non-Jordan
-preserver on the criterion-failing fan pattern, the map the `counterexample`
-verb grades.  The embedding is wrapped as `smalg verify --spec` wraps it:
-stacked when the tree's MapUnderTest has the `stacked` field, so every tree
-is measured as its own CLI runs.  For each map, `fixed_ms` is the time of a
-1-sample verdict (the probes and the set-up), and `us_per_sample` is
-(t(N) - t(1)) / (N - 1).  Each time is the median of REPEATS calls; the JSON
-gives the median and quartiles over rounds.  BLAS runs on one thread.  The
-result goes to BENCH_harness.json; `--smoke` measures n = 4 for one round
-and writes no file.
+Two more are graded on the upper triangular algebra T_n, whose mutual classes
+are singletons: `upper embedding`, the anti-automorphism embedding
+X -> S X^t S^-1, whose images leave T_n, which must pass, and `upper
+scaling`, the X -> 2X control, whose images stay in T_n, which must fail
+spectrum.  At n = 4 a fifth map is graded: `counterexample`, smalg's
+non-Jordan preserver on the criterion-failing fan pattern, the map the
+`counterexample` verb grades.  The embeddings are wrapped as `smalg verify
+--spec` wraps them: stacked when the tree's MapUnderTest has the `stacked`
+field, so every tree is measured as its own CLI runs.  For each map,
+`fixed_ms` is the time of a 1-sample verdict (the probes and the set-up),
+and `us_per_sample` is (t(N) - t(1)) / (N - 1).  Each time is the median of
+REPEATS calls; the JSON gives the median and quartiles over rounds.  BLAS
+runs on one thread.  The result goes to BENCH_harness.json; `--smoke`
+measures n = 4 for one round and writes no file.
 """
 
 from __future__ import annotations
@@ -49,24 +53,31 @@ def _maps(n):
     import numpy as np
     from smalg.cocycle import coboundary
     from smalg.jordan import CentralIdempotent, JordanSpec, build_embedding
-    from smalg.preservers import MapUnderTest, counterexample, identity_map
+    from smalg.preservers import MapUnderTest, counterexample, identity_map, remark_gallery
     from smalg.quasiorder import QuasiOrder, closure
 
     rng = np.random.default_rng(n)
     rho = QuasiOrder.full(n)
+    upper = closure(n, {(i, i + 1) for i in range(1, n)})
+    fields = {f.name for f in dataclasses.fields(MapUnderTest)}
+    stacked = {"stacked": True} if "stacked" in fields else {}
 
     def unitary():
         Q, R = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
         return Q * (np.diag(R) / np.abs(np.diag(R)))
 
-    S = unitary() @ np.diag(np.exp(rng.uniform(0.0, np.log(50.0), n))) @ unitary()
-    spec = JordanSpec(rho, S, coboundary(rho, {i: 1.0 for i in range(1, n + 1)}),
-                      CentralIdempotent((1,) * n))
-    fields = {f.name for f in dataclasses.fields(MapUnderTest)}
-    embedding = MapUnderTest(rho, build_embedding(spec), "embedding",
-                             **({"stacked": True} if "stacked" in fields else {}))
+    def embedding(domain, bit):
+        """X -> S X S^-1 (bit 1) or S X^t S^-1 (bit 0), with cond(S) <= 50."""
+        S = unitary() @ np.diag(np.exp(rng.uniform(0.0, np.log(50.0), n))) @ unitary()
+        spec = JordanSpec(domain, S, coboundary(domain, {i: 1.0 for i in range(1, n + 1)}),
+                          CentralIdempotent((bit,) * n))
+        return MapUnderTest(domain, build_embedding(spec), "embedding", **stacked)
+
     maps = {"identity": (identity_map(rho), lambda rep: rep.all_pass),
-            "embedding": (embedding, lambda rep: rep.all_pass)}
+            "embedding": (embedding(rho, 1), lambda rep: rep.all_pass),
+            "upper embedding": (embedding(upper, 0), lambda rep: rep.all_pass),
+            "upper scaling": (remark_gallery(upper, "scaling"),
+                              lambda rep: not rep.spectrum.ok)}
     if n == 4:
         fan = closure(4, {(1, 3), (1, 4), (2, 3), (2, 4)})
         # the counterexample verb's `as_expected`
@@ -140,9 +151,9 @@ def main():
     import numpy as np
 
     report = {
-        "what": "verify_preserver cost on the full algebra M_n, and of the counterexample "
-                "on the 4-point fan pattern: fixed_ms is a 1-sample verdict, us_per_sample "
-                "the cost of each further sample",
+        "what": "verify_preserver cost on the full algebra M_n and the upper triangular "
+                "algebra T_n, and of the counterexample on the 4-point fan pattern: fixed_ms "
+                "is a 1-sample verdict, us_per_sample the cost of each further sample",
         "samples": {f"n={n}": big for n, big in SAMPLES.items() if not args.smoke or n == 4},
         "rounds": rounds,
         "machine": {"platform": platform.platform(), "cpus": os.cpu_count(),
@@ -154,7 +165,7 @@ def main():
         args.out.write_text(json.dumps(report, indent=1) + "\n")
     for label, cases in results.items():
         for case, m in cases.items():
-            print(f"{label:>8} {case:>21}  fixed {m['fixed_ms']['median']:8.2f} ms"
+            print(f"{label:>8} {case:>24}  fixed {m['fixed_ms']['median']:8.2f} ms"
                   f"  {m['us_per_sample']['median']:9.1f} us/sample")
     if not args.smoke:
         print(f"wrote {args.out}", file=sys.stderr)

@@ -42,17 +42,17 @@ def in_sma(A, rho: QuasiOrder) -> bool:
     return A.shape[0] == rho.n and bool(_in_sma_stack(A[None], rho)[0])
 
 
-def _in_sma_stack(A, rho: QuasiOrder, tol: float | None = None) -> np.ndarray:
+def _in_sma_stack(A, rho: QuasiOrder) -> np.ndarray:
     """in_sma on each matrix of a (B, n, n) stack, each with its own default
-    cutoff, or the absolute cutoff `tol`; raises on non-finite entries.  A stack
-    that is exactly zero off rho, as one built in the algebra is, is in it."""
+    cutoff; raises on non-finite entries.  A stack that is exactly zero off
+    rho, as one built in the algebra is, is in it."""
     if not np.all(np.isfinite(A)):
         raise ValueError("matrix has non-finite entries")
     if not np.any(A[:, ~rho.mask]):
         return np.ones(len(A), bool)
     absA = np.abs(A)
-    cut = DEFAULT_REL_TOL * absA.max(axis=(1, 2), initial=0.0) if tol is None else tol
-    return ~np.any(np.where(rho.mask, 0.0, absA) > np.reshape(cut, (-1, 1, 1)), axis=(1, 2))
+    cut = DEFAULT_REL_TOL * absA.max(axis=(1, 2), initial=0.0)
+    return ~np.any(np.where(rho.mask, 0.0, absA) > cut[:, None, None], axis=(1, 2))
 
 
 def entry_pairs(A) -> list:

@@ -19,7 +19,8 @@ from typing import Callable
 import numpy as np
 
 from ._checks import integer, tolerance
-from .quasiorder import QuasiOrder, condition_i, image, is_symmetric, neighborhood, preimage
+from .quasiorder import (QuasiOrder, _bits, _mutual_masks, condition_i, image, is_symmetric,
+                         neighborhood, preimage)
 from .matalg import _sma_stack, entry_pairs, lambda_matrix
 
 __all__ = [
@@ -329,9 +330,77 @@ def _fails(err, limit):
 # is the number of normals a sampler takes per sample.  An error function
 # takes the run's one tol, the stacks of a case and then the images of its
 # (B, n, n) stacks, and returns (failed, witness): a boolean per case and a
-# tuple of stacks whose rows are the witnesses.
+# tuple of stacks whose rows are the witnesses.  Spectrum's error function
+# first takes rho's mutual classes, which the harness binds once per run.
 
-def _spectrum_error(tol, X, fX):
+def _spectrum_classes(rho: QuasiOrder) -> SimpleNamespace:
+    """What the spectrum check reads of rho, once per run: whether rho is
+    full, its singleton mutual classes as one index array, its larger classes
+    as one (m, k) array of indices per class size k, a flat n * n weight that
+    is 1 off rho and 0 on it, and the n-th roots of unity."""
+    n, by_size = rho.n, {}
+    for c in _mutual_masks(rho):
+        members = _bits(c)
+        by_size.setdefault(len(members), []).append(members)
+    return SimpleNamespace(full=len(rho.pairs) == n * n,
+                           single=np.array(by_size.pop(1, []), dtype=int).reshape(-1),
+                           blocks=[np.array(by_size[k]) for k in sorted(by_size)],
+                           off=(~rho.mask).astype(complex).reshape(n * n),
+                           roots=np.exp(2j * np.pi * np.arange(n) / n))
+
+
+def _shifted_slogdet(A, z):
+    """slogdet of zI - A at each row's points z: A is a (B, ..., k, k) stack
+    and z a (B, m) array, and sign and log have shape (B, m, ...)."""
+    k = A.shape[-1]
+    shifted = np.empty((len(A), z.shape[1]) + A.shape[1:], dtype=complex)
+    np.negative(A[:, None], out=shifted)
+    diagonals = shifted.reshape(shifted.shape[:-2] + (k * k,))[..., :: k + 1]
+    diagonals += z.reshape(z.shape + (1,) * (A.ndim - 2))
+    return np.linalg.slogdet(shifted)
+
+
+def _class_slogdet(blocks, A, z):
+    """sign and log|.| of the product of det(zI - A[c, c]) over the classes c
+    of `blocks`, the (m, k) index arrays of the classes of more than one index."""
+    sign, logabs = 1.0, 0.0
+    for C in blocks:
+        s, log = _shifted_slogdet(A[:, C[:, :, None], C[:, None, :]], z)
+        sign, logabs = sign * np.prod(s, axis=-1), logabs + np.sum(log, axis=-1)
+    return sign, logabs
+
+
+def _class_ratio(classes, X, fX, z):
+    """det(zI - phi(X)) / det(zI - X) for rho with more than one class: X's
+    side from the classes, and phi(X)'s too on the rows where phi(X) is
+    exactly zero off rho and finite, with the singletons' part a product of
+    (z - phi(X)_ii) / (z - X_ii); n shifted n x n LUs on the other rows.
+    Every row goes through the classes, the LU rows too, so that no row's
+    ratio depends on the rows it shares a chunk with."""
+    s = classes.single
+    ratio = 1.0
+    if len(s):
+        dX = z[:, :, None] - X[:, None, s, s]
+        dfX = z[:, :, None] - fX[:, None, s, s]
+        ratio = np.prod(np.divide(dfX, dX, out=dfX), axis=-1)
+    if classes.blocks:
+        sign, logabs = _class_slogdet(classes.blocks, X, z)
+        fsign, flogabs = _class_slogdet(classes.blocks, fX, z)
+        ratio = ratio * (fsign / sign * np.exp(flogabs - logabs))
+    # the rows off the algebra or not finite: 0 * inf and 0 * NaN are NaN
+    lu = np.flatnonzero(np.any(fX.reshape(len(fX), -1) * classes.off, axis=1))
+    if len(lu):
+        fsign, flogabs = _shifted_slogdet(fX[lu], z[lu])
+        sign, logabs = (sign[lu], logabs[lu]) if classes.blocks else (1.0, 0.0)
+        if len(s):
+            d = dX[lu]
+            sign = sign * np.prod(d / np.abs(d), axis=-1)
+            logabs = logabs + np.sum(np.log(np.abs(d)), axis=-1)
+        ratio[lu] = fsign / sign * np.exp(flogabs - logabs)
+    return ratio
+
+
+def _spectrum_error(classes, tol, X, fX):
     """Compare det(zI - X) with det(zI - phi(X)) at n points z on the circle
     of radius 1 + 2|X|_F: two monic degree-n polynomials that agree at n points
     are equal.  The circle encloses the spectrum of X, and so that of phi(X)
@@ -339,20 +408,26 @@ def _spectrum_error(tol, X, fX):
     the ratio stays within a small multiple of n * eps of 1 when the spectra
     agree.  The radius does not follow |phi(X)|_F: a large phi(X) with the
     wrong spectrum would otherwise push the circle out until the error d/R of
-    a spectrum change d drops below the tolerance."""
-    B, n = X.shape[:2]
-    radius = 1.0 + 2.0 * _norms(X)
-    z = radius[:, None] * np.exp(2j * np.pi * np.arange(n) / n)
-    shifted = np.empty((B, n, n, n), dtype=complex)  # zI - A for each sample and z
-    diagonals = shifted.reshape(B, n, n * n)[:, :, :: n + 1]
-    dets = []
+    a spectrum change d drops below the tolerance.
+
+    X lies in the algebra, which is block upper triangular up to a
+    permutation, with rho's mutual classes (`classes`, from
+    `_spectrum_classes`) as its diagonal blocks; so det(zI - X) is the
+    product of z - X_ii over the singleton classes and of det(zI - X[c, c])
+    over the larger ones, read from slogdet on the k x k blocks.  A phi(X)
+    that is exactly zero off rho and finite is read the same way (see
+    `_class_ratio`), and any other phi(X) takes n shifted n x n LU
+    factorizations.  On the full algebra the one class is the whole matrix,
+    and both sides are those LUs."""
+    z = (1.0 + 2.0 * _norms(X))[:, None] * classes.roots
     with np.errstate(all="ignore"):  # a non-finite phi(X) grades as a NaN error
-        for A in (X, fX):
-            np.negative(A[:, None], out=shifted)
-            diagonals += z[:, :, None]
-            dets.append(np.linalg.slogdet(shifted))
-        (sign, logabs), (fsign, flogabs) = dets
-        err = np.max(np.abs(fsign / sign * np.exp(flogabs - logabs) - 1.0), axis=-1)
+        if classes.full:
+            sign, logabs = _shifted_slogdet(X, z)
+            fsign, flogabs = _shifted_slogdet(fX, z)
+            ratio = fsign / sign * np.exp(flogabs - logabs)
+        else:
+            ratio = _class_ratio(classes, X, fX, z)
+        err = np.max(np.abs(ratio - 1.0), axis=-1)
     return _fails(err, tol), (X, fX, err)
 
 
@@ -558,6 +633,10 @@ def _grade(mut: MapUnderTest, names, n_samples: int, tol: float, seed: int) -> P
     off = sorted(rho.off_diagonal)
     graded = {name: (prop, PropertyVerdict()) for name, prop in _PROPERTIES.items()
               if name in names}
+    if "spectrum" in graded:  # its error function reads rho's classes, found once per run
+        (sample, draws, error, probe), verdict = graded["spectrum"]
+        error = functools.partial(error, _spectrum_classes(rho))
+        graded["spectrum"] = (sample, draws, error, probe), verdict
     rep = PreserverReport(mut.label, seed, n_samples,
                           **{name: verdict for name, (_, verdict) in graded.items()})
     probed = off[:64] if any(probe for (*_, probe), _ in graded.values()) else []
@@ -588,8 +667,14 @@ def verify_preserver(mut: MapUnderTest, n_samples: int = 1000, tol: float = 1e-8
     Spectrum is compared on each sample X (and on the identity and diag(1..n))
     through det(zI - X) against det(zI - phi(X)) at n points of the circle of
     radius 1 + 2|X|_F, which encloses the spectrum of X (and of phi(X) when
-    the two agree), so no characteristic polynomial is formed; commuting
-    inputs alternate between conjugated diagonal pairs and (X, p(X)) pairs.
+    the two agree), so no characteristic polynomial is formed.  Up to a
+    permutation the algebra is block upper triangular with rho's mutual
+    classes as its diagonal blocks, so det(zI - X) is read from them: z - X_ii
+    on a singleton class, slogdet on a k x k block for a larger one.
+    det(zI - phi(X)) is read the same way when phi(X) is exactly zero off rho
+    and finite, and from n shifted n x n LU factorizations when it is not.
+    Commuting inputs alternate between conjugated diagonal pairs and
+    (X, p(X)) pairs.
     Every property's error is held against the one `tol`, scaled as its error
     function states, and a non-finite output fails every property it enters,
     and never raises.  Deterministic probes run before the samples: the
@@ -609,8 +694,10 @@ def verify_preserver(mut: MapUnderTest, n_samples: int = 1000, tol: float = 1e-8
     draw them, so chunking changes no sample and no report byte.  phi sees
     each chunk's inputs once: one call per input matrix, at most seven per
     sample, or, for a map that sets `stacked`, one call per chunk.  The
-    spectrum check's (B, n, n, n) stack of shifted matrices, which the first
-    chunk extends by the identity and diag(1..n), is about 128 KB * n.
+    spectrum check builds a stack of shifted n x n matrices only for the rows
+    of phi(X) off the algebra, and on the full algebra, whose one class is
+    the whole matrix; for all B rows of a chunk, which the first chunk
+    extends by the identity and diag(1..n), it is about 128 KB * n.
     Witnesses are the first three failing cases: probes first, then samples
     in sample order.
     """

@@ -1,8 +1,9 @@
 """The paper's lemma-level helpers that only the tests call: the upper
 triangular quasi-order, supp(A), the zero row and column insertion and
 deletion laws, the strict-pair kink f(u, v) as a scalar, the strict-pair
-commutation criterion and the unit-action split.  A helper module, not a test
-module: the tests import it, and pytest does not collect it.
+commutation criterion, the unit-action split and the all-LU spectrum error.
+A helper module, not a test module: the tests import it, and pytest does not
+collect it.
 """
 
 import sys
@@ -11,7 +12,8 @@ import numpy as np
 
 from smalg._checks import integer
 from smalg.matalg import DEFAULT_REL_TOL, _as_square
-from smalg.preservers import MapUnderTest, _cabs, _eval_stack, _stack_step, _units
+from smalg.preservers import (MapUnderTest, _cabs, _eval_stack, _fails, _norms, _stack_step,
+                              _units)
 from smalg.quasiorder import QuasiOrder, image, preimage
 
 
@@ -132,3 +134,25 @@ def classify_unit_action(mut: MapUnderTest):
         return tuple(QuasiOrder(n, diag | frozenset(part)) for part in parts)
     except ValueError as exc:
         raise ValueError(f"unit classification is not a quasi-order: {exc}") from exc
+
+
+def spectrum_error_lu(tol, X, fX):
+    """The spectrum error on n shifted n x n LU factorizations of both X and
+    phi(X), whatever rho is: det(zI - X) against det(zI - phi(X)) at the n
+    points z of the circle of radius 1 + 2|X|_F.  The reference of
+    `preservers._spectrum_error`, which reads the determinants from rho's
+    mutual-class blocks where it can."""
+    B, n = X.shape[:2]
+    radius = 1.0 + 2.0 * _norms(X)
+    z = radius[:, None] * np.exp(2j * np.pi * np.arange(n) / n)
+    shifted = np.empty((B, n, n, n), dtype=complex)  # zI - A for each sample and z
+    diagonals = shifted.reshape(B, n, n * n)[:, :, :: n + 1]
+    dets = []
+    with np.errstate(all="ignore"):  # a non-finite phi(X) grades as a NaN error
+        for A in (X, fX):
+            np.negative(A[:, None], out=shifted)
+            diagonals += z[:, :, None]
+            dets.append(np.linalg.slogdet(shifted))
+        (sign, logabs), (fsign, flogabs) = dets
+        err = np.max(np.abs(fsign / sign * np.exp(flogabs - logabs) - 1.0), axis=-1)
+    return _fails(err, tol), (X, fX, err)

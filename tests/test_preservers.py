@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from smalg.quasiorder import QuasiOrder, all_preorders, closure, condition_i
-from smalg.matalg import _in_sma_stack, _sma_stack, matrix_unit
+from smalg.matalg import _sma_stack, matrix_unit
 from smalg.cocycle import TransitiveMap, coboundary
 from smalg.jordan import CentralIdempotent, JordanSpec, RecoveryError, build_embedding, recover_form
 from smalg.preservers import (
@@ -22,7 +22,8 @@ from smalg.preservers import (
 )
 
 from generators import random_invertible, random_preorder, random_transitive
-from lemmas import case2_kink, classify_unit_action, commutes_criterion, upper_triangular
+from lemmas import (case2_kink, classify_unit_action, commutes_criterion, spectrum_error_lu,
+                    upper_triangular)
 
 complexes = st.complex_numbers(allow_nan=False, allow_infinity=False,
                                min_magnitude=0.0, max_magnitude=1e6)
@@ -41,8 +42,7 @@ class TestCommutingPairs:
         Z = np.concatenate([np.random.default_rng(seed).standard_normal((1, 2 * 49 + 4 * 7))
                             for seed in range(200)])
         for X, Y in zip(*_commuting_pairs(cocycle7, Z)):
-            assert _in_sma_stack(X[None], cocycle7, 0.0)[0]
-            assert _in_sma_stack(Y[None], cocycle7, 0.0)[0]
+            assert not X[~cocycle7.mask].any() and not Y[~cocycle7.mask].any()
             scale = max(1.0, float(np.linalg.norm(X)) * float(np.linalg.norm(Y)))
             assert np.linalg.norm(X @ Y - Y @ X) < 1e-10 * scale
 
@@ -343,15 +343,16 @@ class TestHarness:
 # sha256 of jsonio.dump_json(report.to_dict()), recorded before the harness
 # became table driven; any change to draws, checks or encoding shows here.
 # scaling-fan4 was re-recorded when spectrum moved to the determinant check,
-# and again when the circle's radius came from X alone: each time only the
-# `err` of its three spectrum witnesses changed.
+# again when the circle's radius came from X alone, and again when the
+# determinants came from rho's mutual-class blocks: each time only the `err`
+# of its three spectrum witnesses changed.
 PINNED_REPORTS = [
     ("fan4", lambda rho: verify_preserver(counterexample(rho), n_samples=150, seed=3),
      "ca6acba69a8fba040766e0e40ab70ea9400e5c4add48014145e444ded486fd1e"),
     ("sympair3", lambda rho: verify_preserver(counterexample(rho)),
      "25a14fe5ad6fa25a14ebe59f020a9b81acfe37a9643a5ca5c0878491f9187e8d"),
     ("fan4", lambda rho: verify_preserver(remark_gallery(rho, "scaling")),
-     "f6486447b2a08be5df06622dacd9aa0917e9fec3397de2db73faf6ad77007bcc"),
+     "45ea751d0299449af543c9674cc7ae3ade7fc71f540bc04e0a81b7f2b93f9cdd"),
     ("cocycle7", lambda rho: verify_preserver(identity_map(rho)),
      "7434cae9cf557960724991a838bf52aacc544cf4e45aee74cd44a5b0523db935"),
 ]
@@ -388,6 +389,25 @@ def test_four_point_sweep_bytes_pinned():
             report = verify_preserver(counterexample(rho), n_samples=100, seed=seed)
             digest.update(jsonio.dump_json(report.to_dict()).encode())
     assert digest.hexdigest() == SWEEP4_DIGEST
+
+
+@pytest.mark.parametrize("cond", [1.0, 1e2, 1e4])
+def test_conjugated_sweep_stays_as_expected(cond):
+    # S phi(X) S^-1 leaves the algebra, so its spectrum takes the LUs where
+    # phi's own takes the blocks; every counterexample of the 4-point sweep
+    # keeps its verdict either way
+    rng = np.random.default_rng(4)
+    S = unitary(rng, 4) @ np.diag(np.geomspace(1.0, 1.0 / cond, 4)) @ unitary(rng, 4)
+    Sinv = np.linalg.inv(S)
+    failing = [rho for rho in all_preorders(4) if not condition_i(rho)[0]]
+    for seed in (0, 5):
+        for rho in failing:
+            phi = counterexample(rho)
+            mut = MapUnderTest(rho, lambda X, phi=phi: S @ phi.eval(X) @ Sinv, phi.label,
+                               stacked=True)
+            rep = verify_preserver(mut, n_samples=100, seed=seed)
+            assert (rep.spectrum.ok and rep.commutativity.ok and rep.injectivity.ok
+                    and not rep.additivity.ok), (rho.pairs, seed)
 
 
 def unitary(rng, n):
@@ -443,6 +463,89 @@ class TestSpectrumOracle:
         assert len(verdicts) == 5 + 4 + 1 + 1
         assert not any(v.ok for v in verdicts)
         assert all(v.checked > 0 and v.witnesses for v in verdicts)
+
+
+# preorders whose mutual classes have sizes 1, 2 and 3, contiguous or not
+BLOCK_PREORDERS = {
+    "classes-1-2-3": closure(6, {(2, 3), (3, 2), (4, 5), (5, 6), (6, 4), (1, 2), (3, 4)}),
+    "scattered-8": closure(8, {(1, 5), (5, 1), (2, 4), (4, 7), (7, 2), (3, 1), (1, 2),
+                               (6, 8), (3, 6)}),
+    "upper-8": upper_triangular(8),
+    "diagonal-5": QuasiOrder.diagonal(5),
+    "full-4": QuasiOrder.full(4),
+}
+
+
+class TestBlockSpectrum:
+    """preservers._spectrum_error against the all-LU error of lemmas."""
+
+    @staticmethod
+    def images(rho, kind, rng):
+        """(X, phi(X)): X in the algebra, and phi(X) in it, off it, or rows of
+        both kinds in one stack."""
+        n = rho.n
+        X = _sma_stack(rho, rng.standard_normal((12, 2 * n * n)))
+        d = rng.uniform(0.5, 2.0, n)
+        inside = d[:, None] * X / d  # D X D^-1: in the algebra, same spectrum
+        S = random_invertible(n, rng)
+        outside = S @ X @ np.linalg.inv(S)
+        fX = {"inside": inside, "outside": outside, "doubled": 2.0 * X,
+              "shifted": X + 1e-3 * np.eye(n)}.get(kind)
+        if kind == "mixed":  # in, off, doubled, shifted, in turn
+            fX = np.stack([inside, outside, 2.0 * X, X + 1e-3 * np.eye(n)], axis=1)
+            fX = fX[np.arange(len(X)), np.arange(len(X)) % 4]
+        return X, fX
+
+    @staticmethod
+    def assert_matches(rho, X, fX):
+        from smalg.preservers import _spectrum_classes, _spectrum_error
+
+        failed, (_, _, err) = _spectrum_error(_spectrum_classes(rho), 1e-8, X, fX)
+        ref_failed, (_, _, ref) = spectrum_error_lu(1e-8, X, fX)
+        assert np.array_equal(failed, ref_failed)
+        assert np.array_equal(np.isnan(err), np.isnan(ref))
+        finite = ~np.isnan(ref)
+        assert np.all(np.abs(err - ref)[finite] <= 1e-12 * np.fmax(1.0, ref[finite]))
+        if len(rho.pairs) == rho.n ** 2:  # one class: exactly the reference's LUs
+            assert np.array_equal(err, ref, equal_nan=True)
+        return failed
+
+    @pytest.mark.parametrize("kind", ["inside", "outside", "doubled", "shifted", "mixed"])
+    @pytest.mark.parametrize("name", list(BLOCK_PREORDERS))
+    def test_matches_lu_reference(self, name, kind):
+        rho = BLOCK_PREORDERS[name]
+        X, fX = self.images(rho, kind, np.random.default_rng(len(name)))
+        failed = self.assert_matches(rho, X, fX)
+        assert failed.any() == (kind in ("doubled", "shifted", "mixed"))
+
+    @pytest.mark.parametrize("name", list(BLOCK_PREORDERS))
+    def test_nan_on_rho_fails(self, name):
+        # NaN on a diagonal entry, and on each pair of rho in turn: a pair
+        # between two classes is in no block, and must still fail
+        rho = BLOCK_PREORDERS[name]
+        X, fX = self.images(rho, "inside", np.random.default_rng(1))
+        pairs = [(0, 0)] + sorted((i - 1, j - 1) for i, j in rho.off_diagonal)
+        for b, (i, j) in enumerate(pairs[:len(X)]):
+            fX[b, i, j] = np.nan
+        failed = self.assert_matches(rho, X, fX)
+        assert np.array_equal(failed, np.arange(len(X)) < len(pairs))
+
+    @pytest.mark.parametrize("name", [name for name, rho in BLOCK_PREORDERS.items()
+                                      if len(rho.pairs) < rho.n ** 2])
+    def test_subnormal_off_rho_takes_lu(self, monkeypatch, name):
+        # phi(X) = X plus 5e-324 at one entry off rho: that row alone goes
+        # through the n shifted n x n LUs
+        from smalg import preservers
+
+        rho = BLOCK_PREORDERS[name]
+        X, fX = self.images(rho, "inside", np.random.default_rng(2))
+        i, j = np.argwhere(~rho.mask)[0]
+        fX[3, i, j] += 5e-324
+        shapes, inner = [], preservers._shifted_slogdet
+        monkeypatch.setattr(preservers, "_shifted_slogdet",
+                            lambda A, z: shapes.append(A.shape) or inner(A, z))
+        assert not self.assert_matches(rho, X, fX).any()
+        assert [shape for shape in shapes if shape[-1] == rho.n] == [(1, rho.n, rho.n)]
 
 
 class TestSamplingInput:
