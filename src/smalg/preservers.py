@@ -12,6 +12,7 @@ harness that grades any black-box map on the algebra.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 from types import SimpleNamespace
 from typing import Callable
@@ -328,69 +329,74 @@ def _fails(err, limit):
 # groups (rows, case), where case is a tuple of stacks indexed by sample (or
 # by pair) and rows marks the cases that apply (None: all of them).  `draws`
 # is the number of normals a sampler takes per sample.  An error function
-# takes the run's one tol, the stacks of a case and then the images of its
-# (B, n, n) stacks, and returns (failed, witness): a boolean per case and a
-# tuple of stacks whose rows are the witnesses.  Spectrum's error function
-# first takes rho's mutual classes, which the harness binds once per run.
+# takes the run, the stacks of a case and then the images of its (B, n, n)
+# stacks, and returns (failed, witness): a boolean per case and a tuple of
+# stacks whose rows are the witnesses.  The run holds what the harness finds
+# once per run: its one `tol`, and rho's mutual `classes` (see
+# `_spectrum_classes`).
 
 def _spectrum_classes(rho: QuasiOrder) -> SimpleNamespace:
-    """What the spectrum check reads of rho, once per run: whether rho is
-    full, its singleton mutual classes as one index array, its larger classes
-    as one (m, k) array of indices per class size k, a flat n * n weight that
-    is 1 off rho and 0 on it, and the n-th roots of unity."""
+    """What the spectrum check reads of rho: its singleton mutual classes as
+    one index array, its larger classes as one (m, k) array of indices per
+    class size k, a flat n * n weight that is 1 off rho and 0 on it, and the
+    n-th roots of unity."""
     n, by_size = rho.n, {}
     for c in _mutual_masks(rho):
         members = _bits(c)
         by_size.setdefault(len(members), []).append(members)
-    return SimpleNamespace(full=len(rho.pairs) == n * n,
-                           single=np.array(by_size.pop(1, []), dtype=int).reshape(-1),
+    return SimpleNamespace(single=np.array(by_size.pop(1, []), dtype=int).reshape(-1),
                            blocks=[np.array(by_size[k]) for k in sorted(by_size)],
                            off=(~rho.mask).astype(complex).reshape(n * n),
                            roots=np.exp(2j * np.pi * np.arange(n) / n))
 
 
-def _shifted_slogdet(A, z):
+def _shifted_slogdet(A, z, buf):
     """slogdet of zI - A at each row's points z: A is a (B, ..., k, k) stack
-    and z a (B, m) array, and sign and log have shape (B, m, ...)."""
+    and z a (B, m) array, and sign and log have shape (B, m, ...).  The
+    shifted matrices are built at the front of the flat complex array `buf`."""
     k = A.shape[-1]
-    shifted = np.empty((len(A), z.shape[1]) + A.shape[1:], dtype=complex)
-    np.negative(A[:, None], out=shifted)
+    shape = (len(A), z.shape[1]) + A.shape[1:]
+    shifted = buf[:math.prod(shape)].reshape(shape)
+    np.copyto(shifted, -A[:, None])  # a broadcast copy is much faster than a broadcast negative
     diagonals = shifted.reshape(shifted.shape[:-2] + (k * k,))[..., :: k + 1]
     diagonals += z.reshape(z.shape + (1,) * (A.ndim - 2))
     return np.linalg.slogdet(shifted)
 
 
-def _class_slogdet(blocks, A, z):
+def _class_slogdet(blocks, A, z, buf):
     """sign and log|.| of the product of det(zI - A[c, c]) over the classes c
     of `blocks`, the (m, k) index arrays of the classes of more than one index."""
     sign, logabs = 1.0, 0.0
     for C in blocks:
-        s, log = _shifted_slogdet(A[:, C[:, :, None], C[:, None, :]], z)
+        s, log = _shifted_slogdet(A[:, C[:, :, None], C[:, None, :]], z, buf)
         sign, logabs = sign * np.prod(s, axis=-1), logabs + np.sum(log, axis=-1)
     return sign, logabs
 
 
 def _class_ratio(classes, X, fX, z):
-    """det(zI - phi(X)) / det(zI - X) for rho with more than one class: X's
-    side from the classes, and phi(X)'s too on the rows where phi(X) is
-    exactly zero off rho and finite, with the singletons' part a product of
-    (z - phi(X)_ii) / (z - X_ii); n shifted n x n LUs on the other rows.
-    Every row goes through the classes, the LU rows too, so that no row's
-    ratio depends on the rows it shares a chunk with."""
-    s = classes.single
+    """det(zI - phi(X)) / det(zI - X): X's side from the classes, and
+    phi(X)'s too on the rows where phi(X) is exactly zero off rho and finite,
+    with the singletons' part a product of (z - phi(X)_ii) / (z - X_ii); n
+    shifted n x n LUs on the other rows.  Every row goes through the classes,
+    the LU rows too, so that no row's ratio depends on the rows it shares a
+    chunk with.  One buffer, sized for the largest, holds each stack of
+    shifted matrices in turn, X's and phi(X)'s alike."""
+    (B, m), n, s = z.shape, X.shape[-1], classes.single
+    # the rows off the algebra or not finite: 0 * inf and 0 * NaN are NaN
+    lu = np.flatnonzero(np.any(fX.reshape(B, -1) * classes.off, axis=1))
+    buf = np.empty(max([B * m * C.size * C.shape[1] for C in classes.blocks]
+                       + [len(lu) * m * n * n]), dtype=complex)
     ratio = 1.0
     if len(s):
         dX = z[:, :, None] - X[:, None, s, s]
         dfX = z[:, :, None] - fX[:, None, s, s]
         ratio = np.prod(np.divide(dfX, dX, out=dfX), axis=-1)
     if classes.blocks:
-        sign, logabs = _class_slogdet(classes.blocks, X, z)
-        fsign, flogabs = _class_slogdet(classes.blocks, fX, z)
+        sign, logabs = _class_slogdet(classes.blocks, X, z, buf)
+        fsign, flogabs = _class_slogdet(classes.blocks, fX, z, buf)
         ratio = ratio * (fsign / sign * np.exp(flogabs - logabs))
-    # the rows off the algebra or not finite: 0 * inf and 0 * NaN are NaN
-    lu = np.flatnonzero(np.any(fX.reshape(len(fX), -1) * classes.off, axis=1))
     if len(lu):
-        fsign, flogabs = _shifted_slogdet(fX[lu], z[lu])
+        fsign, flogabs = _shifted_slogdet(fX[lu], z[lu], buf)
         sign, logabs = (sign[lu], logabs[lu]) if classes.blocks else (1.0, 0.0)
         if len(s):
             d = dX[lu]
@@ -400,7 +406,7 @@ def _class_ratio(classes, X, fX, z):
     return ratio
 
 
-def _spectrum_error(classes, tol, X, fX):
+def _spectrum_error(run, X, fX):
     """Compare det(zI - X) with det(zI - phi(X)) at n points z on the circle
     of radius 1 + 2|X|_F: two monic degree-n polynomials that agree at n points
     are equal.  The circle encloses the spectrum of X, and so that of phi(X)
@@ -411,24 +417,17 @@ def _spectrum_error(classes, tol, X, fX):
     a spectrum change d drops below the tolerance.
 
     X lies in the algebra, which is block upper triangular up to a
-    permutation, with rho's mutual classes (`classes`, from
-    `_spectrum_classes`) as its diagonal blocks; so det(zI - X) is the
-    product of z - X_ii over the singleton classes and of det(zI - X[c, c])
-    over the larger ones, read from slogdet on the k x k blocks.  A phi(X)
-    that is exactly zero off rho and finite is read the same way (see
-    `_class_ratio`), and any other phi(X) takes n shifted n x n LU
-    factorizations.  On the full algebra the one class is the whole matrix,
-    and both sides are those LUs."""
-    z = (1.0 + 2.0 * _norms(X))[:, None] * classes.roots
+    permutation, with rho's mutual classes (`run.classes`) as its diagonal
+    blocks; so det(zI - X) is the product of z - X_ii over the singleton
+    classes and of det(zI - X[c, c]) over the larger ones, read from slogdet
+    on the k x k blocks.  A phi(X) that is exactly zero off rho and finite is
+    read the same way (see `_class_ratio`), and any other phi(X) takes n
+    shifted n x n LU factorizations.  On the full algebra the one class is
+    the whole matrix, so both sides take those LUs."""
+    z = (1.0 + 2.0 * _norms(X))[:, None] * run.classes.roots
     with np.errstate(all="ignore"):  # a non-finite phi(X) grades as a NaN error
-        if classes.full:
-            sign, logabs = _shifted_slogdet(X, z)
-            fsign, flogabs = _shifted_slogdet(fX, z)
-            ratio = fsign / sign * np.exp(flogabs - logabs)
-        else:
-            ratio = _class_ratio(classes, X, fX, z)
-        err = np.max(np.abs(ratio - 1.0), axis=-1)
-    return _fails(err, tol), (X, fX, err)
+        err = np.max(np.abs(_class_ratio(run.classes, X, fX, z) - 1.0), axis=-1)
+    return _fails(err, run.tol), (X, fX, err)
 
 
 def _commuting_cases(s):
@@ -444,9 +443,9 @@ def _commuting_cases(s):
     return [(None, (X, Y))]
 
 
-def _commutator_error(tol, X, Y, fX, fY):
+def _commutator_error(run, X, Y, fX, fY):
     err = _norms(fX @ fY - fY @ fX)
-    return _fails(err, tol * np.fmax(1.0, _norms(fX) * _norms(fY))), (X, Y, err)
+    return _fails(err, run.tol * np.fmax(1.0, _norms(fX) * _norms(fY))), (X, Y, err)
 
 
 def _separable(X, Y):
@@ -465,9 +464,9 @@ def _injective_cases(s):
     return [(_separable(*case), case) for case in cases]
 
 
-def _separation_error(tol, X, Y, fX, fY):
+def _separation_error(run, X, Y, fX, fY):
     sep = _norms(fX - fY)
-    limit = tol * np.fmax(np.fmax(1.0, _norms(fX)), _norms(fY))
+    limit = run.tol * np.fmax(np.fmax(1.0, _norms(fX)), _norms(fY))
     return ~(sep > limit), (X, Y, sep)  # a NaN separation is not above it, so it fails
 
 
@@ -475,9 +474,9 @@ def _additive_probe(s):
     return [(None, (s.P, s.F, s.P + s.F)), (s.has_G, (s.F, s.G, s.F + s.G))]
 
 
-def _additive_error(tol, X, Y, XY, fX, fY, fXY):
+def _additive_error(run, X, Y, XY, fX, fY, fXY):
     err = _norms(fXY - fX - fY)
-    return _fails(err, tol * np.fmax(1.0, _norms(fX) + _norms(fY))), (X, Y, err)
+    return _fails(err, run.tol * np.fmax(1.0, _norms(fX) + _norms(fY))), (X, Y, err)
 
 
 def _homogeneous_cases(s):
@@ -485,22 +484,22 @@ def _homogeneous_cases(s):
     return [(None, (s.X, alpha, alpha[:, None, None] * s.X))]
 
 
-def _homogeneous_error(tol, X, alpha, aX, fX, faX):
+def _homogeneous_error(run, X, alpha, aX, fX, faX):
     err = _norms(faX - alpha[:, None, None] * fX)
-    limit = tol * np.fmax(1.0, np.hypot(alpha.real, alpha.imag) * _norms(fX))
+    limit = run.tol * np.fmax(1.0, np.hypot(alpha.real, alpha.imag) * _norms(fX))
     return _fails(err, limit), (X, alpha, err)
 
 
-def _square_error(tol, X, XX, fX, fXX):
+def _square_error(run, X, XX, fX, fXX):
     err = _norms(fXX - fX @ fX)
-    return _fails(err, tol * np.fmax(1.0, _norms(fX) ** 2)), (X, err)
+    return _fails(err, run.tol * np.fmax(1.0, _norms(fX) ** 2)), (X, err)
 
 
 def _product_error(reverse):
-    def error(tol, X, Y, XY, fX, fY, fXY):
+    def error(run, X, Y, XY, fX, fY, fXY):
         want = fY @ fX if reverse else fX @ fY
         err = _norms(fXY - want)
-        return _fails(err, tol * np.fmax(1.0, _norms(want))), (X, Y, err)
+        return _fails(err, run.tol * np.fmax(1.0, _norms(want))), (X, Y, err)
     return error
 
 
@@ -565,7 +564,7 @@ def _sample_cases(graded, rho: QuasiOrder, off, t, generator):
     return {name: sample(s) for name, ((sample, *_), _) in graded.items()}
 
 
-def _grade_chunk(mut: MapUnderTest, graded, tol, parts):
+def _grade_chunk(mut: MapUnderTest, graded, run, parts):
     """Grade one chunk: each part maps a property to the groups that one probe
     or sampler call returned, and the parts come in the order of the cases."""
     # every input stack once, by identity, with the rows that some case needs
@@ -597,7 +596,7 @@ def _grade_chunk(mut: MapUnderTest, graded, tol, parts):
         stacked = [slot[0] if len(slot) == 1 else np.concatenate(slot) for slot in
                    zip(*(case + tuple(images[id(A)] for A in case if A.ndim == 3)
                          for *_, case in groups))]
-        failed, witness = error(tol, *stacked)
+        failed, witness = error(run, *stacked)
         rows = [np.ones(len(case[0]), bool) if rows is None else rows
                 for _, _, rows, case in groups]
         rows = rows[0] if len(rows) == 1 else np.concatenate(rows)
@@ -633,16 +632,13 @@ def _grade(mut: MapUnderTest, names, n_samples: int, tol: float, seed: int) -> P
     off = sorted(rho.off_diagonal)
     graded = {name: (prop, PropertyVerdict()) for name, prop in _PROPERTIES.items()
               if name in names}
-    if "spectrum" in graded:  # its error function reads rho's classes, found once per run
-        (sample, draws, error, probe), verdict = graded["spectrum"]
-        error = functools.partial(error, _spectrum_classes(rho))
-        graded["spectrum"] = (sample, draws, error, probe), verdict
     rep = PreserverReport(mut.label, seed, n_samples,
                           **{name: verdict for name, (_, verdict) in graded.items()})
     probed = off[:64] if any(probe for (*_, probe), _ in graded.values()) else []
     pairs = np.array(off, dtype=int).reshape(-1, 2) - 1
     units, step = len(probed) + n_samples, min(BATCH, _stack_step(n))
     diagonals = [(None, (np.stack([np.eye(n, dtype=complex), lambda_matrix(n)]),))]
+    run = SimpleNamespace(tol=tol, classes=_spectrum_classes(rho))
 
     @functools.lru_cache(maxsize=1)  # chunks take the batches in order
     def generator(b):
@@ -655,7 +651,7 @@ def _grade(mut: MapUnderTest, names, n_samples: int, tol: float, seed: int) -> P
         t = np.arange(max(lo, len(probed)), hi) - len(probed)  # the chunk's samples
         if len(t):
             parts.append(_sample_cases(graded, rho, pairs, t, generator))
-        _grade_chunk(mut, graded, tol, parts)
+        _grade_chunk(mut, graded, run, parts)
     return rep
 
 
@@ -696,8 +692,9 @@ def verify_preserver(mut: MapUnderTest, n_samples: int = 1000, tol: float = 1e-8
     sample, or, for a map that sets `stacked`, one call per chunk.  The
     spectrum check builds a stack of shifted n x n matrices only for the rows
     of phi(X) off the algebra, and on the full algebra, whose one class is
-    the whole matrix; for all B rows of a chunk, which the first chunk
-    extends by the identity and diag(1..n), it is about 128 KB * n.
+    the whole matrix, where X's side and phi(X)'s take turns in one stack;
+    for all B rows of a chunk, which the first chunk extends by the identity
+    and diag(1..n), it is about 128 KB * n.
     Witnesses are the first three failing cases: probes first, then samples
     in sample order.
     """

@@ -3,7 +3,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from smalg.quasiorder import QuasiOrder
 from smalg.matalg import (
     DEFAULT_REL_TOL,
     _in_sma_stack,
@@ -82,11 +81,8 @@ class TestTolerance:
             support(np.ones((3, 3)), tol=tol)
 
     def test_zero_tol_is_exact_support(self):
-        diag = QuasiOrder.diagonal(3)
         A = np.eye(3, dtype=complex)
         A[0, 1] = 5e-324
-        assert not np.eye(3)[..., ~diag.mask].any()
-        assert A[..., ~diag.mask].any()
         assert support(A, tol=-0.0) == {(1, 1), (1, 2), (2, 2), (3, 3)}
 
 

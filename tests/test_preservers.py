@@ -1,4 +1,5 @@
 import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -500,7 +501,8 @@ class TestBlockSpectrum:
     def assert_matches(rho, X, fX):
         from smalg.preservers import _spectrum_classes, _spectrum_error
 
-        failed, (_, _, err) = _spectrum_error(_spectrum_classes(rho), 1e-8, X, fX)
+        run = SimpleNamespace(tol=1e-8, classes=_spectrum_classes(rho))
+        failed, (_, _, err) = _spectrum_error(run, X, fX)
         ref_failed, (_, _, ref) = spectrum_error_lu(1e-8, X, fX)
         assert np.array_equal(failed, ref_failed)
         assert np.array_equal(np.isnan(err), np.isnan(ref))
@@ -543,7 +545,7 @@ class TestBlockSpectrum:
         fX[3, i, j] += 5e-324
         shapes, inner = [], preservers._shifted_slogdet
         monkeypatch.setattr(preservers, "_shifted_slogdet",
-                            lambda A, z: shapes.append(A.shape) or inner(A, z))
+                            lambda A, z, buf: shapes.append(A.shape) or inner(A, z, buf))
         assert not self.assert_matches(rho, X, fX).any()
         assert [shape for shape in shapes if shape[-1] == rho.n] == [(1, rho.n, rho.n)]
 
