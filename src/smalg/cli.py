@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import json
 import sys
 import time
 from importlib import resources
@@ -130,16 +131,12 @@ def cmd_embed(args):
     n, images = spec.rho.n, _unit_images(spec, phi)
     # the whole report is rendered before a byte of it is printed
     try:
-        if args.pretty:
-            table = [{"unit": [i, j], "image": jsonio.matrix_to_dict(A)}
-                     for (i, j), A in images]
-            report = jsonio.dump_json({"n": n, "units": table}, pretty=True)
-        else:
-            report = jsonio._compact_embed_report(n, images)
+        report = jsonio._compact_embed_report(n, images)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    print(report)
+    # the compact report is dump_json of the table, so this is its pretty form
+    print(jsonio.dump_json(json.loads(report), pretty=True) if args.pretty else report)
     return EXIT_OK
 
 

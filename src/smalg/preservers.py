@@ -302,8 +302,6 @@ class PreserverReport:
                 return entry_pairs(x)
             if isinstance(x, complex):
                 return [float(x.real), float(x.imag)]
-            if isinstance(x, (np.floating, np.integer)):
-                return float(x)
             if isinstance(x, (list, tuple)):
                 return [enc(y) for y in x]
             return x

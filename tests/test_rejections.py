@@ -32,6 +32,14 @@ def swap_13(X):
     return out
 
 
+def moved_13(X):
+    """The identity with the (1,3) entry moved to (3,1): E_12 and E_23 are
+    kept and E_13 is flipped, so the kept pairs are not transitive."""
+    out = np.array(X, dtype=complex)
+    out[..., 2, 0], out[..., 0, 2] = out[..., 0, 2], 0
+    return out
+
+
 def doubled_12(X):
     """The identity with the (1,2) entry doubled: g(1,2) g(2,1) = 2 != g(1,1)."""
     out = np.array(X, dtype=complex)
@@ -77,6 +85,11 @@ CASES = {
     "preservers.classification_not_a_quasiorder": (
         lambda: classify_unit_action(MapUnderTest(FULL3, swap_13, "swap-13")), ValueError,
         r"^unit classification is not a quasi-order: not transitive"),
+    "jordan.recovered_classification_not_a_quasiorder": (
+        lambda: recover_form(MapUnderTest(T3, moved_13, "moved-13")), RecoveryError,
+        r"^unit classification is not a quasi-order: not transitive"),
+    "jordan.idempotent_bit_not_0_or_1": (
+        lambda: CentralIdempotent((2, 0)), ValueError, "^diagonal bits must be 0 or 1$"),
     "jordan.idempotent_fractional_bit": (
         lambda: CentralIdempotent((0.6, 1.9)), ValueError,
         "^idempotent bit must be an integer, got 0.6$"),
