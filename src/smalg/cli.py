@@ -45,6 +45,7 @@ from .preservers import (
     remark_gallery,
     transpose_map,
     verify_preserver,
+    _unit_images,
 )
 from . import jsonio
 from ._checks import integer, tolerance
@@ -78,15 +79,6 @@ def _load_quasiorder(path):
         _unloadable("quasi-order", path, exc)
 
 
-def _load_spec(path):
-    """The spec in `path` and its embedding; exits 1 on a bad or missing spec."""
-    try:
-        spec = jsonio.load_jordan_spec(path)
-        return spec, build_embedding(spec)
-    except (OSError, ValueError, KeyError, TypeError) as exc:
-        _unloadable("spec", path, exc)
-
-
 def cmd_analyze(args):
     rho, added = _load_quasiorder(args.quasiorder)
     holds, witness = condition_i(rho)
@@ -114,36 +106,29 @@ def cmd_analyze(args):
     return EXIT_OK
 
 
-def _unit_images(spec, phi):
-    """((i, j), phi(E_ij)) over rho's pairs in sorted order.  An image that
-    overflows raises ValueError naming its unit, with no numpy warning."""
-    n = spec.rho.n
-    for i, j in sorted(spec.rho.pairs):
-        with np.errstate(all="ignore"):
-            A = phi(matrix_unit(n, i, j))
-        if not np.isfinite(A).all():
-            raise ValueError(f"phi(E_{{{i},{j}}}) is not finite")
-        yield (i, j), A
+def _spec_map(path):
+    """The embedding of the spec in `path`, evaluated a stack at a time; exits
+    1 on a bad or missing spec."""
+    try:
+        spec = jsonio.load_jordan_spec(path)
+        return MapUnderTest(spec.rho, build_embedding(spec), "embedding", stacked=True)
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        _unloadable("spec", path, exc)
 
 
 def cmd_embed(args):
-    spec, phi = _load_spec(args.spec)
-    n, images = spec.rho.n, _unit_images(spec, phi)
+    mut = _spec_map(args.spec)
+    images = (item for chunk, A in _unit_images(mut, sorted(mut.domain.pairs))
+              for item in zip(chunk, A))
     # the whole report is rendered before a byte of it is printed
     try:
-        report = jsonio._compact_embed_report(n, images)
+        report = jsonio._compact_embed_report(mut.domain.n, images)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     # the compact report is dump_json of the table, so this is its pretty form
     print(jsonio.dump_json(json.loads(report), pretty=True) if args.pretty else report)
     return EXIT_OK
-
-
-def _spec_map(path):
-    """The embedding of the spec in `path`, evaluated a stack at a time."""
-    spec, phi = _load_spec(path)
-    return MapUnderTest(spec.rho, phi, "embedding", stacked=True)
 
 
 def _build_map(args):
@@ -217,11 +202,9 @@ def _golden(name):
 
 
 def _selftest_checks():
-    import json as _json
-
     def load_q(name):
         with _golden(name).open() as fh:
-            return jsonio.quasiorder_from_dict(_json.load(fh))
+            return jsonio.quasiorder_from_dict(json.load(fh))
 
     def check_fan():
         rho, added = load_q("fan_2x2.json")
@@ -231,7 +214,7 @@ def _selftest_checks():
         if holds or witness != (1, 3):
             return f"criterion verdict ({holds}, {witness}), expected (False, (1,3))"
         with _golden("fan_2x2_rank_one.json").open() as fh:
-            A = jsonio.matrix_from_dict(_json.load(fh))
+            A = jsonio.matrix_from_dict(json.load(fh))
         member, _ = rank_one_closure_member(A, rho)
         if member:
             return "rank-one closure membership: got True, expected False"
@@ -328,7 +311,7 @@ def _selftest_checks():
             holds, _ = condition_i(rho)
             exact = block_triangular_permutation(rho).upper_exact
             if holds != exact:
-                return (f"criterion/{'block-triangular'} mismatch on pairs "
+                return ("criterion/block-triangular mismatch on pairs "
                         f"{sorted(rho.off_diagonal)}: {holds} vs {exact}")
         return None
 

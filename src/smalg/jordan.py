@@ -24,7 +24,7 @@ from .quasiorder import QuasiOrder, components, condition_i
 from .matalg import _sma_stack
 from .cocycle import TransitiveMap, induced_auto, validate as validate_transitive
 from .preservers import (MapUnderTest, PreserverReport, _cabs, _cmul, _eval_stack, _grade,
-                         _norms, _stack_step, _units)
+                         _norms, _stack_step, _unit_images)
 
 __all__ = [
     "CentralIdempotent",
@@ -192,7 +192,10 @@ def recover_form(mut: MapUnderTest, tol: float = 1e-8,
     ValueError; past them, every failure raises RecoveryError: the first unit
     in sorted order whose image is not finite, is zero or errs by more than
     tol is named, and a recovered (S, g, P) that validate_spec rejects gets
-    its message.
+    its message.  The units are read _stack_step(n) at a time, the diagonal
+    ones first, and each stack is checked for finiteness as it is read: so a
+    non-finite image is named before an earlier unit of its stack that is
+    zero or errs, and a non-finite diagonal image before any trace is read.
 
     phi is `mut.eval` and rho is `mut.domain`.  Units and samples go through
     phi a stack at a time when `mut` sets `stacked`, and one matrix at a time
@@ -208,8 +211,7 @@ def recover_form(mut: MapUnderTest, tol: float = 1e-8,
     n = rho.n
 
     def check(pairs, A, err):  # names the first failing unit of a stack
-        checks = ((~np.all(np.isfinite(A), axis=(1, 2)), "is not finite"),
-                  (~np.any(A, axis=(1, 2)), "is zero"),
+        checks = ((~np.any(A, axis=(1, 2)), "is zero"),
                   (~(err <= tol), "fits neither orientation (unit error {:.3e})"))
         failed = np.any([bad for bad, _ in checks], axis=0)
         if failed.any():
@@ -219,10 +221,8 @@ def recover_form(mut: MapUnderTest, tol: float = 1e-8,
 
     try:
         diag = [(k, k) for k in range(1, n + 1)]
-        D = _eval_stack(mut, _units(n, diag))
+        D = np.concatenate([A for _, A in _unit_images(mut, diag)])
         for k, A in enumerate(D, 1):
-            if not np.all(np.isfinite(A)):
-                raise RecoveryError(f"phi(E_{{{k},{k}}}) is not finite")
             t = np.trace(A)
             if not abs(t - 1) <= tol * max(1.0, np.linalg.norm(A)):
                 raise RecoveryError(
@@ -246,12 +246,9 @@ def recover_form(mut: MapUnderTest, tol: float = 1e-8,
         unit_errs = [_norms(_cmul(S.T[:, :, None], T[:, None, :]) - D) / np.fmax(1.0, _norms(D))]
         check(diag, D, unit_errs[0])
         parts, gvals = (set(), set()), {}  # pairs mapped to the unit, to its flip
-        off, step = sorted(rho.off_diagonal), _stack_step(n)
-        for lo in range(0, len(off), step):
-            chunk = off[lo:lo + step]
-            A = _eval_stack(mut, _units(n, chunk))
+        for chunk, A in _unit_images(mut, sorted(rho.off_diagonal)):
             i, j = (np.array(chunk) - 1).T
-            with np.errstate(all="ignore"):  # a non-finite image is named by check
+            with np.errstate(all="ignore"):  # a fit that overflows is named by check
                 (g, res), (g_t, res_t) = fit(i, j, A), fit(j, i, A)
                 flipped = res_t < res
                 unit_errs.append(np.where(flipped, res_t, res) / np.fmax(1.0, _norms(A)))
@@ -267,7 +264,7 @@ def recover_form(mut: MapUnderTest, tol: float = 1e-8,
         P = CentralIdempotent(tuple(int(k in touched) for k in range(1, n + 1)))
         spec = JordanSpec(rho, S, TransitiveMap(rho, gvals), P)
         rebuilt = build_embedding(spec)  # validate_spec checks the cocycle law
-        rng = np.random.default_rng(seed)
+        rng, step = np.random.default_rng(seed), _stack_step(n)
         sample_errs = []
         for lo in range(0, n_samples, step):
             # one block of normals, 2 n^2 per sample, in sample order

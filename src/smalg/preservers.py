@@ -199,10 +199,28 @@ def _units(n: int, pairs) -> np.ndarray:
 
 def _stack_step(n: int) -> int:
     """n x n matrices evaluated as one stack: 2^13 entries, 128 KB, so 128 at
-    n = 8, 32 at n = 16, 14 at n = 24 and 8 at n = 32.  Recovery stacks its
-    units and samples this many at a time, and the sampling harness its
-    samples and probes, at most BATCH of them."""
+    n = 8, 32 at n = 16, 14 at n = 24 and 8 at n = 32.  `embed` and recovery
+    stack their units this many at a time, recovery its samples too, and the
+    sampling harness its samples and probes, at most BATCH of them."""
     return max(1, 2 ** 13 // (n * n))
+
+
+def _unit_images(mut: MapUnderTest, pairs):
+    """(chunk, images) over `pairs`, _stack_step(n) of them at a time: the
+    images of the chunk's matrix units, evaluated as one stack with numpy's
+    floating-point warnings off.  The first unit of a stack whose image is
+    not finite raises ValueError naming it."""
+    n = mut.domain.n
+    step = _stack_step(n)
+    for lo in range(0, len(pairs), step):
+        chunk = pairs[lo:lo + step]
+        with np.errstate(all="ignore"):
+            A = _eval_stack(mut, _units(n, chunk))
+        finite = np.isfinite(A).all(axis=(1, 2))
+        if not finite.all():
+            i, j = chunk[int(np.argmin(finite))]
+            raise ValueError(f"phi(E_{{{i},{j}}}) is not finite")
+        yield chunk, A
 
 
 def remark_gallery(rho: QuasiOrder, kind: str) -> MapUnderTest:

@@ -335,6 +335,21 @@ class TestRecovery:
         with pytest.raises(RecoveryError, match=r"phi\(E_\{2,2\}\) is not finite"):
             recover_form(mut)
 
+    def test_non_finite_diagonal_image_reported_before_traces(self):
+        # the diagonal units of M_3 are one stack, checked for finiteness as
+        # it is read: E_22's NaN is named before E_11's trace of 2 is read
+        full3 = QuasiOrder.full(3)
+
+        def phi(X):
+            out = np.array(X, dtype=complex)
+            out[np.all(out == np.diag([0, 1, 0]), axis=(-2, -1)), 1, 1] = np.nan
+            out[..., 0, 0] *= 2
+            return out
+
+        mut = MapUnderTest(full3, phi, "phi", stacked=True)
+        with pytest.raises(RecoveryError, match=r"phi\(E_\{2,2\}\) is not finite"):
+            recover_form(mut)
+
 
 def bits(A):
     """The complex entries of A as uint64 pairs, so -0.0 and 0.0 differ."""

@@ -237,10 +237,8 @@ def openblas_kernel():
     return None
 
 
-@pytest.mark.parametrize("n", [8, 16])
-@pytest.mark.parametrize("shape", SHAPES)
-@pytest.mark.parametrize("verb", list(VERBS))
-def test_spec_verb_stdout_pinned(capsys, tmp_path, verb, shape, n):
+def pinned_digest(verb, shape, n):
+    """The recorded sha256 of `verb`'s stdout on seeded_spec(n, shape)."""
     pins = PINNED_VERIFY
     if verb != "verify":
         kernel = openblas_kernel()
@@ -248,11 +246,42 @@ def test_spec_verb_stdout_pinned(capsys, tmp_path, verb, shape, n):
             pytest.fail(f"no {verb} digests recorded for OpenBLAS kernel {kernel}",
                         pytrace=False)
         pins = PINNED_STDOUT[kernel]
+    return pins[f"{verb} {shape}{n}"]
+
+
+@pytest.mark.parametrize("n", [8, 16])
+@pytest.mark.parametrize("shape", SHAPES)
+@pytest.mark.parametrize("verb", list(VERBS))
+def test_spec_verb_stdout_pinned(capsys, tmp_path, verb, shape, n):
+    want = pinned_digest(verb, shape, n)
     code = main(VERBS[verb](write_spec(tmp_path, seeded_spec(n, shape))))
     captured = capsys.readouterr()
     assert code == 0 and captured.err == ""
-    digest = hashlib.sha256(captured.out.encode()).hexdigest()
-    assert digest == pins[f"{verb} {shape}{n}"]
+    assert hashlib.sha256(captured.out.encode()).hexdigest() == want
+
+
+def test_embed_evaluates_in_stacks(capsys, tmp_path, monkeypatch):
+    # embed reads the 256 units of full M_16 through the spec's stacked map,
+    # 32 at a time, and prints the bytes pinned for one-matrix images
+    from smalg import cli
+
+    build, shapes = cli.build_embedding, []
+
+    def recording(spec):
+        phi = build(spec)
+
+        def record(X):
+            shapes.append(np.shape(X))
+            return phi(X)
+        return record
+
+    monkeypatch.setattr(cli, "build_embedding", recording)
+    want = pinned_digest("embed", "full", 16)
+    code = main(VERBS["embed"](write_spec(tmp_path, seeded_spec(16, "full"))))
+    captured = capsys.readouterr()
+    assert code == 0 and captured.err == ""
+    assert shapes == [(32, 16, 16)] * 8
+    assert hashlib.sha256(captured.out.encode()).hexdigest() == want
 
 
 def test_huge_s_is_the_identity(capsys, tmp_path):
