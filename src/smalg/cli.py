@@ -184,7 +184,7 @@ def cmd_recover(args):
     mut = _spec_map(args.spec)
     try:
         rec = recover_form(mut, tol=args.tol, n_samples=args.samples, seed=args.seed)
-    except (RecoveryError, ValueError) as exc:
+    except RecoveryError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAIL
     _emit({

@@ -7,10 +7,12 @@ the part cut out by the complement of a central idempotent P:
     phi(X) = S (P g*(X) + (I - P) g*(X)^t) S^{-1}.
 
 This module constructs such maps from their (S, g, P) data and recovers the
-(S, g, P) data from a black-box preserver.  `verify_jordan` and the two
-product-rule checks are selections of properties graded by the one sampling
-harness in `smalg.preservers`; recovery reads S^{-1} and g from phi's images
-of the matrix units, fitted as rank-one matrices.
+(S, g, P) data from a black-box Jordan embedding of any SMA: the form holds
+whether or not rho meets the neighborhood-intersection criterion, so recovery
+needs no criterion.  `verify_jordan` and the two product-rule checks are
+selections of properties graded by the one sampling harness in
+`smalg.preservers`; recovery reads S^{-1} and g from phi's images of the
+matrix units, fitted as rank-one matrices.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._checks import integer, tolerance
-from .quasiorder import QuasiOrder, components, condition_i
+from .quasiorder import QuasiOrder, components
 from .matalg import _sma_stack
 from .cocycle import TransitiveMap, induced_auto, validate as validate_transitive
 from .preservers import (MapUnderTest, PreserverReport, _cabs, _cmul, _eval_stack, _grade,
@@ -42,7 +44,7 @@ __all__ = [
 
 
 class RecoveryError(RuntimeError):
-    """The black-box map does not expose the structure needed for recovery."""
+    """The black-box map is not a Jordan embedding that recovery can read."""
 
 
 @dataclass(frozen=True)
@@ -167,8 +169,7 @@ class RecoveredForm:
 
 def recover_form(mut: MapUnderTest, tol: float = 1e-8,
                  n_samples: int = 100, seed: int = 0) -> RecoveredForm:
-    """Recover (S, g, P) from a black-box preserver on an algebra satisfying the
-    neighborhood-intersection criterion.
+    """Recover (S, g, P) from a black-box Jordan embedding of any SMA.
 
     Write T = S^{-1}, S_k for column k of S and T_k for row k of T.  As
     E_kk^t = E_kk and g(k,k) = 1, phi(E_kk) = S_k T_k: its trace is 1, its
@@ -188,11 +189,10 @@ def recover_form(mut: MapUnderTest, tol: float = 1e-8,
     A computed product AB errs by up to about n eps |A||B| (Higham, Accuracy
     and Stability of Numerical Algorithms, 2002, ch. 3), so phi's own rounding
     follows the size of its image, which reaches cond(S) on a unit, not the
-    size of X.  Bad arguments and a rho failing the criterion raise
-    ValueError; past them, every failure raises RecoveryError: the first unit
-    in sorted order whose image is not finite, is zero or errs by more than
-    tol is named, and a recovered (S, g, P) that validate_spec rejects gets
-    its message.  The units are read _stack_step(n) at a time, the diagonal
+    size of X.  Only bad arguments raise ValueError; past them, every
+    failure raises RecoveryError: the first unit in sorted order whose image
+    is not finite, is zero or errs by more than tol is named, and a recovered
+    (S, g, P) that validate_spec rejects gets its message.  The units are read _stack_step(n) at a time, the diagonal
     ones first, and each stack is checked for finiteness as it is read: so a
     non-finite image is named before an earlier unit of its stack that is
     zero or errs, and a non-finite diagonal image before any trace is read.
@@ -205,9 +205,6 @@ def recover_form(mut: MapUnderTest, tol: float = 1e-8,
     n_samples = integer(n_samples, "n_samples", least=1)
     tol, seed = tolerance(tol, "tol"), integer(seed, "seed", least=0)
     rho = mut.domain
-    ok, witness = condition_i(rho)
-    if not ok:
-        raise ValueError(f"quasi-order fails the neighborhood criterion at {witness}")
     n = rho.n
 
     def check(pairs, A, err):  # names the first failing unit of a stack

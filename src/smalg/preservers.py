@@ -526,7 +526,7 @@ _PROPERTIES = {
                       lambda s: 2 * s.rho.n ** 2 + np.where(s.t % 2 == 0, 4 * s.rho.n, 6),
                       _commutator_error, None),
     "injectivity": (_injective_cases, lambda s: 2 if len(s.off) else 0, _separation_error,
-                    lambda s: [(_separable(s.P, s.F), (s.P, s.F))]),
+                    lambda s: [(None, (s.D, s.P))]),
     "additivity": (lambda s: [(None, (s.X, s.Y, s.X + s.Y))], None, _additive_error,
                    _additive_probe),
     "homogeneity": (_homogeneous_cases, lambda s: 2, _homogeneous_error, None),
@@ -559,10 +559,11 @@ def _probe_cases(graded, rho: QuasiOrder, pairs, diagonals):
     and on `diagonals`."""
     n = rho.n
     F = _units(n, pairs)
-    P = 2.0 * _units(n, [(i, i) for i, _ in pairs]) + F
+    D = 2.0 * _units(n, [(i, i) for i, _ in pairs])
+    P = D + F
     has_G = np.array([(j, i) in rho.pairs for i, j in pairs], bool)
     G = np.where(has_G[:, None, None], _units(n, [(j, i) for i, j in pairs]), 0.0)
-    p = SimpleNamespace(diagonals=diagonals, F=F, P=P, G=G, has_G=has_G)
+    p = SimpleNamespace(diagonals=diagonals, F=F, D=D, P=P, G=G, has_G=has_G)
     return {name: probe(p) for name, ((*_, probe), _) in graded.items() if probe}
 
 

@@ -22,6 +22,7 @@ from smalg.cocycle import Nontrivial, TransitiveMap, induced_auto, triviality, v
 from smalg.jordan import (
     CentralIdempotent,
     JordanSpec,
+    RecoveryError,
     build_embedding,
     central_idempotents,
     recover_form,
@@ -190,7 +191,8 @@ def test_acceptance_three_point_block_triangular_equivalence():
 def test_acceptance_four_point_exhaustive_counterexamples():
     """Every preorder on 4 points failing the criterion admits a constructed
     map passing spectrum and commutativity sampling and failing additivity
-    (200 samples per map, 10-minute budget)."""
+    (200 samples per map, 10-minute budget), and recovery rejects each map:
+    it is no Jordan embedding."""
     t0 = time.time()
     failing = [rho for rho in all_preorders(4) if not condition_i(rho)[0]]
     assert len(failing) == 179
@@ -200,8 +202,34 @@ def test_acceptance_four_point_exhaustive_counterexamples():
         assert report.spectrum.ok, sorted(rho.off_diagonal)
         assert report.commutativity.ok, sorted(rho.off_diagonal)
         assert not report.additivity.ok, sorted(rho.off_diagonal)
+        with pytest.raises(RecoveryError):
+            recover_form(mut)
     assert time.time() - t0 < 600.0
     announce(f"4-point exhaustive: {len(failing)} counterexamples (< 10 min)", t0)
+
+
+def test_acceptance_four_point_criterion_failing_embeddings_recover():
+    """Every Jordan embedding has the (S, g, P) form whether or not the
+    criterion holds: on each 4-point preorder failing it, with every central
+    P, a fixed S and g = 1, recovery round trips to 1e-8 and returns the
+    spec's P on every index that an off-diagonal pair touches."""
+    t0 = time.time()
+    rng = np.random.default_rng(4)
+    S = 2 * np.eye(4) + (rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))) / 4
+    trips = 0
+    for rho in all_preorders(4):
+        if condition_i(rho)[0]:
+            continue
+        touched = sorted({k - 1 for pair in rho.off_diagonal for k in pair})
+        for P in central_idempotents(rho):
+            spec = JordanSpec(rho, S, TransitiveMap.constant_one(rho), P)
+            rec = recover_form(MapUnderTest(rho, build_embedding(spec), "phi", stacked=True))
+            assert rec.max_unit_error <= 1e-8 and rec.max_sample_error <= 1e-8
+            assert (np.array(rec.spec.P.diag_bits)[touched]
+                    == np.array(P.diag_bits)[touched]).all(), (sorted(rho.off_diagonal), P)
+            trips += 1
+    assert trips == 568
+    announce(f"4-point criterion-failing embeddings: {trips} recovered", t0)
 
 
 def test_acceptance_recovery_round_trip():

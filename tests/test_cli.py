@@ -11,7 +11,7 @@ from smalg.cli import main
 from smalg import jsonio
 from smalg.cocycle import TransitiveMap
 from smalg.jordan import CentralIdempotent, JordanSpec
-from smalg.quasiorder import closure
+from smalg.quasiorder import QuasiOrder, closure
 
 from lemmas import upper_triangular
 
@@ -195,15 +195,23 @@ class TestRecover:
         assert report["recovered"]["idempotent_diag"] == [1, 1, 1, 0, 0, 0]
         assert report["max_unit_error"] <= 1e-8
 
-    def test_criterion_failing_spec_fails_with_one_line(self, capsys, tmp_path, fan4):
+    @pytest.mark.parametrize("bit", [1, 0])
+    def test_criterion_failing_spec_recovers(self, capsys, tmp_path, fan4, bit):
+        # the fan fails the neighborhood criterion at (1, 3), yet its Jordan
+        # embeddings have the (S, g, P) form all the same
         spec = JordanSpec(fan4, np.eye(4, dtype=complex), TransitiveMap.constant_one(fan4),
-                          CentralIdempotent((1, 1, 1, 1)))
+                          CentralIdempotent((bit,) * 4))
         path = tmp_path / "fan_spec.json"
         path.write_text(jsonio.dump_json(jsonio.jordan_spec_to_dict(spec)))
         code = main(["recover", "--spec", str(path)])
         captured = capsys.readouterr()
-        assert code == 2 and captured.out == ""
-        assert captured.err == "error: quasi-order fails the neighborhood criterion at (1, 3)\n"
+        assert code == 0 and captured.err == ""
+        report = json.loads(captured.out)
+        assert report["recovered"]["idempotent_diag"] == [bit] * 4
+        kept, flipped = (fan4, QuasiOrder.diagonal(4))[::1 if bit else -1]
+        assert report["rho_m"] == jsonio.quasiorder_to_dict(kept)
+        assert report["rho_a"] == jsonio.quasiorder_to_dict(flipped)
+        assert report["max_unit_error"] == report["max_sample_error"] == 0.0
 
 
 def zero_second_row(doc):

@@ -18,7 +18,7 @@ from smalg.jordan import (
     verify_jordan,
     verify_multiplicative,
 )
-from smalg.preservers import MapUnderTest, _units
+from smalg.preservers import MapUnderTest, _units, counterexample
 from generators import random_invertible, random_preorder, random_transitive
 from lemmas import upper_triangular
 from test_preservers import unitary
@@ -247,9 +247,16 @@ class TestRecovery:
         assert np.allclose([rec.spec.g.values[p] for p in pairs],
                            [g.values[p] for p in pairs], rtol=1e-12, atol=0)
 
-    def test_requires_criterion(self, fan4):
-        with pytest.raises(ValueError, match="criterion"):
-            recover_form(MapUnderTest(fan4, lambda X: np.array(X), "phi"))
+    def test_criterion_failing_order_recovers_embeddings_only(self, fan4):
+        # the fan fails the neighborhood criterion at (1, 3): its identity
+        # embedding recovers all the same, and its non-additive preserver,
+        # exact on the units, is told apart by the round trip on samples
+        rec = recover_form(MapUnderTest(fan4, lambda X: np.array(X), "phi"))
+        assert rec.spec.P.diag_bits == (1,) * 4 and rec.rho_m == fan4
+        assert rec.max_unit_error == rec.max_sample_error == 0.0
+        with pytest.raises(RecoveryError, match=r"^rebuilt map disagrees with phi "
+                                                r"\(unit error 0\.000e\+00, "):
+            recover_form(counterexample(fan4))
 
     def test_spectrum_violation_reported(self, two_blocks6):
         with pytest.raises(RecoveryError, match=r"phi\(E_\{1,1\}\) has trace 6\+0j, not 1 "

@@ -303,6 +303,31 @@ class TestGallery:
         X, Y, _ = rep.injectivity.witnesses[0]
         assert [tuple(p) for p in np.argwhere(X != Y) + 1] == [(n - 1, n)]
 
+    def test_every_control_fails_at_one_sample(self):
+        # each control fails its property on the probes and one sample, on
+        # every preorder with 2 to 4 points where it builds, and on two mutual
+        # 3-blocks joined by (1, 4) under 20 seeds: a map that kills E_ij but
+        # keeps E_ii must fail the injectivity probe (2E_ii, 2E_ii + E_ij)
+        broken = {"scaling": "spectrum", "det_twist": "commutativity",
+                  "diag_shift": "commutativity", "noninjective_jordan": "injectivity"}
+        blocks6 = closure(6, {(i, j) for i in range(1, 4) for j in range(1, 4)}
+                          | {(i, j) for i in range(4, 7) for j in range(4, 7)} | {(1, 4)})
+        runs = [(rho, 0) for n in (2, 3, 4) for rho in all_preorders(n)]
+        runs += [(blocks6, seed) for seed in range(20)]
+        graded = dict.fromkeys(broken, 0)
+        for rho, seed in runs:
+            for kind, prop in broken.items():
+                try:
+                    mut = remark_gallery(rho, kind)
+                except ValueError:
+                    continue
+                rep = verify_preserver(mut, n_samples=1, seed=seed)
+                assert not getattr(rep, prop).ok, (kind, sorted(rho.off_diagonal), seed)
+                graded[kind] += 1
+        # 388 preorders, 366 of them not symmetric, and the 6-point order 20 times
+        assert graded == {"scaling": 408, "det_twist": 405, "diag_shift": 2,
+                          "noninjective_jordan": 386}
+
     @pytest.mark.parametrize("kind,rho_builder", [
         ("det_twist", lambda: QuasiOrder.diagonal(4)),
         ("diag_shift", lambda: upper_triangular(3)),
@@ -611,8 +636,9 @@ class TestSamplingInput:
         rep = verify_preserver(MapUnderTest(fan4, phi, "counted"), n_samples=n_samples, seed=0)
         assert rep.all_pass
         assert len({id(X) for X in inputs}) == len(inputs)
-        # 2 spectrum probes and 3 unit probes per pair, then 7 inputs per sample
-        assert len(inputs) == 2 + 3 * len(fan4.off_diagonal) + 7 * n_samples
+        # 2 spectrum probes and 4 unit probes per pair (2E_ii, 2E_ii + E_ij,
+        # E_ij and 2E_ii + 2E_ij; the fan has no (j, i)), then 7 per sample
+        assert len(inputs) == 2 + 4 * len(fan4.off_diagonal) + 7 * n_samples == 88
 
     @pytest.mark.parametrize("pairs", [{(1, 3), (1, 4), (2, 3), (2, 4)},
                                        {(1, 2), (2, 1), (1, 3), (4, 3)}])
