@@ -1,7 +1,7 @@
-"""CPU time and peak memory of the spec verbs `embed`, `verify --spec --samples 20`
-and `recover --spec` on two shapes at n = 8, 16, 24 and 32: the full algebra
-M_n with P = I, and the upper-triangular algebra T_n with P = 0, the
-embedding's transposing branch.
+"""CPU time and peak memory of the spec verbs `embed`, `embed --pretty`,
+`verify --spec --samples 20` and `recover --spec` on two shapes at n = 8, 16,
+24 and 32: the full algebra M_n with P = I, and the upper-triangular algebra
+T_n with P = 0, the embedding's transposing branch.
 
     python3 bench/spec_verbs.py
     python3 bench/spec_verbs.py --src before=/path/to/other/src --src after=src --rounds 5
@@ -35,6 +35,7 @@ SIZES = (8, 16, 24, 32)
 SHAPES = {"full": (lambda i, j: True, 1), "upper": (lambda i, j: i <= j, 0)}
 VERBS = {
     "embed": lambda spec: ["embed", spec],
+    "embed-pretty": lambda spec: ["embed", spec, "--pretty"],
     "verify": lambda spec: ["verify", "--spec", spec, "--samples", "20"],
     "recover": lambda spec: ["recover", "--spec", spec],
 }
@@ -93,4 +94,4 @@ if __name__ == "__main__":
         "spec verbs on M_n with P = I (fullN) and T_n with P = 0 (upperN), one fresh process "
         "per measurement: cpu_s is the CPU time of the verb's call, maxrss_mb the process's "
         "peak RSS",
-        "{label:>8} {case:>14}  cpu {cpu_s:8.3f} s  maxrss {maxrss_mb:7.1f} MB")
+        "{label:>8} {case:>19}  cpu {cpu_s:8.3f} s  maxrss {maxrss_mb:7.1f} MB")

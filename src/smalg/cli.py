@@ -122,12 +122,11 @@ def cmd_embed(args):
               for item in zip(chunk, A))
     # the whole report is rendered before a byte of it is printed
     try:
-        report = jsonio._compact_embed_report(mut.domain.n, images)
+        report = jsonio._embed_report(mut.domain.n, images, args.pretty)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    # the compact report is dump_json of the table, so this is its pretty form
-    print(jsonio.dump_json(json.loads(report), pretty=True) if args.pretty else report)
+    print(report)
     return EXIT_OK
 
 

@@ -47,6 +47,14 @@ class RecoveryError(RuntimeError):
     """The black-box map is not a Jordan embedding that recovery can read."""
 
 
+class _BrokenLaw(ValueError):
+    """validate_spec's rejection of a g that breaks the cocycle law at the pair
+    of pairs args[0]; recovery names it as its own failure."""
+
+    def __str__(self):
+        return f"transitive map violates the cocycle law at {self.args[0]}"
+
+
 @dataclass(frozen=True)
 class CentralIdempotent:
     """Diagonal 0/1 matrix constant on the component classes of its quasi-order."""
@@ -105,7 +113,7 @@ def validate_spec(spec: JordanSpec) -> None:
         raise ValueError("transitive map is defined on a different quasi-order")
     ok, violation = validate_transitive(spec.g)
     if not ok:
-        raise ValueError(f"transitive map violates the cocycle law at {violation}")
+        raise _BrokenLaw(violation)
     if len(spec.P.diag_bits) != n:
         raise ValueError("idempotent has the wrong length")
     bits = spec.P.diag_bits
@@ -191,11 +199,13 @@ def recover_form(mut: MapUnderTest, tol: float = 1e-8,
     follows the size of its image, which reaches cond(S) on a unit, not the
     size of X.  Only bad arguments raise ValueError; past them, every
     failure raises RecoveryError: the first unit in sorted order whose image
-    is not finite, is zero or errs by more than tol is named, and a recovered
-    (S, g, P) that validate_spec rejects gets its message.  The units are read _stack_step(n) at a time, the diagonal
-    ones first, and each stack is checked for finiteness as it is read: so a
-    non-finite image is named before an earlier unit of its stack that is
-    zero or errs, and a non-finite diagonal image before any trace is read.
+    is not finite, is zero or errs by more than tol is named, a recovered g
+    that breaks the cocycle law shows phi is no Jordan embedding, and another
+    (S, g, P) that validate_spec rejects gets its message.  The units are
+    read _stack_step(n) at a time, the diagonal ones first, and each stack is
+    checked for finiteness as it is read: so a non-finite image is named
+    before an earlier unit of its stack that is zero or errs, and a
+    non-finite diagonal image before any trace is read.
 
     phi is `mut.eval` and rho is `mut.domain`.  Units and samples go through
     phi a stack at a time when `mut` sets `stacked`, and one matrix at a time
@@ -260,7 +270,7 @@ def recover_form(mut: MapUnderTest, tol: float = 1e-8,
         touched = {k for pair in rho_m.off_diagonal for k in pair}
         P = CentralIdempotent(tuple(int(k in touched) for k in range(1, n + 1)))
         spec = JordanSpec(rho, S, TransitiveMap(rho, gvals), P)
-        rebuilt = build_embedding(spec)  # validate_spec checks the cocycle law
+        rebuilt = build_embedding(spec)  # the one check of g's cocycle law
         rng, step = np.random.default_rng(seed), _stack_step(n)
         sample_errs = []
         for lo in range(0, n_samples, step):
@@ -270,6 +280,9 @@ def recover_form(mut: MapUnderTest, tol: float = 1e-8,
             # an infinite image's error is inf
             sample_errs.append(_norms(rebuilt(X) - images)
                                / np.fmax(1.0, np.nan_to_num(_norms(images))))
+    except _BrokenLaw as exc:
+        raise RecoveryError(f"the g read from phi's unit images breaks the cocycle law at "
+                            f"{exc.args[0]}, so phi is not a Jordan embedding") from exc
     except ValueError as exc:  # a broken map contract, LinAlgError, or a rejected spec
         raise RecoveryError(str(exc)) from exc
     # np.max keeps a NaN error, and a NaN error is not <= tol

@@ -45,45 +45,30 @@ def dump_json(obj, pretty: bool = False) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"), check_circular=False)
 
 
-# entries per piece of the compact embed report: 8 [re, im] pairs and their
-# punctuation stay under about 420 chars, so each piece is a small object of
-# Python's allocator, and freeing the pieces leaves no glibc heap behind
-_PIECE_ENTRIES = 8
-
-
-def _image_templates(n):
-    """(template, start, stop) over the 2 n^2 floats of an n x n image viewed
-    as float64: each template renders floats start..stop as at most
-    _PIECE_ENTRIES "[re,im]" pairs, with the row brackets and commas."""
-    plan = []
-    for r in range(n):
-        for lo in range(0, n, _PIECE_ENTRIES):
-            hi = min(lo + _PIECE_ENTRIES, n)
-            head = "," if lo else ",[" if r else "["
-            tail = "]" if hi == n else ""
-            tpl = head + ",".join(["[%r,%r]"] * (hi - lo)) + tail
-            plan.append((tpl, 2 * (r * n + lo), 2 * (r * n + hi)))
-    return plan
-
-
-def _compact_embed_report(n, images) -> str:
+def _embed_report(n, images, pretty) -> str:
     """dump_json({"n": n, "units": [{"unit": [i, j], "image":
-    matrix_to_dict(A)}, ...]}) for ((i, j), A) in `images`, byte for byte
-    when every A is finite, with no table built.  A finite float's repr is
-    its JSON token, so the entries go through %r templates of at most
-    _PIECE_ENTRIES entries each; the pieces and the punctuation are joined
-    once."""
-    plan = _image_templates(n)
-    tail = '],"n":%d},"unit":[%%d,%%d]}' % n
-    parts = ['{"n":%d,"units":[' % n]
-    head = '{"image":{"entries":['
+    matrix_to_dict(A)}, ...]}, pretty) for ((i, j), A) in `images`, at least
+    one, byte for byte when every A is finite, with no table built.  dump_json
+    renders the frame and one unit with sentinel strings in the slots, which
+    become %r slots for the floats and %d slots for i and j: a finite float's
+    repr is its JSON token.  Each image is read with one tolist and filled
+    into pieces of k floats, and the pieces are joined once."""
+    head, sep, tail = dump_json({"n": n, "units": ["\2", "\2"]}, pretty).split('"\\u0002"')
+    unit = dump_json({"unit": ["\1", "\1"],
+                      "image": {"n": n, "entries": [[["\0", "\0"]] * n] * n}}, pretty)
+    # the unit's lines indented to its depth in the frame (compact has none)
+    *frags, last = unit.replace("\n", sep[1:]).replace('"\\u0001"', "%d").split('"\\u0000"')
+    # 16 floats, 8 [re, im] entries, keep a compact piece under about 420
+    # chars, a small object of Python's allocator, so freeing the pieces
+    # leaves no glibc heap behind
+    k = 16
+    plan = [(lo, "%r".join(frags[lo:lo + k]) + "%r") for lo in range(0, 2 * n * n, k)]
+    parts = []
     for (i, j), A in images:
-        parts.append(head)
         floats = np.ascontiguousarray(A, dtype=complex).view(float).ravel().tolist()
-        parts += [tpl % tuple(floats[lo:hi]) for tpl, lo, hi in plan]
-        parts.append(tail % (i, j))
-        head = ',{"image":{"entries":['
-    parts.append("]}")
+        parts += [sep, *(tpl % tuple(floats[lo:lo + k]) for lo, tpl in plan), last % (i, j)]
+    parts[0] = head  # the first unit follows the head, not a separator
+    parts.append(tail)
     return "".join(parts)
 
 

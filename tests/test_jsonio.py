@@ -130,13 +130,14 @@ def unit_images(draw):
     return n, units
 
 
+@pytest.mark.parametrize("pretty", [False, True], ids=["compact", "pretty"])
 @given(case=unit_images())
 @settings(max_examples=200)
-def test_compact_embed_report_is_dump_json_of_the_table(case):
+def test_embed_report_is_dump_json_of_the_table(pretty, case):
     n, units = case
     table = [{"unit": [i, j], "image": jsonio.matrix_to_dict(A)} for (i, j), A in units]
-    assert jsonio._compact_embed_report(n, iter(units)) == \
-        jsonio.dump_json({"n": n, "units": table})
+    assert jsonio._embed_report(n, iter(units), pretty) == \
+        jsonio.dump_json({"n": n, "units": table}, pretty)
 
 
 # Fuzzing the loaders: every document either loads or raises one of these.

@@ -110,7 +110,8 @@ CASES = {
         "^idempotent has the wrong length$"),
     "jordan.recovered_g_breaks_the_law": (
         lambda: recover_form(MapUnderTest(FULL3, doubled_12, "doubled-12")), RecoveryError,
-        r"^transitive map violates the cocycle law at \(\(1, 2\), \(2, 1\)\)$"),
+        r"^the g read from phi's unit images breaks the cocycle law at \(\(1, 2\), \(2, 1\)\), "
+        r"so phi is not a Jordan embedding$"),
 }
 
 

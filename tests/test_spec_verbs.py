@@ -310,11 +310,12 @@ def test_huge_s_is_the_identity(capsys, tmp_path):
         assert np.abs(img - np.eye(4)[:, [i - 1]] @ np.eye(4)[[j - 1]]).max() <= 1e-15
 
 
-def test_compact_embed_peak_memory_bounded_at_n16(tmp_path):
-    # the compact report is rendered as pieces of at most 8 entries and joined
-    # once, with no table of [re, im] lists beside it, so the traced peak stays
-    # below 3 times the report's length (a table dumped by json.dumps peaks
-    # at about 5 times)
+@pytest.mark.parametrize("verb", ["embed", "embed-pretty"])
+def test_embed_peak_memory_bounded_at_n16(tmp_path, verb):
+    # both layouts are rendered as pieces of at most 8 entries and joined
+    # once, with no table of [re, im] lists beside them, so the traced peak
+    # stays below 3 times the report's length (a table dumped by json.dumps
+    # peaks at about 5 times)
     import tracemalloc
 
     path = write_spec(tmp_path, seeded_spec(16, "full"))
@@ -322,7 +323,7 @@ def test_compact_embed_peak_memory_bounded_at_n16(tmp_path):
     tracemalloc.start()
     try:
         with contextlib.redirect_stdout(out):
-            code = main(["embed", path])
+            code = main(VERBS[verb](path))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
