@@ -295,7 +295,8 @@ def _selftest_checks():
         if np.linalg.norm(lhs - rhs) < 1e-6:
             return "block twist unexpectedly additive on the unit pair"
         report = verify_preserver(mut, n_samples=200, tol=1e-8, seed=0)
-        if not (report.spectrum.ok and report.commutativity.ok and not report.additivity.ok):
+        if not (report.spectrum.ok and report.commutativity.ok and report.injectivity.ok
+                and not report.additivity.ok):
             return f"unexpected report: {report.to_dict()['properties']}"
         return None
 

@@ -342,14 +342,14 @@ def _fails(err, limit):
 # A property is (sampler, draws, error function, probe).  The harness grades
 # stacks of cases: a sampler builds one chunk of samples' cases from s.draw, a
 # probe the deterministic cases graded before the samples, and both return
-# groups (rows, case), where case is a tuple of stacks indexed by sample (or
-# by pair) and rows marks the cases that apply (None: all of them).  `draws`
-# is the number of normals a sampler takes per sample.  An error function
-# takes the run, the stacks of a case and then the images of its (B, n, n)
-# stacks, and returns (failed, witness): a boolean per case and a tuple of
-# stacks whose rows are the witnesses.  The run holds what the harness finds
-# once per run: its one `tol`, and rho's mutual `classes` (see
-# `_spectrum_classes`).
+# groups (at, case), where case is a tuple of stacks whose rows are cases,
+# every row one that counts, and at holds each row's position among the
+# chunk's probed pairs (None: 0, 1, ..., as for samples).  `draws` is the
+# number of normals a sampler takes per sample.  An error function takes the
+# run, the stacks of a case and then the images of its (B, n, n) stacks, and
+# returns (failed, witness): a boolean per case and a tuple of stacks whose
+# rows are the witnesses.  The run holds what the harness finds once per run:
+# its one `tol`, and rho's mutual `classes` (see `_spectrum_classes`).
 
 def _spectrum_classes(rho: QuasiOrder) -> SimpleNamespace:
     """What the spectrum check reads of rho: its singleton mutual classes as
@@ -464,11 +464,6 @@ def _commutator_error(run, X, Y, fX, fY):
     return _fails(err, run.tol * np.fmax(1.0, _norms(fX) * _norms(fY))), (X, Y, err)
 
 
-def _separable(X, Y):
-    """The injectivity cases that apply: inputs that are not numerically equal."""
-    return _norms(X - Y) > 1e-6
-
-
 def _injective_cases(s):
     """(X, Y), and X against X with pair off[t % |off|] perturbed."""
     cases = [(s.X, s.Y)]
@@ -477,7 +472,7 @@ def _injective_cases(s):
         XE = s.X.copy()
         XE[np.arange(len(s.t)), i, j] += s.draw(2).view(complex)[:, 0]
         cases.append((s.X, XE))
-    return [(_separable(*case), case) for case in cases]
+    return [(None, case) for case in cases]
 
 
 def _separation_error(run, X, Y, fX, fY):
@@ -487,7 +482,10 @@ def _separation_error(run, X, Y, fX, fY):
 
 
 def _additive_probe(s):
-    return [(None, (s.P, s.F, s.P + s.F)), (s.has_G, (s.F, s.G, s.F + s.G))]
+    """P + F on every family, and then F + G on the pairs whose (j, i) is in rho,
+    over the same F, so that no E_ij goes through phi twice."""
+    return ([(f.at, (f.P, f.F, f.P + f.F)) for f in s.families]
+            + [(f.at, (f.F, f.G, f.F + f.G)) for f in s.families if f.G is not None])
 
 
 def _additive_error(run, X, Y, XY, fX, fY, fXY):
@@ -526,7 +524,7 @@ _PROPERTIES = {
                       lambda s: 2 * s.rho.n ** 2 + np.where(s.t % 2 == 0, 4 * s.rho.n, 6),
                       _commutator_error, None),
     "injectivity": (_injective_cases, lambda s: 2 if len(s.off) else 0, _separation_error,
-                    lambda s: [(None, (s.D, s.P))]),
+                    lambda s: [(f.at, (f.D, f.P)) for f in s.families]),
     "additivity": (lambda s: [(None, (s.X, s.Y, s.X + s.Y))], None, _additive_error,
                    _additive_probe),
     "homogeneity": (_homogeneous_cases, lambda s: 2, _homogeneous_error, None),
@@ -556,14 +554,19 @@ def _normals(generator, batch, counts):
 
 def _probe_cases(graded, rho: QuasiOrder, pairs, diagonals):
     """The groups of each probing property on the unit probes of `pairs`,
-    and on `diagonals`."""
-    n = rho.n
-    F = _units(n, pairs)
-    D = 2.0 * _units(n, [(i, i) for i, _ in pairs])
-    P = D + F
-    has_G = np.array([(j, i) in rho.pairs for i, j in pairs], bool)
-    G = np.where(has_G[:, None, None], _units(n, [(j, i) for i, j in pairs]), 0.0)
-    p = SimpleNamespace(diagonals=diagonals, F=F, D=D, P=P, G=G, has_G=has_G)
+    and on `diagonals`.  The pairs split into two families, those whose flip
+    (j, i) is in rho and the others, and each family holds its positions
+    `at` among `pairs` and its stacks F = E_ij, D = 2E_ii and P = D + F; the
+    flip family's G = E_ji, the other's None."""
+    families = []
+    for flip in (True, False):
+        at = [k for k, (i, j) in enumerate(pairs) if ((j, i) in rho.pairs) == flip]
+        if at:
+            fam = [pairs[k] for k in at]
+            F, D = _units(rho.n, fam), 2.0 * _units(rho.n, [(i, i) for i, _ in fam])
+            G = _units(rho.n, [(j, i) for i, j in fam]) if flip else None
+            families.append(SimpleNamespace(at=np.array(at), F=F, D=D, P=D + F, G=G))
+    p = SimpleNamespace(diagonals=diagonals, families=families)
     return {name: probe(p) for name, ((*_, probe), _) in graded.items() if probe}
 
 
@@ -582,51 +585,35 @@ def _sample_cases(graded, rho: QuasiOrder, off, t, generator):
 
 
 def _grade_chunk(mut: MapUnderTest, graded, run, parts):
-    """Grade one chunk: each part maps a property to the groups that one probe
-    or sampler call returned, and the parts come in the order of the cases."""
-    # every input stack once, by identity, with the rows that some case needs
-    stacks = {}  # id -> [stack, rows needed or None for all]; holding it keeps the id
-    for groups in (groups for part in parts for groups in part.values()):
-        for rows, case in groups:
-            for A in case:
-                if A.ndim == 3:
-                    seen = stacks.setdefault(id(A), [A, rows])
-                    if seen[1] is not None:
-                        seen[1] = None if rows is None else seen[1] | rows
-    # their needed rows through phi as one stack, which is freed before any
-    # error function runs
-    todo = [A if rows is None else A[rows] for A, rows in stacks.values()]
-    out = _eval_stack(mut, np.concatenate(todo))
-    images, at = {}, 0
-    for key, (A, rows), done in zip(stacks, stacks.values(), todo):
-        images[key] = image = out[at:at + len(done)]
-        if rows is not None:  # rows that no case needs read 0
-            images[key] = np.zeros(A.shape, dtype=complex)
-            images[key][rows] = image
-        at += len(done)
+    """Grade one chunk: each part maps a property to the groups (at, case) that
+    one probe or sampler call returned, and the parts come in the order of the
+    cases.  phi maps every row of every input stack once, in one stack, and
+    every row is a case that counts."""
+    # every input stack once, by identity; holding them keeps their ids
+    stacks = {id(A): A for part in parts for groups in part.values()
+              for _, case in groups for A in case if A.ndim == 3}
+    out = _eval_stack(mut, np.concatenate(list(stacks.values())))
+    images = dict(zip(stacks, np.split(out, np.cumsum([len(A) for A in stacks.values()])[:-1])))
     for name, ((_, _, error, _), verdict) in graded.items():
-        # (part, group, rows, case) for the property's groups, stacked in this order
-        groups = [(p, g, rows, case) for p, part in enumerate(parts)
-                  for g, (rows, case) in enumerate(part.get(name, ()))]
+        # (part, group, at, case) for the property's groups, stacked in this order
+        groups = [(p, g, at, case) for p, part in enumerate(parts)
+                  for g, (at, case) in enumerate(part.get(name, ()))]
         if not groups:
             continue
         stacked = [slot[0] if len(slot) == 1 else np.concatenate(slot) for slot in
                    zip(*(case + tuple(images[id(A)] for A in case if A.ndim == 3)
                          for *_, case in groups))]
         failed, witness = error(run, *stacked)
-        rows = [np.ones(len(case[0]), bool) if rows is None else rows
-                for _, _, rows, case in groups]
-        rows = rows[0] if len(rows) == 1 else np.concatenate(rows)
-        failed &= rows
-        verdict.checked += int(np.count_nonzero(rows))
+        verdict.checked += len(failed)
         if not failed.any():
             continue
         # the first failing cases in the order of the cases: by part, then by
-        # sample (or pair), then by group
-        found, at = [], 0
-        for p, g, _, case in groups:
-            found += [(p, k, g, at + k) for k in np.flatnonzero(failed[at:at + len(case[0])])[:3]]
-            at += len(case[0])
+        # position (a probed pair's or a sample's), then by group
+        found, row = [], 0
+        for p, g, at, case in groups:
+            k = np.flatnonzero(failed[row:row + len(case[0])])[:3]
+            found += [(p, pos, g, row + j) for j, pos in zip(k, k if at is None else at[k])]
+            row += len(case[0])
         for *_, k in sorted(found)[:3 - len(verdict.witnesses)]:
             verdict.fail(tuple(w[k].copy() if w.ndim > 1 else w[k] for w in witness))
 
@@ -706,14 +693,17 @@ def verify_preserver(mut: MapUnderTest, n_samples: int = 1000, tol: float = 1e-8
     and a chunk draws its normals in the order a sample-by-sample loop would
     draw them, so chunking changes no sample and no report byte.  phi sees
     each chunk's inputs once: one call per input matrix, at most seven per
-    sample, or, for a map that sets `stacked`, one call per chunk.  The
+    sample, or, for a map that sets `stacked`, one call per chunk.  Each
+    input is part of a case that counts in `checked`: only the pairs whose
+    (j, i) is in rho get E_ji and the probe E_ij + E_ji, and every
+    injectivity case counts, the sampled ones too.  The
     spectrum check builds a stack of shifted n x n matrices only for the rows
     of phi(X) off the algebra, and on the full algebra, whose one class is
     the whole matrix, where X's side and phi(X)'s take turns in one stack;
     for all B rows of a chunk, which the first chunk extends by the identity
     and diag(1..n), it is about 128 KB * n.
     Witnesses are the first three failing cases: probes first, then samples
-    in sample order.
+    in sample order; at one pair or sample, in the order of its groups.
     """
     return _grade(mut, ("spectrum", "commutativity", "injectivity", "additivity", "homogeneity"),
                   n_samples, tol, seed)

@@ -280,6 +280,28 @@ class TestSelftest:
                 assert lines[at + 1] == f"       {diff}"
         assert lines[-1].startswith("selftest: 1 failure(s) in ")
 
+    def test_symmetric_pair_needs_injectivity(self, capsys, monkeypatch):
+        # the paper's preservers are injective: a report whose injectivity
+        # fails is not the expected counterexample, whatever additivity says
+        import smalg.cli as cli
+        from smalg.preservers import PropertyVerdict
+
+        inner = cli.verify_preserver
+
+        def noninjective(*args, **kwargs):
+            report = inner(*args, **kwargs)
+            report.injectivity = PropertyVerdict(checked=1, witnesses=[("forced",)])
+            return report
+
+        monkeypatch.setattr(cli, "verify_preserver", noninjective)
+        code, out = run(capsys, "selftest")
+        assert code == 2
+        lines = out.splitlines()
+        [at] = [k for k, line in enumerate(lines)
+                if line.startswith("[FAIL] symmetric pair: block twist breaks additivity (")]
+        assert lines[at + 1].startswith("       unexpected report: ")
+        assert out.count("[FAIL]") == 1 and lines[-1].startswith("selftest: 1 failure(s) in ")
+
 
 def usage_error(capsys, *argv):
     """Run a command that must fail with exit 1 and one `error:` line on stderr."""

@@ -328,6 +328,17 @@ class TestGallery:
         assert graded == {"scaling": 408, "det_twist": 405, "diag_shift": 2,
                           "noninjective_jordan": 386}
 
+    def test_every_four_point_counterexample_at_one_sample(self):
+        # each of the 179 maps breaks additivity on a unit probe, so one
+        # sample and any seed give the expected verdict
+        failing = [rho for rho in all_preorders(4) if not condition_i(rho)[0]]
+        assert len(failing) == 179
+        for seed in range(20):
+            for rho in failing:
+                rep = verify_preserver(counterexample(rho), n_samples=1, seed=seed)
+                assert (rep.spectrum.ok and rep.commutativity.ok and rep.injectivity.ok
+                        and not rep.additivity.ok), (sorted(rho.off_diagonal), seed)
+
     @pytest.mark.parametrize("kind,rho_builder", [
         ("det_twist", lambda: QuasiOrder.diagonal(4)),
         ("diag_shift", lambda: upper_triangular(3)),
@@ -625,27 +636,32 @@ class TestSamplingInput:
         assert not PropertyVerdict().ok
         assert PropertyVerdict(checked=1).ok
 
-    def test_phi_runs_once_per_input(self, fan4):
-        inputs = []
+    @pytest.mark.parametrize("pairs, count", [({(1, 3), (1, 4), (2, 3), (2, 4)}, 88),
+                                              ({(1, 2), (2, 1), (1, 3), (4, 3)}, 96)],
+                             ids=["fan4", "mixed"])
+    def test_phi_runs_once_per_input(self, pairs, count):
+        rho, inputs = closure(4, pairs), []
 
         def phi(X):
             inputs.append(X)  # keeps every input alive, so ids stay distinct
             return np.array(X, dtype=complex)
 
         n_samples = 10
-        rep = verify_preserver(MapUnderTest(fan4, phi, "counted"), n_samples=n_samples, seed=0)
+        rep = verify_preserver(MapUnderTest(rho, phi, "counted"), n_samples=n_samples, seed=0)
         assert rep.all_pass
         assert len({id(X) for X in inputs}) == len(inputs)
         # 2 spectrum probes and 4 unit probes per pair (2E_ii, 2E_ii + E_ij,
-        # E_ij and 2E_ii + 2E_ij; the fan has no (j, i)), then 7 per sample
-        assert len(inputs) == 2 + 4 * len(fan4.off_diagonal) + 7 * n_samples == 88
+        # E_ij and 2E_ii + 2E_ij), 2 more per pair whose (j, i) is in rho
+        # (E_ji and E_ij + E_ji; the fan has none), then 7 per sample
+        flips = sum((j, i) in rho.pairs for i, j in rho.off_diagonal)
+        assert len(inputs) == 2 + 4 * len(rho.off_diagonal) + 2 * flips + 7 * n_samples == count
 
     @pytest.mark.parametrize("pairs", [{(1, 3), (1, 4), (2, 3), (2, 4)},
                                        {(1, 2), (2, 1), (1, 3), (4, 3)}])
     def test_stacked_phi_sees_each_input_once(self, pairs):
         # the stacked twin of the test above: the inputs of the per-matrix
-        # calls, each once, in stacks; the second rho has unit probes that
-        # apply to only some pairs (F + G needs (j, i) in rho)
+        # calls, each once, in stacks; the second rho has pairs with and
+        # without their flip (j, i), so its unit probes split into two families
         rho = closure(4, pairs)
         singles, rows = [], []
 
@@ -734,6 +750,30 @@ class TestStackSize:
         for size in (1, 3):
             monkeypatch.setattr(preservers, "_stack_step", lambda n: size)
             assert reports() == default
+
+    def test_mixed_order_bytes_do_not_depend_on_it(self, monkeypatch):
+        # only some pairs have their flip here, so a chunk's unit probes split
+        # into two families; the block twist breaks additivity on the flip
+        # probe E_12 + E_21
+        import json
+
+        from smalg import jsonio, preservers
+
+        mut = counterexample(closure(4, {(1, 2), (2, 1), (3, 4)}))
+        assert (mut.case, mut.r, mut.s) == (1, 1, 2)
+
+        def report():
+            return jsonio.dump_json(verify_preserver(mut, n_samples=150, seed=7).to_dict())
+
+        default = report()
+        props = json.loads(default)["properties"]
+        assert [name for name, v in props.items() if not v["ok"]] == ["additivity"]
+        X, Y, _ = props["additivity"]["witnesses"][0]
+        assert np.array_equal(np.array(X)[..., 0], matrix_unit(4, 1, 2).real)
+        assert np.array_equal(np.array(Y)[..., 0], matrix_unit(4, 2, 1).real)
+        for size in (1, 3):
+            monkeypatch.setattr(preservers, "_stack_step", lambda n: size)
+            assert report() == default
 
 
 class TestStacks:
