@@ -63,6 +63,11 @@ class CounterexampleMap(MapUnderTest):
     s: int = 0
     case: int = 0  # 1 = full 2x2 central block, 2 = strict pair
 
+    def as_expected(self, report: PreserverReport) -> bool:
+        """Spectrum, commutativity and injectivity kept, additivity broken."""
+        return (report.spectrum.ok and report.commutativity.ok and report.injectivity.ok
+                and not report.additivity.ok)
+
 
 def identity_map(rho: QuasiOrder) -> MapUnderTest:
     return MapUnderTest(rho, lambda X: np.array(X, dtype=complex), "identity", stacked=True)
@@ -201,7 +206,7 @@ def _stack_step(n: int) -> int:
     """n x n matrices evaluated as one stack: 2^13 entries, 128 KB, so 128 at
     n = 8, 32 at n = 16, 14 at n = 24 and 8 at n = 32.  `embed` and recovery
     stack their units this many at a time, recovery its samples too, and the
-    sampling harness its samples and probes, at most BATCH of them."""
+    sampling harness its probed pairs and samples."""
     return max(1, 2 ** 13 // (n * n))
 
 
@@ -286,10 +291,6 @@ class PropertyVerdict:
         """Something was checked and nothing failed."""
         return self.checked > 0 and not self.witnesses
 
-    def fail(self, witness):
-        if len(self.witnesses) < 3:  # the first failure is always kept
-            self.witnesses.append(witness)
-
 
 @dataclass
 class PreserverReport:
@@ -340,16 +341,16 @@ def _fails(err, limit):
 
 
 # A property is (sampler, draws, error function, probe).  The harness grades
-# stacks of cases: a sampler builds one chunk of samples' cases from s.draw, a
-# probe the deterministic cases graded before the samples, and both return
-# groups (at, case), where case is a tuple of stacks whose rows are cases,
-# every row one that counts, and at holds each row's position among the
-# chunk's probed pairs (None: 0, 1, ..., as for samples).  `draws` is the
-# number of normals a sampler takes per sample.  An error function takes the
-# run, the stacks of a case and then the images of its (B, n, n) stacks, and
-# returns (failed, witness): a boolean per case and a tuple of stacks whose
-# rows are the witnesses.  The run holds what the harness finds once per run:
-# its one `tol`, and rho's mutual `classes` (see `_spectrum_classes`).
+# stacks of cases: a sampler builds one chunk of samples' cases from s.draw,
+# each a tuple of stacks whose rows are cases, and a probe returns the
+# deterministic cases graded before the samples as groups (at, case), where
+# at holds each row's position in the run's sequence of cases; every row is
+# a case that counts.  `draws` is the number of normals a sampler takes per
+# sample.  An error function takes the run, the stacks of a case and then the
+# images of its (B, n, n) stacks, and returns (failed, witness): a boolean
+# per case and a tuple of stacks whose rows are the witnesses.  The run holds
+# what the harness finds once per run: its one `tol`, and rho's mutual
+# `classes` (see `_spectrum_classes`).
 
 def _spectrum_classes(rho: QuasiOrder) -> SimpleNamespace:
     """What the spectrum check reads of rho: its singleton mutual classes as
@@ -456,7 +457,7 @@ def _commuting_cases(s):
     c = c[:, 0] + 1j * c[:, 1]
     X[~even] = A
     Y[~even] = np.where(s.rho.mask, c[:, 0] * np.eye(n) + c[:, 1] * A + c[:, 2] * A @ A, 0.0)
-    return [(None, (X, Y))]
+    return [(X, Y)]
 
 
 def _commutator_error(run, X, Y, fX, fY):
@@ -472,7 +473,7 @@ def _injective_cases(s):
         XE = s.X.copy()
         XE[np.arange(len(s.t)), i, j] += s.draw(2).view(complex)[:, 0]
         cases.append((s.X, XE))
-    return [(None, case) for case in cases]
+    return cases
 
 
 def _separation_error(run, X, Y, fX, fY):
@@ -495,7 +496,7 @@ def _additive_error(run, X, Y, XY, fX, fY, fXY):
 
 def _homogeneous_cases(s):
     alpha = s.draw(2).view(complex)[:, 0]
-    return [(None, (s.X, alpha, alpha[:, None, None] * s.X))]
+    return [(s.X, alpha, alpha[:, None, None] * s.X)]
 
 
 def _homogeneous_error(run, X, alpha, aX, fX, faX):
@@ -519,19 +520,19 @@ def _product_error(reverse):
 
 # samplers run in table order, which fixes the order of the random draws
 _PROPERTIES = {
-    "spectrum": (lambda s: [(None, (s.X,))], None, _spectrum_error, lambda s: s.diagonals),
+    "spectrum": (lambda s: [(s.X,)], None, _spectrum_error, lambda s: s.diagonals),
     "commutativity": (_commuting_cases,
                       lambda s: 2 * s.rho.n ** 2 + np.where(s.t % 2 == 0, 4 * s.rho.n, 6),
                       _commutator_error, None),
     "injectivity": (_injective_cases, lambda s: 2 if len(s.off) else 0, _separation_error,
                     lambda s: [(f.at, (f.D, f.P)) for f in s.families]),
-    "additivity": (lambda s: [(None, (s.X, s.Y, s.X + s.Y))], None, _additive_error,
+    "additivity": (lambda s: [(s.X, s.Y, s.X + s.Y)], None, _additive_error,
                    _additive_probe),
     "homogeneity": (_homogeneous_cases, lambda s: 2, _homogeneous_error, None),
-    "jordan": (lambda s: [(None, (s.X, s.X @ s.X))], None, _square_error, None),
-    "multiplicative": (lambda s: [(None, (s.X, s.Y, s.X @ s.Y))], None,
+    "jordan": (lambda s: [(s.X, s.X @ s.X)], None, _square_error, None),
+    "multiplicative": (lambda s: [(s.X, s.Y, s.X @ s.Y)], None,
                        _product_error(False), None),
-    "antimultiplicative": (lambda s: [(None, (s.X, s.Y, s.X @ s.Y))], None,
+    "antimultiplicative": (lambda s: [(s.X, s.Y, s.X @ s.Y)], None,
                            _product_error(True), None),
 }
 
@@ -552,81 +553,79 @@ def _normals(generator, batch, counts):
     return draw
 
 
-def _probe_cases(graded, rho: QuasiOrder, pairs, diagonals):
-    """The groups of each probing property on the unit probes of `pairs`,
-    and on `diagonals`.  The pairs split into two families, those whose flip
-    (j, i) is in rho and the others, and each family holds its positions
-    `at` among `pairs` and its stacks F = E_ij, D = 2E_ii and P = D + F; the
+def _probe_cases(chunk, graded, rho: QuasiOrder, pairs, at, diagonals):
+    """Add to `chunk` each probing property's groups on `diagonals` and on the
+    unit probes of `pairs`, at positions `at`.  The pairs split into two
+    families, those whose flip (j, i) is in rho and the others; each holds
+    its pairs' `at` and its stacks F = E_ij, D = 2E_ii and P = D + F; the
     flip family's G = E_ji, the other's None."""
     families = []
     for flip in (True, False):
-        at = [k for k, (i, j) in enumerate(pairs) if ((j, i) in rho.pairs) == flip]
-        if at:
-            fam = [pairs[k] for k in at]
+        ks = [k for k, (i, j) in enumerate(pairs) if ((j, i) in rho.pairs) == flip]
+        if ks:
+            fam = [pairs[k] for k in ks]
             F, D = _units(rho.n, fam), 2.0 * _units(rho.n, [(i, i) for i, _ in fam])
             G = _units(rho.n, [(j, i) for i, j in fam]) if flip else None
-            families.append(SimpleNamespace(at=np.array(at), F=F, D=D, P=D + F, G=G))
+            families.append(SimpleNamespace(at=at[ks], F=F, D=D, P=D + F, G=G))
     p = SimpleNamespace(diagonals=diagonals, families=families)
-    return {name: probe(p) for name, ((*_, probe), _) in graded.items() if probe}
+    for name, ((*_, probe), _) in graded.items():
+        chunk[name] += probe(p) if probe else []
 
 
-def _sample_cases(graded, rho: QuasiOrder, off, t, generator):
-    """The groups of each property on the samples t, indexed over the whole
-    run, which the samplers see as s.t; `off` holds rho's off-diagonal pairs,
-    0-based, as a (K, 2) array."""
-    n = rho.n
+def _sample_cases(chunk, graded, rho: QuasiOrder, off, K, t, generator):
+    """Add to `chunk` each property's groups on the samples t, counted over
+    the run (s.t to the samplers), sample t at position K + t; `off` holds
+    rho's off-diagonal pairs, 0-based, as an (m, 2) array."""
+    n, at = rho.n, K + t
     s = SimpleNamespace(rho=rho, off=off, t=t)
     counts = np.full(len(t), 4 * n * n)  # X and Y, then each sampler's draws
     counts += sum(draws(s) for (_, draws, *_), _ in graded.values() if draws)
     s.draw = _normals(generator, t // BATCH, counts)
     s.X = _sma_stack(rho, s.draw(2 * n * n))
     s.Y = _sma_stack(rho, s.draw(2 * n * n))
-    return {name: sample(s) for name, ((sample, *_), _) in graded.items()}
+    for name, ((sample, *_), _) in graded.items():
+        chunk[name] += [(at, case) for case in sample(s)]
 
 
-def _grade_chunk(mut: MapUnderTest, graded, run, parts):
-    """Grade one chunk: each part maps a property to the groups (at, case) that
-    one probe or sampler call returned, and the parts come in the order of the
-    cases.  phi maps every row of every input stack once, in one stack, and
-    every row is a case that counts."""
+def _grade_chunk(mut: MapUnderTest, graded, run, chunk):
+    """Grade one chunk: `chunk` maps each property to its groups (at, case),
+    where at holds each row's position in the run's sequence of cases.  phi
+    maps every row of every input stack once, in one stack, and every row is
+    a case that counts."""
     # every input stack once, by identity; holding them keeps their ids
-    stacks = {id(A): A for part in parts for groups in part.values()
-              for _, case in groups for A in case if A.ndim == 3}
+    stacks = {id(A): A for groups in chunk.values() for _, case in groups
+              for A in case if A.ndim == 3}
     out = _eval_stack(mut, np.concatenate(list(stacks.values())))
     images = dict(zip(stacks, np.split(out, np.cumsum([len(A) for A in stacks.values()])[:-1])))
     for name, ((_, _, error, _), verdict) in graded.items():
-        # (part, group, at, case) for the property's groups, stacked in this order
-        groups = [(p, g, at, case) for p, part in enumerate(parts)
-                  for g, (at, case) in enumerate(part.get(name, ()))]
+        groups = chunk[name]
         if not groups:
             continue
         stacked = [slot[0] if len(slot) == 1 else np.concatenate(slot) for slot in
                    zip(*(case + tuple(images[id(A)] for A in case if A.ndim == 3)
-                         for *_, case in groups))]
+                         for _, case in groups))]
         failed, witness = error(run, *stacked)
         verdict.checked += len(failed)
         if not failed.any():
             continue
-        # the first failing cases in the order of the cases: by part, then by
-        # position (a probed pair's or a sample's), then by group
-        found, row = [], 0
-        for p, g, at, case in groups:
-            k = np.flatnonzero(failed[row:row + len(case[0])])[:3]
-            found += [(p, pos, g, row + j) for j, pos in zip(k, k if at is None else at[k])]
-            row += len(case[0])
-        for *_, k in sorted(found)[:3 - len(verdict.witnesses)]:
-            verdict.fail(tuple(w[k].copy() if w.ndim > 1 else w[k] for w in witness))
+        # the first failing cases in the order of the cases: by position,
+        # then by group
+        at = np.concatenate([pos for pos, _ in groups])
+        group = np.repeat(np.arange(len(groups)), [len(pos) for pos, _ in groups])
+        order = np.lexsort((group, at))
+        for k in order[failed[order]][:3 - len(verdict.witnesses)]:
+            verdict.witnesses.append(tuple(w[k].copy() if w.ndim > 1 else w[k] for w in witness))
 
 
 def _grade(mut: MapUnderTest, names, n_samples: int, tol: float, seed: int) -> PreserverReport:
     """The sampling harness: grade the named properties of the table on the
     probes and then on `n_samples` seeded samples.
 
-    The cases form one sequence of units: one probe unit per pair of the
-    first 64 off-diagonal pairs of rho in sorted order, when a named property
-    has probes, and then the samples; the identity and diag(1..n) ride with
-    the first unit.  The sequence is graded a chunk of
-    min(BATCH, _stack_step(n)) units at a time: the chunk's probes and
+    The cases form one sequence of units: the K probed pairs, the first 64
+    off-diagonal pairs of rho in sorted order, at positions 0, ..., K - 1
+    when a named property has probes, and then the samples, sample t at
+    K + t; the identity and diag(1..n) sit at -2 and -1.  The sequence is
+    graded a chunk of _stack_step(n) units at a time: the chunk's probes and
     samplers run, phi maps all their input matrices in one stack, and each
     property's error function runs once, on the chunk's probe and sample
     cases together."""
@@ -640,22 +639,23 @@ def _grade(mut: MapUnderTest, names, n_samples: int, tol: float, seed: int) -> P
                           **{name: verdict for name, (_, verdict) in graded.items()})
     probed = off[:64] if any(probe for (*_, probe), _ in graded.values()) else []
     pairs = np.array(off, dtype=int).reshape(-1, 2) - 1
-    units, step = len(probed) + n_samples, min(BATCH, _stack_step(n))
-    diagonals = [(None, (np.stack([np.eye(n, dtype=complex), lambda_matrix(n)]),))]
+    K, step = len(probed), _stack_step(n)
+    diagonals = [(np.array([-2, -1]), (np.stack([np.eye(n, dtype=complex), lambda_matrix(n)]),))]
     run = SimpleNamespace(tol=tol, classes=_spectrum_classes(rho))
 
     @functools.lru_cache(maxsize=1)  # chunks take the batches in order
     def generator(b):
         return np.random.default_rng((seed, b))
 
-    for lo in range(0, units, step):
-        hi, parts = min(lo + step, units), []
-        if lo < max(len(probed), 1):
-            parts.append(_probe_cases(graded, rho, probed[lo:hi], diagonals if lo == 0 else []))
-        t = np.arange(max(lo, len(probed)), hi) - len(probed)  # the chunk's samples
+    for lo in range(0, K + n_samples, step):
+        # a new dict frees the last chunk's cases before this chunk's are built
+        hi, chunk = min(lo + step, K + n_samples), {name: [] for name in graded}
+        _probe_cases(chunk, graded, rho, probed[lo:hi], np.arange(lo, min(hi, K)),
+                     diagonals if lo == 0 else [])
+        t = np.arange(max(lo, K), hi) - K  # the chunk's samples
         if len(t):
-            parts.append(_sample_cases(graded, rho, pairs, t, generator))
-        _grade_chunk(mut, graded, run, parts)
+            _sample_cases(chunk, graded, rho, pairs, K, t, generator)
+        _grade_chunk(mut, graded, run, chunk)
     return rep
 
 
@@ -687,21 +687,21 @@ def verify_preserver(mut: MapUnderTest, n_samples: int = 1000, tol: float = 1e-8
     order, so n_samples >= K perturbs every pair.
 
     The probes and samples form one sequence of cases, graded a chunk of
-    B = min(128, _stack_step(n)) units at a time, a unit being one probed
-    pair or one sample: 128 at n <= 8, 14 at n = 24 and 8 at n = 32.  Batches
-    of 128 samples use independent generators keyed by (seed, batch index),
-    and a chunk draws its normals in the order a sample-by-sample loop would
-    draw them, so chunking changes no sample and no report byte.  phi sees
-    each chunk's inputs once: one call per input matrix, at most seven per
-    sample, or, for a map that sets `stacked`, one call per chunk.  Each
-    input is part of a case that counts in `checked`: only the pairs whose
-    (j, i) is in rho get E_ji and the probe E_ij + E_ji, and every
-    injectivity case counts, the sampled ones too.  The
-    spectrum check builds a stack of shifted n x n matrices only for the rows
-    of phi(X) off the algebra, and on the full algebra, whose one class is
-    the whole matrix, where X's side and phi(X)'s take turns in one stack;
-    for all B rows of a chunk, which the first chunk extends by the identity
-    and diag(1..n), it is about 128 KB * n.
+    B = _stack_step(n) units at a time, a unit being one probed pair or one
+    sample: 512 at n = 4, 128 at n = 8, 14 at n = 24 and 8 at n = 32.
+    Batches of 128 samples use independent generators keyed by (seed, batch
+    index), and a chunk draws its normals in the order a sample-by-sample
+    loop would draw them, whichever batches it spans, so chunking changes no
+    sample and no report byte.  phi sees each chunk's inputs once: one call
+    per input matrix, at most seven per sample, or, for a map that sets
+    `stacked`, one call per chunk.  Each input is part of a case that counts
+    in `checked`: only the pairs whose (j, i) is in rho get E_ji and the
+    probe E_ij + E_ji, and every injectivity case counts, the sampled ones
+    too.  The spectrum check builds a stack of shifted n x n matrices only
+    for the rows of phi(X) off the algebra, and on the full algebra, whose
+    one class is the whole matrix, where X's side and phi(X)'s take turns in
+    one stack; for all B rows of a chunk, which the first chunk extends by
+    the identity and diag(1..n), it is about 128 KB * n.
     Witnesses are the first three failing cases: probes first, then samples
     in sample order; at one pair or sample, in the order of its groups.
     """

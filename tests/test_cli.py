@@ -322,6 +322,16 @@ class TestBadInput:
         usage_error(capsys, "verify", "--kind", "scaling",
                     "--quasiorder", golden("fan_2x2.json"), *flags)
 
+    @pytest.mark.parametrize("extra", ["kind", "quasiorder", "both"])
+    def test_verify_rejects_spec_with_the_other_form(self, capsys, spec_file, extra):
+        # the spec would pass and the scaling control fail: neither is graded
+        kind, quasiorder = ["--kind", "scaling"], ["--quasiorder", golden("fan_2x2.json")]
+        argv = kind * (extra != "quasiorder") + quasiorder * (extra != "kind")
+        code = main(["verify", "--spec", spec_file, *argv])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err == "error: provide --spec FILE or --kind NAME --quasiorder FILE\n"
+
     def test_unknown_kind(self, capsys):
         assert main(["verify", "--kind", "bogus", "--quasiorder", golden("fan_2x2.json")]) == 1
         assert capsys.readouterr().err == "error: unknown map kind 'bogus'\n"

@@ -186,6 +186,8 @@ class TestVerification:
             mut.eval(2 * E11 + E13) + mut.eval(E13), mut.eval(2 * E11 + 2 * E13))
 
 
+# the round-trip errors and the embedding recovery reads follow the kernel
+@pytest.mark.kernel
 class TestRecovery:
     def test_identity_recovers_cleanly(self, two_blocks6):
         rec = recover_form(MapUnderTest(two_blocks6, lambda X: np.array(X), "phi"))
@@ -368,6 +370,7 @@ def random_spec(rho, seed, P):
     return JordanSpec(rho, S, random_transitive(rho, seed), P)
 
 
+@pytest.mark.kernel  # two forms compared in one process hold on any kernel
 class TestStackedRecovery:
     """recover_form reads a stacked map a stack at a time and any other one
     matrix at a time, to the same bits."""
@@ -468,6 +471,7 @@ def selection_order(n, shape):
                                    if (i <= h and j <= h) or (h < i <= j)))
 
 
+@pytest.mark.kernel  # two forms compared in one process hold on any kernel
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8, 24])
 @pytest.mark.parametrize("dense", [True, False], ids=["dense-S", "diagonal-S"])
 @pytest.mark.parametrize("shape, P", [("full", "ones"), ("full", "zeros"), ("sum", "ones"),

@@ -125,6 +125,7 @@ def edge_stacks(draw):
 
 
 class TestStackMembership:
+    @pytest.mark.kernel  # two forms compared in one process hold on any kernel
     @settings(max_examples=300, deadline=None)
     @given(edge_stacks())
     # off rho: an imaginary part alone, then a subnormal beside a -0.0

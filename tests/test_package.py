@@ -2,7 +2,6 @@ import ast
 import importlib
 import inspect
 import os
-import re
 import subprocess
 import symtable
 import sys
@@ -171,26 +170,6 @@ def test_referenced_ignores_shadowing_names(tmp_path):
     assert _referenced([tmp_path / "local.py", tmp_path / "smalg" / "matalg.py"])[0] == set()
     assert _referenced([tmp_path / "calls.py", tmp_path / "smalg" / "cli.py"])[0] == {
         "matalg.flat", "preservers.counterexample", "jordan.recover_form", "cli.main"}
-
-
-def test_ci_node_ids_exist():
-    """Each `tests/...py[::...]` node id the CI workflow names is a file, and
-    its classes and functions exist: a moved or renamed test fails here, not
-    only on CI."""
-    text = (ROOT / ".github" / "workflows" / "tests.yml").read_text()
-    ids = re.findall(r"tests/[\w/]+\.py(?:::\w+)*", text)
-    assert ids
-    missing = []
-    for node_id in ids:
-        path, *names = node_id.split("::")
-        body = ast.parse((ROOT / path).read_text()).body if (ROOT / path).is_file() else None
-        for name in names:
-            body = next((node.body for node in body or ()
-                         if isinstance(node, (ast.ClassDef, ast.FunctionDef))
-                         and node.name == name), None)
-        if body is None:
-            missing.append(node_id)
-    assert missing == []
 
 
 # defaulted parameters that no layer and no bench script passes, each kept

@@ -395,6 +395,7 @@ PINNED_REPORTS = [
 ]
 
 
+@pytest.mark.kernel  # witness bytes and their order
 @pytest.mark.parametrize("fixture,grade,digest", PINNED_REPORTS,
                          ids=["counterexample-fan4-seed3", "counterexample-sympair3",
                               "scaling-fan4", "identity-cocycle7"])
@@ -413,6 +414,7 @@ def test_report_bytes_pinned(request, fixture, grade, digest):
 SWEEP4_DIGEST = "c1033593cac5fc0df961c22326575fef6ed36b67fd22fafb1de3c059963825e2"
 
 
+@pytest.mark.kernel  # witness bytes and their order
 def test_four_point_sweep_bytes_pinned():
     import hashlib
 
@@ -466,6 +468,7 @@ def large_embedding(n, shape):
                                            CentralIdempotent((bit,) * n)))
 
 
+@pytest.mark.kernel  # slogdet on the mutual-class blocks follows the kernel
 class TestSpectrumOracle:
     @pytest.mark.parametrize("n", [24, 32])
     @pytest.mark.parametrize("shape", ["full", "upper"])
@@ -513,6 +516,7 @@ BLOCK_PREORDERS = {
 }
 
 
+@pytest.mark.kernel  # slogdet on the mutual-class blocks follows the kernel
 class TestBlockSpectrum:
     """preservers._spectrum_error against the all-LU error of lemmas."""
 
@@ -682,18 +686,23 @@ class TestSamplingInput:
         assert len(singles) >= 2 + 3 * len(rho.off_diagonal) + 7 * n_samples
         assert sorted(X.tobytes() for X in rows) == sorted(X.tobytes() for X in singles)
 
-    @pytest.mark.parametrize("case", ["fan4", "upper24"])
-    def test_stacked_phi_called_once_per_chunk(self, fan4, case):
-        # the probed pairs and then the samples are graded
-        # min(BATCH, _stack_step(n)) units at a time, and a stacked map gets
-        # one call per chunk: fan4's 4 pairs and 100 samples fit in one chunk
-        # of 128; T_24 probes 64 of its 276 pairs, which with 20 samples fill
-        # six chunks of 14
+    @pytest.mark.parametrize("case, n_samples, chunks", [
+        ("fan4", 100, 1), ("full4", 256, 1), ("full6", 1000, 5), ("upper24", 20, 6)],
+        ids=["fan4", "full4", "full6", "upper24"])
+    def test_stacked_phi_called_once_per_chunk(self, fan4, case, n_samples, chunks):
+        # the probed pairs and then the samples are graded _stack_step(n)
+        # units at a time, and a stacked map gets one call per chunk: fan4's
+        # 4 pairs and 100 samples fit in one chunk of 512, as do full M_4's 12
+        # pairs and 256 samples; full M_6's 30 pairs and 1000 samples fill five
+        # chunks of 227; T_24 probes 64 of its 276 pairs, which with 20
+        # samples fill six chunks of 14
         if case == "fan4":
-            mut, n_samples, chunks = counterexample(fan4), 100, 1
+            mut = counterexample(fan4)
+        elif case.startswith("full"):
+            mut = identity_map(QuasiOrder.full(int(case[4:])))
         else:
             rho, phi = large_embedding(24, "upper")
-            mut, n_samples, chunks = MapUnderTest(rho, phi, "embedding", stacked=True), 20, 6
+            mut = MapUnderTest(rho, phi, "embedding", stacked=True)
         calls, inner = [], mut.eval
 
         def counted(X):
@@ -726,17 +735,19 @@ class TestSamplingInput:
         assert peak < 8e6, f"peak {peak / 1e6:.1f} MB"
 
 
+@pytest.mark.kernel  # witness bytes and their order
 class TestStackSize:
-    """The harness grades samples and probes min(BATCH, _stack_step(n)) at
-    a time; no report byte depends on that size."""
+    """The harness grades probes and samples _stack_step(n) at a time; no
+    report byte depends on that size."""
 
-    @pytest.mark.parametrize("n, n_samples", [(8, 150), (24, 20)])
+    @pytest.mark.parametrize("n, n_samples", [(4, 600), (8, 150), (24, 20)])
     def test_report_bytes_do_not_depend_on_it(self, monkeypatch, n, n_samples):
+        # at n = 4 the default chunk spans several generator batches of 128
         import json
 
         from smalg import jsonio, preservers
 
-        assert min(preservers.BATCH, preservers._stack_step(n)) == {8: 128, 24: 14}[n]
+        assert preservers._stack_step(n) == {4: 512, 8: 128, 24: 14}[n]
         rho, phi = large_embedding(n, "upper")
         maps = [MapUnderTest(rho, phi, "embedding", stacked=True),
                 remark_gallery(rho, "scaling"), remark_gallery(rho, "det_twist")]
@@ -832,6 +843,8 @@ def edge_stack(mut, rng, B=64):
     return A
 
 
+# `embed` and `recover` read the units through a spec's stacked map
+@pytest.mark.kernel
 @pytest.mark.parametrize("name", list(STACKED_MAPS))
 def test_stacked_eval_is_per_matrix_eval(name):
     mut = STACKED_MAPS[name]()

@@ -17,6 +17,8 @@ from smalg.quasiorder import QuasiOrder, components
 
 from lemmas import upper_triangular
 
+pytestmark = pytest.mark.kernel  # stdout is pinned per kernel, by the name OpenBLAS reports
+
 SHAPES = ("full", "upper", "block4", "sum2")
 
 
