@@ -6,15 +6,15 @@
 
 The shared driver in `trees.py` runs the rounds: each `--src LABEL=PATH`
 names a source tree to import smalg from (default: this checkout's `src`),
-and every round measures each tree once, in a fresh process, alternating
-which tree goes first.  Two maps are graded on the full algebra M_n:
-`identity`, whose phi is one copy, so the time is the harness's own, and
-`embedding`, a Jordan embedding X -> S X S^-1 with cond(S) <= 50.  Two more
-are graded on the upper triangular algebra T_n, whose mutual classes are
-singletons: `upper embedding`, the anti-automorphism embedding
-X -> S X^t S^-1, whose images leave T_n, which must pass, and `upper
-scaling`, the X -> 2X control, whose images stay in T_n, which must fail
-spectrum.  At n = 4 a fifth map is graded: `counterexample`, smalg's
+and every round measures each n of each tree in a fresh process of its
+own, alternating which tree goes first.  Two maps are graded on the full
+algebra M_n: `identity`, whose phi is one copy, so the time is the
+harness's own, and `embedding`, a Jordan embedding X -> S X S^-1 with
+cond(S) <= 50.  Two more are graded on the upper triangular algebra T_n,
+whose mutual classes are singletons: `upper embedding`, the
+anti-automorphism embedding X -> S X^t S^-1, whose images leave T_n, which
+must pass, and `upper scaling`, the X -> 2X control, whose images stay in
+T_n, which must fail spectrum.  At n = 4 a fifth map is graded: `counterexample`, smalg's
 non-Jordan preserver on the criterion-failing fan pattern, the map the
 `counterexample` verb grades.  The embeddings are stacked, as `smalg verify
 --spec` wraps them.  For each map, `fixed_ms` is the time of a 1-sample
@@ -62,10 +62,8 @@ def _maps(n):
                               lambda rep: not rep.spectrum.ok)}
     if n == 4:
         fan = closure(4, {(1, 3), (1, 4), (2, 3), (2, 4)})
-        # the counterexample verb's `as_expected`
-        maps["counterexample"] = (counterexample(fan), lambda rep: (
-            rep.spectrum.ok and rep.commutativity.ok and rep.injectivity.ok
-            and not rep.additivity.ok))
+        mut = counterexample(fan)
+        maps["counterexample"] = (mut, mut.as_expected)
     return maps
 
 
@@ -82,20 +80,19 @@ def _seconds(mut, expected, n_samples):
     return statistics.median(times)
 
 
-def worker(*sizes):
-    out = {}
-    for n in map(int, sizes):
-        big = SAMPLES[n]
-        for name, (mut, expected) in _maps(n).items():
-            _seconds(mut, expected, 2)  # warm caches and lazy imports
-            one, many = _seconds(mut, expected, 1), _seconds(mut, expected, big)
-            out[f"n={n} {name}"] = {"fixed_ms": 1e3 * one,
-                                    "us_per_sample": 1e6 * (many - one) / (big - 1)}
+def worker(size):
+    n = int(size)
+    big, out = SAMPLES[n], {}
+    for name, (mut, expected) in _maps(n).items():
+        _seconds(mut, expected, 2)  # warm caches and lazy imports
+        one, many = _seconds(mut, expected, 1), _seconds(mut, expected, big)
+        out[f"n={n} {name}"] = {"fixed_ms": 1e3 * one,
+                                "us_per_sample": 1e6 * (many - one) / (big - 1)}
     return out
 
 
 if __name__ == "__main__":
-    run(worker, lambda smoke, tmp: [[str(n) for n in SAMPLES if n == 4 or not smoke]],
+    run(worker, lambda smoke, tmp: [[str(n)] for n in SAMPLES if n == 4 or not smoke],
         ("fixed_ms", "us_per_sample"),
         "verify_preserver cost on the full algebra M_n and the upper triangular algebra T_n, "
         "and of the counterexample on the 4-point fan pattern: fixed_ms is a 1-sample "

@@ -9,10 +9,10 @@ the part cut out by the complement of a central idempotent P:
 This module constructs such maps from their (S, g, P) data and recovers the
 (S, g, P) data from a black-box Jordan embedding of any SMA: the form holds
 whether or not rho meets the neighborhood-intersection criterion, so recovery
-needs no criterion.  `verify_jordan` and the two product-rule checks are
-selections of properties graded by the one sampling harness in
-`smalg.preservers`; recovery reads S^{-1} and g from phi's images of the
-matrix units, fitted as rank-one matrices.
+needs no criterion.  Recovery is how smalg decides whether phi is a Jordan
+embedding, and of which kind: it reads S^{-1} and g from phi's images of the
+matrix units, fitted as rank-one matrices, and checks the rebuilt map against
+phi on samples.
 """
 
 from __future__ import annotations
@@ -25,8 +25,7 @@ from ._checks import integer, tolerance
 from .quasiorder import QuasiOrder, components
 from .matalg import _sma_stack
 from .cocycle import TransitiveMap, induced_auto, validate as validate_transitive
-from .preservers import (MapUnderTest, PreserverReport, _cabs, _cmul, _eval_stack, _grade,
-                         _norms, _stack_step, _unit_images)
+from .preservers import MapUnderTest, _cabs, _cmul, _eval_stack, _norms, _stack_step, _unit_images
 
 __all__ = [
     "CentralIdempotent",
@@ -35,9 +34,6 @@ __all__ = [
     "central_idempotents",
     "validate_spec",
     "build_embedding",
-    "verify_jordan",
-    "verify_multiplicative",
-    "verify_antimultiplicative",
     "RecoveredForm",
     "recover_form",
 ]
@@ -147,27 +143,18 @@ def build_embedding(spec: JordanSpec):
     return phi
 
 
-def verify_jordan(mut: MapUnderTest, n_samples: int = 1000,
-                  tol: float = 1e-8, seed: int = 0) -> PreserverReport:
-    """Sample additivity, homogeneity, the square identity phi(X^2) = phi(X)^2,
-    and pairwise output separation of distinct inputs."""
-    return _grade(mut, ("injectivity", "additivity", "homogeneity", "jordan"), n_samples, tol, seed)
-
-
-def verify_multiplicative(mut: MapUnderTest, n_samples: int = 200,
-                          tol: float = 1e-8, seed: int = 0) -> PreserverReport:
-    """Sampled check of phi(XY) = phi(X)phi(Y)."""
-    return _grade(mut, ("multiplicative",), n_samples, tol, seed)
-
-
-def verify_antimultiplicative(mut: MapUnderTest, n_samples: int = 200,
-                              tol: float = 1e-8, seed: int = 0) -> PreserverReport:
-    """Sampled check of phi(XY) = phi(Y)phi(X)."""
-    return _grade(mut, ("antimultiplicative",), n_samples, tol, seed)
-
-
 @dataclass
 class RecoveredForm:
+    """The (S, g, P) that `recover_form` read from phi, and how well it fits.
+
+    rho_m holds the diagonal and the pairs whose unit phi keeps in place,
+    rho_a the diagonal and the pairs whose unit phi transposes.  So phi is
+    multiplicative iff rho_a has no off-diagonal pair, and antimultiplicative
+    iff rho_m has none.  max_unit_error is the largest error of the rank-one
+    fit of a unit's image, and max_sample_error the largest error of the
+    rebuilt map against phi on a sample, each relative to max(1, |image|_F).
+    """
+
     spec: JordanSpec
     rho_m: QuasiOrder
     rho_a: QuasiOrder

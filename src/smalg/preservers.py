@@ -294,26 +294,23 @@ class PropertyVerdict:
 
 @dataclass
 class PreserverReport:
-    """Sampled verdicts for one map; a property that was not graded is None."""
+    """Sampled verdicts for one map."""
 
     label: str
     seed: int
     samples: int
-    spectrum: PropertyVerdict | None = None
-    commutativity: PropertyVerdict | None = None
-    injectivity: PropertyVerdict | None = None
-    additivity: PropertyVerdict | None = None
-    homogeneity: PropertyVerdict | None = None
-    jordan: PropertyVerdict | None = None
-    multiplicative: PropertyVerdict | None = None
-    antimultiplicative: PropertyVerdict | None = None
+    spectrum: PropertyVerdict
+    commutativity: PropertyVerdict
+    injectivity: PropertyVerdict
+    additivity: PropertyVerdict
+    homogeneity: PropertyVerdict
 
     @property
     def all_pass(self) -> bool:
         return all(v.ok for v in self._verdicts().values())
 
     def _verdicts(self):
-        return {name: v for name in _PROPERTIES if (v := getattr(self, name)) is not None}
+        return {name: getattr(self, name) for name in _PROPERTIES}
 
     def to_dict(self) -> dict:
         def enc(x):
@@ -505,19 +502,6 @@ def _homogeneous_error(run, X, alpha, aX, fX, faX):
     return _fails(err, limit), (X, alpha, err)
 
 
-def _square_error(run, X, XX, fX, fXX):
-    err = _norms(fXX - fX @ fX)
-    return _fails(err, run.tol * np.fmax(1.0, _norms(fX) ** 2)), (X, err)
-
-
-def _product_error(reverse):
-    def error(run, X, Y, XY, fX, fY, fXY):
-        want = fY @ fX if reverse else fX @ fY
-        err = _norms(fXY - want)
-        return _fails(err, run.tol * np.fmax(1.0, _norms(want))), (X, Y, err)
-    return error
-
-
 # samplers run in table order, which fixes the order of the random draws
 _PROPERTIES = {
     "spectrum": (lambda s: [(s.X,)], None, _spectrum_error, lambda s: s.diagonals),
@@ -529,11 +513,6 @@ _PROPERTIES = {
     "additivity": (lambda s: [(s.X, s.Y, s.X + s.Y)], None, _additive_error,
                    _additive_probe),
     "homogeneity": (_homogeneous_cases, lambda s: 2, _homogeneous_error, None),
-    "jordan": (lambda s: [(s.X, s.X @ s.X)], None, _square_error, None),
-    "multiplicative": (lambda s: [(s.X, s.Y, s.X @ s.Y)], None,
-                       _product_error(False), None),
-    "antimultiplicative": (lambda s: [(s.X, s.Y, s.X @ s.Y)], None,
-                           _product_error(True), None),
 }
 
 
@@ -553,7 +532,7 @@ def _normals(generator, batch, counts):
     return draw
 
 
-def _probe_cases(chunk, graded, rho: QuasiOrder, pairs, at, diagonals):
+def _probe_cases(chunk, rho: QuasiOrder, pairs, at, diagonals):
     """Add to `chunk` each probing property's groups on `diagonals` and on the
     unit probes of `pairs`, at positions `at`.  The pairs split into two
     families, those whose flip (j, i) is in rho and the others; each holds
@@ -568,26 +547,26 @@ def _probe_cases(chunk, graded, rho: QuasiOrder, pairs, at, diagonals):
             G = _units(rho.n, [(j, i) for i, j in fam]) if flip else None
             families.append(SimpleNamespace(at=at[ks], F=F, D=D, P=D + F, G=G))
     p = SimpleNamespace(diagonals=diagonals, families=families)
-    for name, ((*_, probe), _) in graded.items():
+    for name, (*_, probe) in _PROPERTIES.items():
         chunk[name] += probe(p) if probe else []
 
 
-def _sample_cases(chunk, graded, rho: QuasiOrder, off, K, t, generator):
+def _sample_cases(chunk, rho: QuasiOrder, off, K, t, generator):
     """Add to `chunk` each property's groups on the samples t, counted over
     the run (s.t to the samplers), sample t at position K + t; `off` holds
     rho's off-diagonal pairs, 0-based, as an (m, 2) array."""
     n, at = rho.n, K + t
     s = SimpleNamespace(rho=rho, off=off, t=t)
     counts = np.full(len(t), 4 * n * n)  # X and Y, then each sampler's draws
-    counts += sum(draws(s) for (_, draws, *_), _ in graded.values() if draws)
+    counts += sum(draws(s) for _, draws, *_ in _PROPERTIES.values() if draws)
     s.draw = _normals(generator, t // BATCH, counts)
     s.X = _sma_stack(rho, s.draw(2 * n * n))
     s.Y = _sma_stack(rho, s.draw(2 * n * n))
-    for name, ((sample, *_), _) in graded.items():
+    for name, (sample, *_) in _PROPERTIES.items():
         chunk[name] += [(at, case) for case in sample(s)]
 
 
-def _grade_chunk(mut: MapUnderTest, graded, run, chunk):
+def _grade_chunk(mut: MapUnderTest, verdicts, run, chunk):
     """Grade one chunk: `chunk` maps each property to its groups (at, case),
     where at holds each row's position in the run's sequence of cases.  phi
     maps every row of every input stack once, in one stack, and every row is
@@ -597,8 +576,8 @@ def _grade_chunk(mut: MapUnderTest, graded, run, chunk):
               for A in case if A.ndim == 3}
     out = _eval_stack(mut, np.concatenate(list(stacks.values())))
     images = dict(zip(stacks, np.split(out, np.cumsum([len(A) for A in stacks.values()])[:-1])))
-    for name, ((_, _, error, _), verdict) in graded.items():
-        groups = chunk[name]
+    for name, (_, _, error, _) in _PROPERTIES.items():
+        groups, verdict = chunk[name], verdicts[name]
         if not groups:
             continue
         stacked = [slot[0] if len(slot) == 1 else np.concatenate(slot) for slot in
@@ -615,48 +594,6 @@ def _grade_chunk(mut: MapUnderTest, graded, run, chunk):
         order = np.lexsort((group, at))
         for k in order[failed[order]][:3 - len(verdict.witnesses)]:
             verdict.witnesses.append(tuple(w[k].copy() if w.ndim > 1 else w[k] for w in witness))
-
-
-def _grade(mut: MapUnderTest, names, n_samples: int, tol: float, seed: int) -> PreserverReport:
-    """The sampling harness: grade the named properties of the table on the
-    probes and then on `n_samples` seeded samples.
-
-    The cases form one sequence of units: the K probed pairs, the first 64
-    off-diagonal pairs of rho in sorted order, at positions 0, ..., K - 1
-    when a named property has probes, and then the samples, sample t at
-    K + t; the identity and diag(1..n) sit at -2 and -1.  The sequence is
-    graded a chunk of _stack_step(n) units at a time: the chunk's probes and
-    samplers run, phi maps all their input matrices in one stack, and each
-    property's error function runs once, on the chunk's probe and sample
-    cases together."""
-    n_samples = integer(n_samples, "n_samples", least=1)
-    tol, seed = tolerance(tol, "tol"), integer(seed, "seed", least=0)
-    rho, n = mut.domain, mut.domain.n
-    off = sorted(rho.off_diagonal)
-    graded = {name: (prop, PropertyVerdict()) for name, prop in _PROPERTIES.items()
-              if name in names}
-    rep = PreserverReport(mut.label, seed, n_samples,
-                          **{name: verdict for name, (_, verdict) in graded.items()})
-    probed = off[:64] if any(probe for (*_, probe), _ in graded.values()) else []
-    pairs = np.array(off, dtype=int).reshape(-1, 2) - 1
-    K, step = len(probed), _stack_step(n)
-    diagonals = [(np.array([-2, -1]), (np.stack([np.eye(n, dtype=complex), lambda_matrix(n)]),))]
-    run = SimpleNamespace(tol=tol, classes=_spectrum_classes(rho))
-
-    @functools.lru_cache(maxsize=1)  # chunks take the batches in order
-    def generator(b):
-        return np.random.default_rng((seed, b))
-
-    for lo in range(0, K + n_samples, step):
-        # a new dict frees the last chunk's cases before this chunk's are built
-        hi, chunk = min(lo + step, K + n_samples), {name: [] for name in graded}
-        _probe_cases(chunk, graded, rho, probed[lo:hi], np.arange(lo, min(hi, K)),
-                     diagonals if lo == 0 else [])
-        t = np.arange(max(lo, K), hi) - K  # the chunk's samples
-        if len(t):
-            _sample_cases(chunk, graded, rho, pairs, K, t, generator)
-        _grade_chunk(mut, graded, run, chunk)
-    return rep
 
 
 def verify_preserver(mut: MapUnderTest, n_samples: int = 1000, tol: float = 1e-8,
@@ -679,16 +616,22 @@ def verify_preserver(mut: MapUnderTest, n_samples: int = 1000, tol: float = 1e-8
     function states, and a non-finite output fails every property it enters,
     and never raises.  Deterministic probes run before the samples: the
     identity and diag(1..n) for spectrum, and per-pair unit combinations for
-    injectivity and additivity.  The unit probes cover the first 64
+    injectivity and additivity.  Commutativity and homogeneity have no probe,
+    and rest on the samples alone.  The unit probes cover the first 64
     off-diagonal pairs of rho in sorted order, so a structural failure at one
     of those pairs does not depend on sampling luck.  Past them it is left to
     the samples: for injectivity, sample t (counted over the run) compares its
     X with X perturbed at pair t mod K of the K off-diagonal pairs in sorted
     order, so n_samples >= K perturbs every pair.
 
-    The probes and samples form one sequence of cases, graded a chunk of
-    B = _stack_step(n) units at a time, a unit being one probed pair or one
-    sample: 512 at n = 4, 128 at n = 8, 14 at n = 24 and 8 at n = 32.
+    The probes and samples form one sequence of cases: the identity and
+    diag(1..n) at positions -2 and -1, the K probed pairs at 0, ..., K - 1,
+    and then sample t at K + t.  It is graded a chunk of B = _stack_step(n)
+    units at a time, a unit being one probed pair or one sample: 512 at
+    n = 4, 128 at n = 8, 14 at n = 24 and 8 at n = 32.  The chunk's probes and
+    samplers run, phi maps all their input matrices in one stack, and each
+    property's error function runs once, on the chunk's probe and sample
+    cases together.
     Batches of 128 samples use independent generators keyed by (seed, batch
     index), and a chunk draws its normals in the order a sample-by-sample
     loop would draw them, whichever batches it spans, so chunking changes no
@@ -705,5 +648,28 @@ def verify_preserver(mut: MapUnderTest, n_samples: int = 1000, tol: float = 1e-8
     Witnesses are the first three failing cases: probes first, then samples
     in sample order; at one pair or sample, in the order of its groups.
     """
-    return _grade(mut, ("spectrum", "commutativity", "injectivity", "additivity", "homogeneity"),
-                  n_samples, tol, seed)
+    n_samples = integer(n_samples, "n_samples", least=1)
+    tol, seed = tolerance(tol, "tol"), integer(seed, "seed", least=0)
+    rho, n = mut.domain, mut.domain.n
+    off = sorted(rho.off_diagonal)
+    verdicts = {name: PropertyVerdict() for name in _PROPERTIES}
+    probed = off[:64]
+    pairs = np.array(off, dtype=int).reshape(-1, 2) - 1
+    K, step = len(probed), _stack_step(n)
+    diagonals = [(np.array([-2, -1]), (np.stack([np.eye(n, dtype=complex), lambda_matrix(n)]),))]
+    run = SimpleNamespace(tol=tol, classes=_spectrum_classes(rho))
+
+    @functools.lru_cache(maxsize=1)  # chunks take the batches in order
+    def generator(b):
+        return np.random.default_rng((seed, b))
+
+    for lo in range(0, K + n_samples, step):
+        # a new dict frees the last chunk's cases before this chunk's are built
+        hi, chunk = min(lo + step, K + n_samples), {name: [] for name in _PROPERTIES}
+        _probe_cases(chunk, rho, probed[lo:hi], np.arange(lo, min(hi, K)),
+                     diagonals if lo == 0 else [])
+        t = np.arange(max(lo, K), hi) - K  # the chunk's samples
+        if len(t):
+            _sample_cases(chunk, rho, pairs, K, t, generator)
+        _grade_chunk(mut, verdicts, run, chunk)
+    return PreserverReport(mut.label, seed, n_samples, **verdicts)

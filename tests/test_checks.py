@@ -17,8 +17,7 @@ from smalg.quasiorder import (QuasiOrder, Partition, all_preorders, closure, ima
                               preimage)
 from smalg.matalg import lambda_matrix, matrix_unit
 from smalg.cocycle import TransitiveMap
-from smalg.jordan import (recover_form, verify_antimultiplicative, verify_jordan,
-                          verify_multiplicative)
+from smalg.jordan import recover_form
 from smalg.preservers import MapUnderTest, identity_map, verify_preserver
 
 from lemmas import flat, upper_triangular
@@ -62,9 +61,8 @@ TABLE = {
     "matalg.matrix_unit.j": ("j", "index", lambda v: matrix_unit(3, 1, v)),
     "matalg.lambda_matrix.n": ("n", "size", lambda v: lambda_matrix(v)),
     **{f"preservers.{key}": entry for key, entry in sampled(verify_preserver, IDENTITY).items()},
-    **{f"jordan.{key}": entry for check in (verify_jordan, verify_multiplicative,
-                                            verify_antimultiplicative, recover_form)
-       for key, entry in sampled(check, MapUnderTest(T3, same, "same")).items()},
+    **{f"jordan.{key}": entry
+       for key, entry in sampled(recover_form, MapUnderTest(T3, same, "same")).items()},
     # the integers of the JSON formats
     "jsonio.quasiorder_from_dict.n": (
         "n", "json size", lambda v: jsonio.quasiorder_from_dict({"n": v, "pairs": []})),

@@ -14,10 +14,8 @@ from smalg.jordan import (
     central_idempotents,
     recover_form,
     validate_spec,
-    verify_antimultiplicative,
-    verify_jordan,
-    verify_multiplicative,
 )
+from smalg.jsonio import dump_json, jordan_spec_to_dict, quasiorder_to_dict
 from smalg.preservers import MapUnderTest, _units, counterexample
 from generators import random_invertible, random_preorder, random_transitive
 from lemmas import upper_triangular
@@ -142,43 +140,43 @@ class TestBuildEmbedding:
             assert not np.any(left @ right)
 
 
-class TestVerification:
-    def test_identity_passes(self, fan4):
-        rep = verify_jordan(MapUnderTest(fan4, lambda X: np.array(X), "phi"), n_samples=200)
-        assert rep.all_pass and not any(v.witnesses for v in rep._verdicts().values())
+class TestKindFromRecovery:
+    """phi is multiplicative iff recovery transposes no off-diagonal unit, and
+    antimultiplicative iff it keeps none in place."""
+
+    def test_identity_is_multiplicative(self, fan4):
+        rec = recover_form(MapUnderTest(fan4, lambda X: np.array(X), "phi"))
+        assert not rec.rho_a.off_diagonal and rec.rho_m == fan4
+
+    def test_transpose_is_antimultiplicative(self):
+        full4 = QuasiOrder.full(4)
+        rec = recover_form(MapUnderTest(full4, lambda X: np.array(X).T, "phi"))
+        assert not rec.rho_m.off_diagonal and rec.rho_a == full4
 
     def test_two_block_jordan_but_no_product_rule(self, two_blocks6):
         mut = MapUnderTest(two_blocks6, build_embedding(block_spec(two_blocks6)), "phi")
-        rep = verify_jordan(mut, n_samples=300, tol=1e-8, seed=0)
-        assert rep.all_pass
-        mul = verify_multiplicative(mut, seed=1).multiplicative
-        anti = verify_antimultiplicative(mut, seed=2).antimultiplicative
-        assert not mul.ok and mul.witnesses[0] is not None
-        assert not anti.ok and anti.witnesses[0] is not None
+        rec = recover_form(mut)
+        assert rec.rho_m.off_diagonal and rec.rho_a.off_diagonal
 
-    def test_identity_is_multiplicative(self, fan4):
-        mut = MapUnderTest(fan4, lambda X: np.array(X), "phi")
-        assert verify_multiplicative(mut).multiplicative.ok
+    # the errors compared bit for bit come from BLAS products
+    @pytest.mark.kernel
+    def test_stacked_map_recovers_like_its_callable(self, two_blocks6, rng):
+        S = random_invertible(6, rng)
+        phi = build_embedding(JordanSpec(two_blocks6, S, random_transitive(two_blocks6, seed=3),
+                                         CentralIdempotent((1, 1, 1, 0, 0, 0))))
 
-    def test_transpose_is_antimultiplicative(self):
-        mut = MapUnderTest(QuasiOrder.full(4), lambda X: np.array(X).T, "phi")
-        assert verify_antimultiplicative(mut).antimultiplicative.ok
-        assert not verify_multiplicative(mut).multiplicative.ok
+        def read(rec):
+            return dump_json([jordan_spec_to_dict(rec.spec), quasiorder_to_dict(rec.rho_m),
+                              quasiorder_to_dict(rec.rho_a), rec.max_unit_error,
+                              rec.max_sample_error])
 
-    def test_stacked_map_grades_like_its_callable(self, two_blocks6):
-        phi = build_embedding(block_spec(two_blocks6))
-        mut = MapUnderTest(two_blocks6, phi, "phi", stacked=True)
-        per_matrix = MapUnderTest(two_blocks6, phi, "phi")
-        for check in (verify_jordan, verify_multiplicative, verify_antimultiplicative):
-            assert check(mut, n_samples=50).to_dict() == check(per_matrix, n_samples=50).to_dict()
+        stacked = recover_form(MapUnderTest(two_blocks6, phi, "phi", stacked=True))
+        assert read(stacked) == read(recover_form(MapUnderTest(two_blocks6, phi, "phi")))
 
-    def test_kink_map_fails_additivity_with_witness(self, fan4):
-        from smalg.preservers import counterexample
-
+    def test_kink_map_is_not_recovered(self, fan4):
         mut = counterexample(fan4)
-        rep = verify_jordan(mut, n_samples=300, seed=0)
-        assert not rep.additivity.ok
-        assert rep.additivity.witnesses
+        with pytest.raises(RecoveryError):
+            recover_form(mut)
         # the canonical broken sum
         E11, E13 = matrix_unit(4, 1, 1), matrix_unit(4, 1, 3)
         assert np.array_equal(mut.eval(2 * E11 + E13), 2 * E11 + 0.5 * E13)
