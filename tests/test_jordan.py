@@ -140,13 +140,23 @@ class TestBuildEmbedding:
             assert not np.any(left @ right)
 
 
-class TestKindFromRecovery:
-    """phi is multiplicative iff recovery transposes no off-diagonal unit, and
-    antimultiplicative iff it keeps none in place."""
+class TestVerification:
+    """The identity is graded by its recovery: it recovers cleanly, keeping every
+    off-diagonal unit in place."""
+
+    def test_identity_passes(self, fan4):
+        rec = recover_form(MapUnderTest(fan4, lambda X: np.array(X), "phi"))
+        assert rec.max_unit_error < 1e-12 and rec.max_sample_error < 1e-12
+        assert rec.spec.P.diag_bits == (1,) * 4
 
     def test_identity_is_multiplicative(self, fan4):
         rec = recover_form(MapUnderTest(fan4, lambda X: np.array(X), "phi"))
         assert not rec.rho_a.off_diagonal and rec.rho_m == fan4
+
+
+class TestKindFromRecovery:
+    """phi is multiplicative iff recovery transposes no off-diagonal unit, and
+    antimultiplicative iff it keeps none in place."""
 
     def test_transpose_is_antimultiplicative(self):
         full4 = QuasiOrder.full(4)
