@@ -4,17 +4,20 @@ Counts, sizes, 1-based indices and seeds go through `integer`, tolerances
 through `tolerance`.  Each raises ValueError naming the argument, so that bad
 input fails loudly instead of ending in a TypeError or a vacuous pass, and
 returns a plain Python int or float, so that no numpy scalar reaches a report.
+numpy registers its integer and floating types with `numbers`, so numpy
+scalars pass without this module importing numpy.
 """
 
+import numbers
 import sys
-
-import numpy as np
 
 
 def integer(value, name, least=None, most=None) -> int:
-    """`value` as an int: a Python or numpy integer, never a bool, within the
-    bounds given."""
-    if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
+    """`value` as an int: a Python or numpy integer (any `numbers.Integral`),
+    never a bool, within the bounds given."""
+    # a Python int passes on its type alone: the ABC check costs ten times more
+    if (type(value) is not int
+            and (isinstance(value, bool) or not isinstance(value, numbers.Integral))
             or least is not None and value < least):
         rule = "an integer" if least is None else f">= {least} and an integer"
         raise ValueError(f"{name} must be {rule}, got {value!r}")
@@ -24,10 +27,10 @@ def integer(value, name, least=None, most=None) -> int:
 
 
 def tolerance(value, name) -> float:
-    """`value` as a float: a finite real number > 0, never a bool.  No error
-    exceeds a NaN tolerance, every one is within an infinite one, and even a
-    zero error exceeds a negative one."""
-    if (isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating))
+    """`value` as a float: a finite real number > 0 (any `numbers.Real`), never
+    a bool.  No error exceeds a NaN tolerance, every one is within an infinite
+    one, and even a zero error exceeds a negative one."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
             or not 0 < value <= sys.float_info.max):
         raise ValueError(f"{name} must be finite and > 0, got {value!r}")
     return float(value)

@@ -3,6 +3,9 @@
 Exit codes: 0 when the requested properties hold, 2 when some check fails,
 1 on usage errors or malformed input.  All randomness flows through --seed,
 so reports are byte-identical across runs for fixed inputs.
+
+`analyze` needs only the quasi-order layer.  The other verbs import numpy and
+the matrix layers when they run, so `analyze` never loads them.
 """
 
 from __future__ import annotations
@@ -14,8 +17,6 @@ import sys
 import time
 from importlib import resources
 
-import numpy as np
-
 from .quasiorder import (
     QuasiOrder,
     all_preorders,
@@ -26,28 +27,9 @@ from .quasiorder import (
     is_two_free,
     rank_one_density,
 )
-from .matalg import matrix_unit, rank_one_closure_member
-from .cocycle import TransitiveMap, Nontrivial, triviality, validate, induced_auto, walk_product
-from .jordan import (
-    CentralIdempotent,
-    JordanSpec,
-    RecoveryError,
-    build_embedding,
-    central_idempotents,
-    recover_form,
-)
-from .preservers import (
-    GALLERY_KINDS,
-    MapUnderTest,
-    counterexample,
-    identity_map,
-    remark_gallery,
-    transpose_map,
-    verify_preserver,
-    _unit_images,
-)
 from . import jsonio
 from ._checks import integer, tolerance
+from ._kinds import GALLERY_KINDS
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -107,6 +89,9 @@ def cmd_analyze(args):
 def _spec_map(path):
     """The embedding of the spec in `path`, evaluated a stack at a time; exits
     1 on a bad or missing spec."""
+    from .jordan import build_embedding
+    from .preservers import MapUnderTest
+
     try:
         spec = jsonio.load_jordan_spec(path)
         return MapUnderTest(spec.rho, build_embedding(spec), "embedding", stacked=True)
@@ -115,6 +100,8 @@ def _spec_map(path):
 
 
 def cmd_embed(args):
+    from .preservers import _unit_images
+
     mut = _spec_map(args.spec)
     images = (item for chunk, A in _unit_images(mut, sorted(mut.domain.pairs))
               for item in zip(chunk, A))
@@ -129,6 +116,8 @@ def cmd_embed(args):
 
 
 def _build_map(args):
+    from .preservers import counterexample, identity_map, remark_gallery, transpose_map
+
     if args.spec:
         return _spec_map(args.spec)
     rho, _ = _load_quasiorder(args.quasiorder)
@@ -145,6 +134,8 @@ def _build_map(args):
 
 
 def cmd_verify(args):
+    from .preservers import verify_preserver
+
     given = (bool(args.spec), bool(args.kind), bool(args.quasiorder))
     if given not in ((True, False, False), (False, True, True)):
         print("error: provide --spec FILE or --kind NAME --quasiorder FILE", file=sys.stderr)
@@ -160,6 +151,8 @@ def cmd_verify(args):
 
 
 def cmd_counterexample(args):
+    from .preservers import counterexample, verify_preserver
+
     rho, _ = _load_quasiorder(args.quasiorder)
     try:
         mut = counterexample(rho)
@@ -178,6 +171,8 @@ def cmd_counterexample(args):
 
 
 def cmd_recover(args):
+    from .jordan import RecoveryError, recover_form
+
     mut = _spec_map(args.spec)
     try:
         rec = recover_form(mut, tol=args.tol, n_samples=args.samples, seed=args.seed)
@@ -199,6 +194,14 @@ def _golden(name):
 
 
 def _selftest_checks():
+    import numpy as np
+
+    from .matalg import matrix_unit, rank_one_closure_member
+    from .cocycle import Nontrivial, TransitiveMap, induced_auto, triviality, validate, walk_product
+    from .jordan import (CentralIdempotent, JordanSpec, RecoveryError, build_embedding,
+                         central_idempotents, recover_form)
+    from .preservers import MapUnderTest, counterexample, verify_preserver
+
     def load_q(name):
         with _golden(name).open() as fh:
             return jsonio.quasiorder_from_dict(json.load(fh))

@@ -1,20 +1,24 @@
 """JSON wire formats: quasi-orders, complex matrices, transitive maps, embedding specs.
 
 All indices are 1-based.  Complex scalars travel as [re, im] pairs; matrices as
-row-major nested lists of those pairs.
+row-major nested lists of those pairs.  The quasi-order format needs only the
+quasi-order layer: numpy and the matrix layers are imported by the readers and
+writers of the other formats, when one is called.
 """
 
 from __future__ import annotations
 
 import json
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from ._checks import integer
 from .quasiorder import QuasiOrder, closure
-from .matalg import entry_pairs
-from .cocycle import TransitiveMap
-from .jordan import CentralIdempotent, JordanSpec
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .cocycle import TransitiveMap
+    from .jordan import JordanSpec
 
 __all__ = [
     "MAX_N",
@@ -53,6 +57,8 @@ def _embed_report(n, images, pretty) -> str:
     become %r slots for the floats and %d slots for i and j: a finite float's
     repr is its JSON token.  Each image is read with one tolist and filled
     into pieces of k floats, and the pieces are joined once."""
+    import numpy as np
+
     head, sep, tail = dump_json({"n": n, "units": ["\2", "\2"]}, pretty).split('"\\u0002"')
     unit = dump_json({"unit": ["\1", "\1"],
                       "image": {"n": n, "entries": [[["\0", "\0"]] * n] * n}}, pretty)
@@ -111,11 +117,17 @@ def load_quasiorder(path):
 
 
 def matrix_to_dict(A) -> dict:
+    import numpy as np
+
+    from .matalg import entry_pairs
+
     A = np.asarray(A, dtype=complex)
     return {"n": A.shape[0], "entries": entry_pairs(A)}
 
 
 def matrix_from_dict(d: dict) -> np.ndarray:
+    import numpy as np
+
     n = integer(d["n"], "n")
     A = np.array([[_complex(z, "matrix entry") for z in row] for row in d["entries"]])
     if A.shape != (n, n):
@@ -130,6 +142,8 @@ def transitive_map_to_dict(g: TransitiveMap) -> dict:
 
 
 def transitive_map_from_dict(d: dict, rho: QuasiOrder) -> TransitiveMap:
+    from .cocycle import TransitiveMap
+
     values = {}
     for i, j, z in d["pairs"]:
         pair = integer(i, "index"), integer(j, "index")
@@ -149,6 +163,8 @@ def jordan_spec_to_dict(spec: JordanSpec) -> dict:
 
 
 def jordan_spec_from_dict(d: dict) -> JordanSpec:
+    from .jordan import CentralIdempotent, JordanSpec
+
     rho, added = quasiorder_from_dict(d["quasiorder"])
     if added:
         raise ValueError(f"spec quasi-order is not closed; missing pairs {added}")

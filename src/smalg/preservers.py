@@ -20,6 +20,7 @@ from typing import Callable
 import numpy as np
 
 from ._checks import integer, tolerance
+from ._kinds import GALLERY_KINDS
 from .quasiorder import (QuasiOrder, _bits, _mutual_masks, condition_i, image, is_symmetric,
                          neighborhood, preimage)
 from .matalg import _sma_stack, entry_pairs, lambda_matrix
@@ -36,8 +37,6 @@ __all__ = [
     "verify_preserver",
     "GALLERY_KINDS",
 ]
-
-GALLERY_KINDS = ("scaling", "det_twist", "diag_shift", "noninjective_jordan")
 
 
 @dataclass

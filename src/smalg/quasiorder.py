@@ -3,10 +3,12 @@
 A quasi-order is a reflexive transitive relation rho on [1, n], stored as a
 frozen set of 1-based index pairs.  `QuasiOrder` is the one home of the data
 derived from rho: the constructor keeps the rows and columns as integer
-bitmasks, and the boolean support mask is computed on first use and kept.
-Everything in this module is pure: values are immutable after construction and
-safe to share across threads, because the cached mask is immutable too and a
-race between threads only computes it twice.
+bitmasks, and the off-diagonal pairs, the component classes and the boolean
+support mask are each computed on first use and kept.  Everything in this
+module is pure: values are immutable after construction and safe to share
+across threads, because the cached values are immutable too and a race between
+threads only computes one twice.  numpy is imported only when a mask is built,
+so the combinatorics run without it.
 """
 
 from __future__ import annotations
@@ -14,10 +16,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from ._checks import integer
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "QuasiOrder",
@@ -75,7 +79,8 @@ class QuasiOrder:
     """A reflexive transitive relation on [1, n] (1-based pairs).
 
     ``rows[i-1]`` and ``cols[i-1]`` hold rho(i) and rho^{-1}(i) as bitmasks (bit
-    j-1 set iff j is in the set); like `mask` they take no part in ==, hash or repr.
+    j-1 set iff j is in the set); like the cached values they take no part in
+    ==, hash or repr.
     """
 
     n: int
@@ -99,14 +104,34 @@ class QuasiOrder:
         object.__setattr__(self, "rows", tuple(rows))
         object.__setattr__(self, "cols", tuple(cols))
 
-    @property
+    @cached_property
     def off_diagonal(self) -> frozenset:
         """rho^x = rho minus the diagonal."""
         return frozenset(p for p in self.pairs if p[0] != p[1])
 
     @cached_property
+    def _classes(self) -> Partition:
+        """The component classes; `components` is their one reader."""
+        nb = [r | c for r, c in zip(self.rows, self.cols)]
+        blocks, seen = [], 0
+        for i in range(self.n):
+            if seen >> i & 1:
+                continue
+            comp, grow = 0, 1 << i
+            while grow:
+                comp |= grow
+                for k in _bits(grow):
+                    grow |= nb[k]
+                grow &= ~comp
+            seen |= comp
+            blocks.append(_members(comp))
+        return Partition(self.n, blocks)
+
+    @cached_property
     def mask(self) -> np.ndarray:
         """Read-only boolean n x n support pattern: mask[i-1, j-1] iff (i,j) in rho."""
+        import numpy as np
+
         mask = np.zeros((self.n, self.n), dtype=bool)
         i, j = np.array(list(self.pairs)).T - 1
         mask[i, j] = True
@@ -177,21 +202,9 @@ def neighborhood(rho: QuasiOrder, i: int) -> frozenset:
 
 
 def components(rho: QuasiOrder) -> Partition:
-    """Classes of the symmetrized-and-transitively-closed relation on [1, n]."""
-    nb = [r | c for r, c in zip(rho.rows, rho.cols)]
-    blocks, seen = [], 0
-    for i in range(rho.n):
-        if seen >> i & 1:
-            continue
-        comp, grow = 0, 1 << i
-        while grow:
-            comp |= grow
-            for k in _bits(grow):
-                grow |= nb[k]
-            grow &= ~comp
-        seen |= comp
-        blocks.append(_members(comp))
-    return Partition(rho.n, blocks)
+    """Classes of the symmetrized-and-transitively-closed relation on [1, n],
+    in order of smallest member; computed once per order and kept."""
+    return rho._classes
 
 
 def _mutual_masks(rho: QuasiOrder) -> list:

@@ -283,17 +283,18 @@ class TestSelftest:
     def test_symmetric_pair_needs_injectivity(self, capsys, monkeypatch):
         # the paper's preservers are injective: a report whose injectivity
         # fails is not the expected counterexample, whatever additivity says
-        import smalg.cli as cli
+        # the selftest imports verify_preserver from its layer when it runs
+        from smalg import preservers
         from smalg.preservers import PropertyVerdict
 
-        inner = cli.verify_preserver
+        inner = preservers.verify_preserver
 
         def noninjective(*args, **kwargs):
             report = inner(*args, **kwargs)
             report.injectivity = PropertyVerdict(checked=1, witnesses=[("forced",)])
             return report
 
-        monkeypatch.setattr(cli, "verify_preserver", noninjective)
+        monkeypatch.setattr(preservers, "verify_preserver", noninjective)
         code, out = run(capsys, "selftest")
         assert code == 2
         lines = out.splitlines()

@@ -54,6 +54,21 @@ def test_package_namespace_holds_no_layer():
     assert out.splitlines() == ["[]", "[]"]
 
 
+def test_analyze_loads_no_matrix_layer():
+    """`smalg analyze` is combinatorics on the quasi-order: a fresh interpreter
+    that runs it leaves numpy and the matrix layers unloaded."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    golden = ROOT / "src" / "smalg" / "golden" / "nontrivial_cocycle_7.json"
+    code = ("import contextlib, io, sys, smalg.cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    assert smalg.cli.main(['analyze', {str(golden)!r}]) == 0\n"
+            "print(sorted(m for m in sys.modules if m == 'numpy' or m in\n"
+            "             ('smalg.matalg', 'smalg.cocycle', 'smalg.jordan', 'smalg.preservers')))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.splitlines() == ["[]"]
+
+
 def test_map_entry_points_take_one_map():
     """The entry points that grade, classify or recover a map take it as one
     MapUnderTest, first; its domain is the quasi-order, so none takes a rho."""

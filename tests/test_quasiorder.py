@@ -169,9 +169,31 @@ class TestDerivedData:
             mask[0, 1] = True
         assert not fan4.mask[0, 1]
 
+    def test_off_diagonal_is_cached(self, fan4):
+        off = fan4.off_diagonal
+        assert off is fan4.off_diagonal
+        assert off == {(i, j) for i, j in fan4.pairs if i != j}
+
+    def test_classes_are_built_once_per_order(self, two_blocks6, monkeypatch):
+        # components, is_two_free and central_idempotents share one Partition
+        import smalg.quasiorder as qo
+        from smalg.jordan import central_idempotents
+
+        built = []
+
+        def counted(*args):
+            built.append(Partition(*args))
+            return built[-1]
+
+        monkeypatch.setattr(qo, "Partition", counted)
+        first = components(two_blocks6)
+        assert is_two_free(two_blocks6)
+        assert len(central_idempotents(two_blocks6)) == 4
+        assert components(two_blocks6) is first and built == [first]
+
     def test_cached_data_keeps_value_semantics(self, cocycle7):
         used = closure(7, cocycle7.pairs)
-        used.mask
+        used.mask, used.off_diagonal, components(used)
         fresh = closure(7, cocycle7.pairs)
         assert used == fresh and hash(used) == hash(fresh) and repr(used) == repr(fresh)
         assert len({used, fresh}) == 1

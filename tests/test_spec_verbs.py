@@ -265,9 +265,10 @@ def test_spec_verb_stdout_pinned(capsys, tmp_path, verb, shape, n):
 def test_embed_evaluates_in_stacks(capsys, tmp_path, monkeypatch):
     # embed reads the 256 units of full M_16 through the spec's stacked map,
     # 32 at a time, and prints the bytes pinned for one-matrix images
-    from smalg import cli
+    # the verb imports build_embedding from its layer when it runs
+    from smalg import jordan
 
-    build, shapes = cli.build_embedding, []
+    build, shapes = jordan.build_embedding, []
 
     def recording(spec):
         phi = build(spec)
@@ -277,7 +278,7 @@ def test_embed_evaluates_in_stacks(capsys, tmp_path, monkeypatch):
             return phi(X)
         return record
 
-    monkeypatch.setattr(cli, "build_embedding", recording)
+    monkeypatch.setattr(jordan, "build_embedding", recording)
     want = pinned_digest("embed", "full", 16)
     code = main(VERBS["embed"](write_spec(tmp_path, seeded_spec(16, "full"))))
     captured = capsys.readouterr()
