@@ -59,6 +59,20 @@ def _load_quasiorder(path):
         _unloadable("quasi-order", path, exc)
 
 
+# verify, counterexample, embed and recover take n <= 32, the domain their
+# verdicts are checked on; at n = 1024 the spectrum check alone would take
+# 48 GiB for two samples
+MATRIX_MAX_N = 32
+
+
+def _matrix_domain(n, path):
+    """Exit 1 with one line, before any n x n matrix is built, if n > MATRIX_MAX_N."""
+    if n > MATRIX_MAX_N:
+        print(f"error: {path} has n = {n}, and the matrix verbs take n <= {MATRIX_MAX_N}",
+              file=sys.stderr)
+        raise SystemExit(EXIT_USAGE)
+
+
 def cmd_analyze(args):
     rho, added = _load_quasiorder(args.quasiorder)
     holds, witness = condition_i(rho)
@@ -94,6 +108,7 @@ def _spec_map(path):
 
     try:
         spec = jsonio.load_jordan_spec(path)
+        _matrix_domain(spec.rho.n, path)
         return MapUnderTest(spec.rho, build_embedding(spec), "embedding", stacked=True)
     except (OSError, ValueError, KeyError, TypeError) as exc:
         _unloadable("spec", path, exc)
@@ -121,6 +136,7 @@ def _build_map(args):
     if args.spec:
         return _spec_map(args.spec)
     rho, _ = _load_quasiorder(args.quasiorder)
+    _matrix_domain(rho.n, args.quasiorder)
     kind = args.kind
     if kind == "identity":
         return identity_map(rho)
@@ -154,6 +170,7 @@ def cmd_counterexample(args):
     from .preservers import counterexample, verify_preserver
 
     rho, _ = _load_quasiorder(args.quasiorder)
+    _matrix_domain(rho.n, args.quasiorder)
     try:
         mut = counterexample(rho)
     except ValueError as exc:

@@ -11,7 +11,6 @@ harness that grades any black-box map on the algebra.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 from types import SimpleNamespace
@@ -277,9 +276,6 @@ def remark_gallery(rho: QuasiOrder, kind: str) -> MapUnderTest:
     raise ValueError(f"unknown gallery kind {kind!r}; choose from {GALLERY_KINDS}")
 
 
-BATCH = 128  # samples per generator; generators are keyed by (seed, batch index)
-
-
 @dataclass
 class PropertyVerdict:
     checked: int = 0
@@ -336,17 +332,17 @@ def _fails(err, limit):
     return ~np.isfinite(err) | (err > limit)
 
 
-# A property is (sampler, draws, error function, probe).  The harness grades
-# stacks of cases: a sampler builds one chunk of samples' cases from s.draw,
-# each a tuple of stacks whose rows are cases, and a probe returns the
-# deterministic cases graded before the samples as groups (at, case), where
-# at holds each row's position in the run's sequence of cases; every row is
-# a case that counts.  `draws` is the number of normals a sampler takes per
-# sample.  An error function takes the run, the stacks of a case and then the
-# images of its (B, n, n) stacks, and returns (failed, witness): a boolean
-# per case and a tuple of stacks whose rows are the witnesses.  The run holds
-# what the harness finds once per run: its one `tol`, and rho's mutual
-# `classes` (see `_spectrum_classes`).
+# A property is (sampler, error function, probe).  The harness grades
+# stacks of cases: a sampler builds one chunk of samples' cases, each a tuple
+# of stacks whose rows are cases, and a probe returns the deterministic cases
+# graded before the samples as groups (at, case), where at holds each row's
+# position in the run's sequence of cases; every row is a case that counts.
+# A sampler reads its normals with s.draw(name, width) from the stream of its
+# property, so the table's order moves no draw.  An error function takes the
+# run, the stacks of a case and then the images of its (B, n, n) stacks, and
+# returns (failed, witness): a boolean per case and a tuple of stacks whose
+# rows are the witnesses.  The run holds what the harness finds once per run:
+# its one `tol`, and rho's mutual `classes` (see `_spectrum_classes`).
 
 def _spectrum_classes(rho: QuasiOrder) -> SimpleNamespace:
     """What the spectrum check reads of rho: its singleton mutual classes as
@@ -444,14 +440,16 @@ def _spectrum_error(run, X, fX):
 
 
 def _commuting_cases(s):
-    """Conjugated diagonal pairs and (X, p(X)) pairs, alternately."""
+    """Conjugated diagonal pairs and (X, p(X)) pairs, alternately, from a row
+    of 2n^2 + max(4n, 6) normals: an even sample's pair reads the first
+    2n^2 + 4n, an odd sample's X the first 2n^2 and p's coefficients the next 6."""
     n, even = s.rho.n, s.t % 2 == 0
+    Z = s.draw("commutativity", 2 * n * n + max(4 * n, 6))
     X, Y = (np.empty((len(s.t), n, n), dtype=complex) for _ in range(2))
-    X[even], Y[even] = _commuting_pairs(s.rho, s.draw(2 * n * n + 4 * n, even))
-    A = _sma_stack(s.rho, s.draw(2 * n * n, ~even))
-    c = s.draw(6, ~even).reshape(-1, 2, 3, 1, 1)
+    X[even], Y[even] = _commuting_pairs(s.rho, Z[even, : 2 * n * n + 4 * n])
+    X[~even] = A = _sma_stack(s.rho, Z[~even, : 2 * n * n])
+    c = Z[~even, 2 * n * n: 2 * n * n + 6].reshape(-1, 2, 3, 1, 1)
     c = c[:, 0] + 1j * c[:, 1]
-    X[~even] = A
     Y[~even] = np.where(s.rho.mask, c[:, 0] * np.eye(n) + c[:, 1] * A + c[:, 2] * A @ A, 0.0)
     return [(X, Y)]
 
@@ -467,7 +465,7 @@ def _injective_cases(s):
     if len(s.off):
         i, j = s.off[s.t % len(s.off)].T
         XE = s.X.copy()
-        XE[np.arange(len(s.t)), i, j] += s.draw(2).view(complex)[:, 0]
+        XE[np.arange(len(s.t)), i, j] += s.draw("injectivity", 2).view(complex)[:, 0]
         cases.append((s.X, XE))
     return cases
 
@@ -491,7 +489,7 @@ def _additive_error(run, X, Y, XY, fX, fY, fXY):
 
 
 def _homogeneous_cases(s):
-    alpha = s.draw(2).view(complex)[:, 0]
+    alpha = s.draw("homogeneity", 2).view(complex)[:, 0]
     return [(s.X, alpha, alpha[:, None, None] * s.X)]
 
 
@@ -501,34 +499,14 @@ def _homogeneous_error(run, X, alpha, aX, fX, faX):
     return _fails(err, limit), (X, alpha, err)
 
 
-# samplers run in table order, which fixes the order of the random draws
 _PROPERTIES = {
-    "spectrum": (lambda s: [(s.X,)], None, _spectrum_error, lambda s: s.diagonals),
-    "commutativity": (_commuting_cases,
-                      lambda s: 2 * s.rho.n ** 2 + np.where(s.t % 2 == 0, 4 * s.rho.n, 6),
-                      _commutator_error, None),
-    "injectivity": (_injective_cases, lambda s: 2 if len(s.off) else 0, _separation_error,
+    "spectrum": (lambda s: [(s.X,)], _spectrum_error, lambda s: s.diagonals),
+    "commutativity": (_commuting_cases, _commutator_error, None),
+    "injectivity": (_injective_cases, _separation_error,
                     lambda s: [(f.at, (f.D, f.P)) for f in s.families]),
-    "additivity": (lambda s: [(s.X, s.Y, s.X + s.Y)], None, _additive_error,
-                   _additive_probe),
-    "homogeneity": (_homogeneous_cases, lambda s: 2, _homogeneous_error, None),
+    "additivity": (lambda s: [(s.X, s.Y, s.X + s.Y)], _additive_error, _additive_probe),
+    "homogeneity": (_homogeneous_cases, _homogeneous_error, None),
 }
-
-
-def _normals(generator, batch, counts):
-    """One chunk's standard normals, drawn in sample order, each sample's from
-    generator(b) of its batch b: draw(k, rows) hands each marked sample its
-    next k normals, as a (B, k) array."""
-    block = np.concatenate([generator(b).standard_normal(int(np.sum(counts[batch == b])))
-                            for b in range(batch[0], batch[-1] + 1)])
-    at = np.cumsum(counts) - counts
-
-    def draw(k, rows=slice(None)):
-        idx = at[rows, None] + np.arange(k)
-        at[rows] += k
-        return block[idx]
-
-    return draw
 
 
 def _probe_cases(chunk, rho: QuasiOrder, pairs, at, diagonals):
@@ -550,21 +528,20 @@ def _probe_cases(chunk, rho: QuasiOrder, pairs, at, diagonals):
         chunk[name] += probe(p) if probe else []
 
 
-def _sample_cases(chunk, rho: QuasiOrder, off, K, t, generator):
+def _sample_cases(chunk, rho: QuasiOrder, off, K, t, draw):
     """Add to `chunk` each property's groups on the samples t, counted over
     the run (s.t to the samplers), sample t at position K + t; `off` holds
-    rho's off-diagonal pairs, 0-based, as an (m, 2) array."""
+    rho's off-diagonal pairs, 0-based, as an (m, 2) array, and draw(name,
+    rows, width) reads the next rows of stream `name`."""
     n, at = rho.n, K + t
-    s = SimpleNamespace(rho=rho, off=off, t=t)
-    counts = np.full(len(t), 4 * n * n)  # X and Y, then each sampler's draws
-    counts += sum(draws(s) for _, draws, *_ in _PROPERTIES.values() if draws)
-    s.draw = _normals(generator, t // BATCH, counts)
-    s.X = _sma_stack(rho, s.draw(2 * n * n))
-    s.Y = _sma_stack(rho, s.draw(2 * n * n))
+    s = SimpleNamespace(rho=rho, off=off, t=t, draw=lambda name, width: draw(name, len(t), width))
+    XY = s.draw("inputs", 4 * n * n)
+    s.X, s.Y = _sma_stack(rho, XY[:, : 2 * n * n]), _sma_stack(rho, XY[:, 2 * n * n:])
     for name, (sample, *_) in _PROPERTIES.items():
         chunk[name] += [(at, case) for case in sample(s)]
 
 
+@np.errstate(all="ignore")  # an image that overflows, or is not finite, fails and never warns
 def _grade_chunk(mut: MapUnderTest, verdicts, run, chunk):
     """Grade one chunk: `chunk` maps each property to its groups (at, case),
     where at holds each row's position in the run's sequence of cases.  phi
@@ -575,7 +552,7 @@ def _grade_chunk(mut: MapUnderTest, verdicts, run, chunk):
               for A in case if A.ndim == 3}
     out = _eval_stack(mut, np.concatenate(list(stacks.values())))
     images = dict(zip(stacks, np.split(out, np.cumsum([len(A) for A in stacks.values()])[:-1])))
-    for name, (_, _, error, _) in _PROPERTIES.items():
+    for name, (_, error, _) in _PROPERTIES.items():
         groups, verdict = chunk[name], verdicts[name]
         if not groups:
             continue
@@ -631,19 +608,20 @@ def verify_preserver(mut: MapUnderTest, n_samples: int = 1000, tol: float = 1e-8
     samplers run, phi maps all their input matrices in one stack, and each
     property's error function runs once, on the chunk's probe and sample
     cases together.
-    Batches of 128 samples use independent generators keyed by (seed, batch
-    index), and a chunk draws its normals in the order a sample-by-sample
-    loop would draw them, whichever batches it spans, so chunking changes no
-    sample and no report byte.  phi sees each chunk's inputs once: one call
-    per input matrix, at most seven per sample, or, for a map that sets
-    `stacked`, one call per chunk.  Each input is part of a case that counts
-    in `checked`: only the pairs whose (j, i) is in rho get E_ji and the
-    probe E_ij + E_ji, and every injectivity case counts, the sampled ones
-    too.  The spectrum check builds a stack of shifted n x n matrices only
-    for the rows of phi(X) off the algebra, and on the full algebra, whose
-    one class is the whole matrix, where X's side and phi(X)'s take turns in
-    one stack; for all B rows of a chunk, which the first chunk extends by
-    the identity and diag(1..n), it is about 128 KB * n.
+    The samples' X and Y, and each property that draws normals, read a
+    stream of their own, keyed by the seed and the stream's name and read
+    one fixed-width row per sample in sample order, so neither the chunk size
+    nor the order of the properties changes a sample or a report byte.  phi
+    sees each chunk's inputs once: one call per input matrix, at most seven
+    per sample, or, for a map that sets `stacked`, one call per chunk.  Each
+    input is part of a case that counts in `checked`: only the pairs whose
+    (j, i) is in rho get E_ji and the probe E_ij + E_ji, and every
+    injectivity case counts, the sampled ones too.  The spectrum check builds
+    a stack of shifted n x n matrices only for the rows of phi(X) off the
+    algebra, and on the full algebra, whose one class is the whole matrix,
+    where X's side and phi(X)'s take turns in one stack; for all B rows of a
+    chunk, which the first chunk extends by the identity and diag(1..n), it
+    is about 128 KB * n.
     Witnesses are the first three failing cases: probes first, then samples
     in sample order; at one pair or sample, in the order of its groups.
     """
@@ -658,9 +636,12 @@ def verify_preserver(mut: MapUnderTest, n_samples: int = 1000, tol: float = 1e-8
     diagonals = [(np.array([-2, -1]), (np.stack([np.eye(n, dtype=complex), lambda_matrix(n)]),))]
     run = SimpleNamespace(tol=tol, classes=_spectrum_classes(rho))
 
-    @functools.lru_cache(maxsize=1)  # chunks take the batches in order
-    def generator(b):
-        return np.random.default_rng((seed, b))
+    streams = {}  # each built on first use, keyed by the seed and its name's bytes
+
+    def draw(name, rows, width):
+        if name not in streams:
+            streams[name] = np.random.default_rng((seed, int.from_bytes(name.encode(), "little")))
+        return streams[name].standard_normal((rows, width))
 
     for lo in range(0, K + n_samples, step):
         # a new dict frees the last chunk's cases before this chunk's are built
@@ -669,6 +650,6 @@ def verify_preserver(mut: MapUnderTest, n_samples: int = 1000, tol: float = 1e-8
                      diagonals if lo == 0 else [])
         t = np.arange(max(lo, K), hi) - K  # the chunk's samples
         if len(t):
-            _sample_cases(chunk, rho, pairs, K, t, generator)
+            _sample_cases(chunk, rho, pairs, K, t, draw)
         _grade_chunk(mut, verdicts, run, chunk)
     return PreserverReport(mut.label, seed, n_samples, **verdicts)

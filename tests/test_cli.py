@@ -85,6 +85,15 @@ class TestAnalyze:
         assert exc.value.code == 1
 
 
+# a valid T_2 spec whose image of E_12, 1.7e308 S E_12 S^-1, overflows
+OVERFLOW_SPEC = {
+    "quasiorder": {"n": 2, "pairs": [[1, 1], [1, 2], [2, 2]]},
+    "s_matrix": {"n": 2, "entries": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.25, 0.0]]]},
+    "transitive_map": {"pairs": [[1, 2, [1.7e308, 0.0]]]},
+    "idempotent_diag": [1, 1],
+}
+
+
 class TestEmbed:
     def test_unit_table(self, capsys, spec_file):
         code, out = run(capsys, "embed", spec_file)
@@ -100,13 +109,7 @@ class TestEmbed:
         # a valid spec whose image of E_12, 1.7e308 S E_12 S^-1, overflows:
         # nothing is printed, rather than Infinity and NaN tokens
         path = tmp_path / "overflow.json"
-        path.write_text(json.dumps({
-            "quasiorder": {"n": 2, "pairs": [[1, 1], [1, 2], [2, 2]]},
-            "s_matrix": {"n": 2, "entries": [[[1.0, 0.0], [0.0, 0.0]],
-                                             [[0.0, 0.0], [0.25, 0.0]]]},
-            "transitive_map": {"pairs": [[1, 2, [1.7e308, 0.0]]]},
-            "idempotent_diag": [1, 1],
-        }))
+        path.write_text(json.dumps(OVERFLOW_SPEC))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             code = main(["embed", str(path), *flags])
@@ -116,6 +119,18 @@ class TestEmbed:
 
 
 class TestVerify:
+    def test_overflowing_image_fails_without_a_warning(self, capsys, tmp_path):
+        # the spec of TestEmbed's overflow: every property's products
+        # overflow, and each fails, with nothing on stderr
+        path = tmp_path / "overflow.json"
+        path.write_text(json.dumps(OVERFLOW_SPEC))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["verify", "--spec", str(path), "--samples", "20"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.err == ""
+        assert not any(v["ok"] for v in json.loads(captured.out)["properties"].values())
+
     def test_embedding_passes(self, capsys, spec_file):
         code, out = run(capsys, "verify", "--spec", spec_file, "--samples", "100")
         assert code == 0
@@ -421,6 +436,32 @@ class TestBadInput:
         path = tmp_path / "q.json"
         path.write_text('{"n": 2}')
         assert ": missing key 'pairs'" in usage_error(capsys, "analyze", str(path))
+
+    def test_quasiorder_past_the_matrix_domain(self, capsys, tmp_path):
+        # at n = 1024 two samples of the spectrum check alone would take
+        # 48 GiB; `analyze` still takes the file
+        path = tmp_path / "diagonal1024.json"
+        path.write_text(json.dumps({"n": 1024, "pairs": []}))
+        for verb in (["verify", "--kind", "diag_shift", "--quasiorder"], ["counterexample"]):
+            assert usage_error(capsys, *verb, str(path), "--samples", "2") == (
+                f"error: {path} has n = 1024, and the matrix verbs take n <= 32\n")
+        assert main(["analyze", str(path)]) == 0
+
+    @pytest.mark.parametrize("verb, flags", [(["embed"], []),
+                                             (["recover", "--spec"], ["--samples", "1"]),
+                                             (["verify", "--spec"], ["--samples", "1"])])
+    def test_spec_past_the_matrix_domain(self, capsys, tmp_path, verb, flags):
+        # n = 32 is the largest n the matrix verbs take
+        for n in (32, 33):
+            rho = QuasiOrder.diagonal(n)
+            (tmp_path / f"diagonal{n}.json").write_text(jsonio.dump_json(
+                jsonio.jordan_spec_to_dict(JordanSpec(rho, np.eye(n, dtype=complex),
+                                                      TransitiveMap.constant_one(rho),
+                                                      CentralIdempotent((1,) * n)))))
+        assert main([*verb, str(tmp_path / "diagonal32.json"), *flags]) == 0
+        path = tmp_path / "diagonal33.json"
+        assert usage_error(capsys, *verb, str(path), *flags) == (
+            f"error: {path} has n = 33, and the matrix verbs take n <= 32\n")
 
     def test_selftest_takes_no_options(self, capsys):
         assert "unrecognized arguments: --pretty" in usage_error(capsys, "selftest", "--pretty")
