@@ -121,6 +121,37 @@ def _commuting_pairs(rho: QuasiOrder, Z):
     return XY[:, 0], XY[:, 1]
 
 
+def _block_twist(rho: QuasiOrder, r: int, s: int) -> CounterexampleMap:
+    """X with X_pq and X_qp, {p, q} = {r, s}, twisted by a phase of |X_qp / X_pq|."""
+    p, q = min(r, s) - 1, max(r, s) - 1
+
+    def eval_case1(X):
+        # b = X_pq picks up f(|c/b|) = exp(i pi / (|c/b| + 1)) and c = X_qp
+        # its conjugate, so bc is kept; nothing changes where b vanishes
+        out = np.array(X, dtype=complex)
+        b, c = out[..., p, q], out[..., q, p]  # views into out
+        nz = b != 0
+        fval = np.exp(1j * (np.pi / (_cabs(c[nz] / b[nz]) + 1.0)))
+        b[nz], c[nz] = _cmul(b[nz], fval), _cmul(c[nz], np.conj(fval))
+        return out
+
+    return CounterexampleMap(rho, eval_case1, f"case1-block({r},{s})", r, s, 1, stacked=True)
+
+
+def _kink(rho: QuasiOrder, r: int, s: int) -> CounterexampleMap:
+    """X with X_rs redrawn as f(X_ss - X_rr, X_rs)."""
+
+    def eval_case2(X):
+        out = np.array(X, dtype=complex)
+        u = out[..., s - 1, s - 1] - out[..., r - 1, r - 1]
+        v = out[..., r - 1, s - 1]  # a view into out
+        cut = ~(_cabs(u) <= _cabs(v))
+        v[cut] = _cmul(v[cut], _cabs(v[cut] / u[cut]).astype(complex))
+        return out
+
+    return CounterexampleMap(rho, eval_case2, f"case2-kink({r},{s})", r, s, 2, stacked=True)
+
+
 def counterexample(rho: QuasiOrder) -> CounterexampleMap:
     """A continuous injective commutativity and spectrum preserver on the
     algebra of rho that fails additivity; only exists (and is only built) when
@@ -140,34 +171,10 @@ def counterexample(rho: QuasiOrder) -> CounterexampleMap:
         for t in (r, s):
             if image(rho, t) != {r, s} or preimage(rho, t) != {r, s}:
                 raise RuntimeError("violating symmetric pair is not a central 2x2 block")
-        p, q = min(r, s) - 1, max(r, s) - 1
-
-        def eval_case1(X):
-            # b = X_pq picks up f(|c/b|) = exp(i pi / (|c/b| + 1)) and c = X_qp
-            # its conjugate, so bc is kept; nothing changes where b vanishes
-            out = np.array(X, dtype=complex)
-            b, c = out[..., p, q], out[..., q, p]  # views into out
-            nz = b != 0
-            fval = np.exp(1j * (np.pi / (_cabs(c[nz] / b[nz]) + 1.0)))
-            b[nz], c[nz] = _cmul(b[nz], fval), _cmul(c[nz], np.conj(fval))
-            return out
-
-        return CounterexampleMap(rho, eval_case1, f"case1-block({r},{s})", r, s, 1,
-                                 stacked=True)
-
+        return _block_twist(rho, r, s)
     if preimage(rho, r) != {r} or image(rho, s) != {s}:
         raise RuntimeError("violating strict pair does not isolate row r / column s")
-
-    def eval_case2(X):
-        # f(X_ss - X_rr, X_rs) in place of X_rs
-        out = np.array(X, dtype=complex)
-        u = out[..., s - 1, s - 1] - out[..., r - 1, r - 1]
-        v = out[..., r - 1, s - 1]  # a view into out
-        cut = ~(_cabs(u) <= _cabs(v))
-        v[cut] = _cmul(v[cut], _cabs(v[cut] / u[cut]).astype(complex))
-        return out
-
-    return CounterexampleMap(rho, eval_case2, f"case2-kink({r},{s})", r, s, 2, stacked=True)
+    return _kink(rho, r, s)
 
 
 def _image(mut: MapUnderTest, A):
@@ -372,47 +379,20 @@ def _shifted_slogdet(A, z, buf):
     return np.linalg.slogdet(shifted)
 
 
-def _class_slogdet(blocks, A, z, buf):
-    """sign and log|.| of the product of det(zI - A[c, c]) over the classes c
-    of `blocks`, the (m, k) index arrays of the classes of more than one index."""
-    sign, logabs = 1.0, 0.0
-    for C in blocks:
-        s, log = _shifted_slogdet(A[:, C[:, :, None], C[:, None, :]], z, buf)
-        sign, logabs = sign * np.prod(s, axis=-1), logabs + np.sum(log, axis=-1)
-    return sign, logabs
-
-
-def _class_ratio(classes, X, fX, z):
-    """det(zI - phi(X)) / det(zI - X): X's side from the classes, and
-    phi(X)'s too on the rows where phi(X) is exactly zero off rho and finite,
-    with the singletons' part a product of (z - phi(X)_ii) / (z - X_ii); n
-    shifted n x n LUs on the other rows.  Every row goes through the classes,
-    the LU rows too, so that no row's ratio depends on the rows it shares a
-    chunk with.  One buffer, sized for the largest, holds each stack of
-    shifted matrices in turn, X's and phi(X)'s alike."""
-    (B, m), n, s = z.shape, X.shape[-1], classes.single
-    # the rows off the algebra or not finite: 0 * inf and 0 * NaN are NaN
-    lu = np.flatnonzero(np.any(fX.reshape(B, -1) * classes.off, axis=1))
-    buf = np.empty(max([B * m * C.size * C.shape[1] for C in classes.blocks]
-                       + [len(lu) * m * n * n]), dtype=complex)
-    ratio = 1.0
-    if len(s):
-        dX = z[:, :, None] - X[:, None, s, s]
-        dfX = z[:, :, None] - fX[:, None, s, s]
-        ratio = np.prod(np.divide(dfX, dX, out=dfX), axis=-1)
-    if classes.blocks:
-        sign, logabs = _class_slogdet(classes.blocks, X, z, buf)
-        fsign, flogabs = _class_slogdet(classes.blocks, fX, z, buf)
-        ratio = ratio * (fsign / sign * np.exp(flogabs - logabs))
-    if len(lu):
-        fsign, flogabs = _shifted_slogdet(fX[lu], z[lu], buf)
-        sign, logabs = (sign[lu], logabs[lu]) if classes.blocks else (1.0, 0.0)
-        if len(s):
-            d = dX[lu]
-            sign = sign * np.prod(d / np.abs(d), axis=-1)
-            logabs = logabs + np.sum(np.log(np.abs(d)), axis=-1)
-        ratio[lu] = fsign / sign * np.exp(flogabs - logabs)
-    return ratio
+def _class_det(classes, A, z, buf):
+    """det(zI - A) over rho's mutual classes for a stack A, at each row's
+    points z, as (d, sign, logabs): d the product of z - A_ii over the
+    singleton classes, and sign and log|.| of the product of det(zI - A[c, c])
+    over the larger ones, from slogdet on the k x k blocks.  Each is a (B, m)
+    array, 1, 1 and 0 where rho has no class of its kind."""
+    s = classes.single
+    d = np.prod(z[:, :, None] - A[:, None, s, s], axis=-1)
+    sign, logabs = np.ones(z.shape, dtype=complex), np.zeros(z.shape)
+    for C in classes.blocks:
+        bsign, log = _shifted_slogdet(A[:, C[:, :, None], C[:, None, :]], z, buf)
+        sign *= np.prod(bsign, axis=-1)
+        logabs += np.sum(log, axis=-1)
+    return d, sign, logabs
 
 
 def _spectrum_error(run, X, fX):
@@ -427,15 +407,28 @@ def _spectrum_error(run, X, fX):
 
     X lies in the algebra, which is block upper triangular up to a
     permutation, with rho's mutual classes (`run.classes`) as its diagonal
-    blocks; so det(zI - X) is the product of z - X_ii over the singleton
-    classes and of det(zI - X[c, c]) over the larger ones, read from slogdet
-    on the k x k blocks.  A phi(X) that is exactly zero off rho and finite is
-    read the same way (see `_class_ratio`), and any other phi(X) takes n
-    shifted n x n LU factorizations.  On the full algebra the one class is
-    the whole matrix, so both sides take those LUs."""
-    z = (1.0 + 2.0 * _norms(X))[:, None] * run.classes.roots
+    blocks, so `_class_det` reads det(zI - X) from them, and det(zI - phi(X))
+    the same way.  On the rows where phi(X) is not exactly zero off rho, or
+    not finite, phi(X)'s side is read instead from n shifted n x n LU
+    factorizations.  On the full algebra the one class is the whole matrix,
+    so both sides take those LUs.  Every row is read alone, so no row's error
+    depends on the rows it shares a chunk with.  One buffer, sized for the
+    largest, holds each stack of shifted matrices in turn."""
+    classes, n = run.classes, X.shape[-1]
+    z = (1.0 + 2.0 * _norms(X))[:, None] * classes.roots
+    B, m = z.shape
     with np.errstate(all="ignore"):  # a non-finite phi(X) grades as a NaN error
-        err = np.max(np.abs(_class_ratio(run.classes, X, fX, z) - 1.0), axis=-1)
+        # the rows off the algebra or not finite: 0 * inf and 0 * NaN are NaN
+        lu = np.flatnonzero(np.any(fX.reshape(B, -1) * classes.off, axis=1))
+        buf = np.empty(max([B * m * C.size * C.shape[1] for C in classes.blocks]
+                           + [len(lu) * m * n * n]), dtype=complex)
+        d, sign, logabs = _class_det(classes, X, z, buf)
+        fd, fsign, flogabs = _class_det(classes, fX, z, buf)
+        if len(lu):
+            fd[lu] = 1.0
+            fsign[lu], flogabs[lu] = _shifted_slogdet(fX[lu], z[lu], buf)
+        ratio = fd / d * (fsign / sign * np.exp(flogabs - logabs))
+        err = np.max(np.abs(ratio - 1.0), axis=-1)
     return _fails(err, run.tol), (X, fX, err)
 
 
@@ -582,10 +575,11 @@ def verify_preserver(mut: MapUnderTest, n_samples: int = 1000, tol: float = 1e-8
     radius 1 + 2|X|_F, which encloses the spectrum of X (and of phi(X) when
     the two agree), so no characteristic polynomial is formed.  Up to a
     permutation the algebra is block upper triangular with rho's mutual
-    classes as its diagonal blocks, so det(zI - X) is read from them: z - X_ii
-    on a singleton class, slogdet on a k x k block for a larger one.
-    det(zI - phi(X)) is read the same way when phi(X) is exactly zero off rho
-    and finite, and from n shifted n x n LU factorizations when it is not.
+    classes as its diagonal blocks, so one class reader reads det(zI - X)
+    from them, and det(zI - phi(X)) too: the product of z - X_ii over the
+    singleton classes, and slogdet on each k x k block of a larger one.
+    Where phi(X) is not exactly zero off rho, or not finite, its side is read
+    instead from n shifted n x n LU factorizations.
     Commuting inputs alternate between conjugated diagonal pairs and
     (X, p(X)) pairs.
     Every property's error is held against the one `tol`, scaled as its error

@@ -28,7 +28,8 @@ from smalg.jordan import (
     central_idempotents,
     recover_form,
 )
-from smalg.preservers import MapUnderTest, _commuting_pairs, counterexample, verify_preserver
+from smalg.preservers import (MapUnderTest, _block_twist, _commuting_pairs, _kink,
+                              counterexample, verify_preserver)
 from smalg import jsonio
 
 from generators import random_invertible, random_preorder, random_transitive
@@ -169,6 +170,37 @@ def test_acceptance_symmetric_block_counterexample():
     assert np.linalg.norm(mut.eval(E12) + mut.eval(E21) - mut.eval(E12 + E21)) > 1
     assert not report.additivity.ok
     announce("symmetric-block counterexample", t0)
+
+
+def transplants(n):
+    """counterexample's two maps moved to every pair of every labeled preorder
+    on n points where the criterion holds: the kink at each off-diagonal
+    pair, and the block twist at each symmetric pair (r, s) with r < s."""
+    for rho in all_preorders(n):
+        if condition_i(rho)[0]:
+            for r, s in sorted(rho.off_diagonal):
+                yield _kink(rho, r, s)
+                if r < s and (s, r) in rho.pairs:
+                    yield _block_twist(rho, r, s)
+
+
+@pytest.mark.parametrize("n,seeds,count", [(3, range(20), 57), (4, range(1), 1098)])
+def test_acceptance_transplants_break_a_hypothesis(n, seeds, count):
+    """Where the criterion holds, every preserver is a Jordan embedding, so no
+    transplant of a counterexample keeps spectrum, commutativity and
+    injectivity: each fails one of them at 1 sample, under every seed
+    (15-second budget)."""
+    t0 = time.time()
+    maps = list(transplants(n))
+    assert len(maps) == count
+    for mut in maps:
+        for seed in seeds:
+            report = verify_preserver(mut, n_samples=1, seed=seed)
+            assert not (report.spectrum.ok and report.commutativity.ok
+                        and report.injectivity.ok), (sorted(mut.domain.off_diagonal), mut.label,
+                                                     seed)
+    assert time.time() - t0 < 15.0
+    announce(f"{n}-point transplants: {count} maps x {len(seeds)} seeds break a hypothesis", t0)
 
 
 def test_acceptance_three_point_block_triangular_equivalence():

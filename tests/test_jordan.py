@@ -321,6 +321,18 @@ class TestRecovery:
             with pytest.raises(RecoveryError, match="sample error inf"):
                 recover_form(MapUnderTest(full3, phi, "phi", stacked=True))
 
+    def test_overflowing_sample_norms_recover_without_warning(self):
+        # T_2 with g(1,2) = 1e160: the images are finite, but their squared
+        # norms overflow, and the samples are still graded without a warning
+        T2 = upper_triangular(2)
+        g = TransitiveMap(T2, {(1, 2): 1e160})
+        spec = JordanSpec(T2, np.eye(2, dtype=complex), g, CentralIdempotent((1, 1)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rec = recover_form(MapUnderTest(T2, build_embedding(spec), "phi", stacked=True))
+        assert rec.max_sample_error == 0.0 and rec.rho_m == T2
+        assert rec.spec.g.values[(1, 2)] == 1e160
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_unit_image_reported(self, bad):
         # named, and fitted without a warning
